@@ -18,8 +18,8 @@ from . import tensor as T
 from .data import Dataset
 from .encoder import encode_batch
 from .head import IGNORE_LABEL
-from .masm import mean_feature, rank_modalities
-from .model import ModelConfig, infer, scene_tensors
+from .masm import rank_modalities
+from .model import ModelConfig, fuse_mean, infer, scene_tensors
 
 MAX_MODALITIES = 8
 
@@ -86,7 +86,8 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
     """Score every modality subset across the split.
 
     ``predictor(images, scene) -> label map`` can replace model inference
-    (used by oracle tests); by default the model predicts.
+    (used by oracle tests); by default the model predicts, encoding each
+    modality of a scene once and mean-fusing every subset from those pyramids.
     """
     if tuple(dataset.modality_names) != tuple(cfg.modality_names):
         raise ValueError(
@@ -99,12 +100,15 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
     cms = [np.zeros((k, k), dtype=np.int64) for _ in subsets]
     for scene in dataset.scenes:
         images = scene_tensors(scene)
+        if predictor is None:
+            with T.no_grad():
+                pyramids = encode_batch(images, cfg.encoder, params)
         for si, subset in enumerate(subsets):
-            picked = [images[i] for i in subset]
             if predictor is None:
-                pred = infer(picked, cfg, params, scene.labels.shape)
+                pred = infer([pyramids[i] for i in subset], cfg, params,
+                             scene.labels.shape)
             else:
-                pred = predictor(picked, scene)
+                pred = predictor([images[i] for i in subset], scene)
             cms[si] += confusion_matrix(scene.labels, pred, k)
     scores = tuple(miou(cm) for cm in cms)
     names = tuple(subset_name(s, dataset.modality_names) for s in subsets)
@@ -159,9 +163,9 @@ def rankings_csv(cfg: ModelConfig, params, dataset: Dataset) -> str:
     with T.no_grad():
         for sample_idx, scene in enumerate(dataset.scenes):
             pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
-            for level in range(len(pyramids[0])):
+            for level, f_m in enumerate(fuse_mean(pyramids)):
                 features = [pyr[level] for pyr in pyramids]
-                rank = rank_modalities(features, mean_feature(features))
+                rank = rank_modalities(features, f_m)
                 for mod_idx, name in enumerate(dataset.modality_names):
                     lines.append(
                         f"{sample_idx},{level + 1},{name},"

@@ -61,12 +61,23 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     return T.div(T.sum_all(T.mul(af, bf)), T.mul(na, nb))
 
 
+def _cosine_value(a: np.ndarray, b: np.ndarray) -> float:
+    """``cosine(a, b).item()`` in plain numpy, same operations in the same order."""
+    if a.size != b.size:
+        raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
+    af, bf = a.reshape(-1), b.reshape(-1)
+    na = np.sqrt((af * af).sum())
+    nb = np.sqrt((bf * bf).sum())
+    if na < NORM_EPS or nb < NORM_EPS:
+        return 0.0
+    return float((af * bf).sum() / (na * nb))
+
+
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
     """Stable descending sort of cosine scores; first is robust, last fragile."""
     if len(features) < 2:
         raise TensorError("rank_modalities: need at least 2 modalities")
-    with T.no_grad():
-        scores = tuple(cosine(f, f_m).item() for f in features)
+    scores = tuple(_cosine_value(f.data, f_m.data) for f in features)
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return RankingResult(scale=0, scores=scores, robust_idx=order[0],
                          fragile_idx=order[-1], remaining=tuple(order[1:-1]))

@@ -2,9 +2,9 @@
 
 Training forward: shared encoder on all modalities, similarity-ranked
 rectification producing the fused pyramid, decode head, supervision plus
-consistency terms. Inference forward: encoder on the available subset,
-plain per-scale mean fusion, decode, argmax. The rectification and ranking
-machinery never runs at inference.
+consistency terms. Inference forward: plain per-scale mean fusion of the
+encoded pyramids of the available subset, decode, argmax. The rectification
+and ranking machinery never runs at inference.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+def fuse_mean(pyramids: list[list[Tensor]]) -> list[Tensor]:
+    """Per-level elementwise mean of equal-depth modality pyramids."""
+    return [mean_feature([p[i] for p in pyramids]) for i in range(len(pyramids[0]))]
+
+
 def scene_tensors(scene: ModalityScene) -> list[Tensor]:
     return [Tensor(np.asarray(img, dtype=np.float64)) for img in scene.modalities]
 
@@ -76,8 +81,7 @@ def forward_train(scene: ModalityScene, cfg: ModelConfig,
     if fusion == "masm" and len(pyramids) >= 2:
         fused, rankings, terms = masm_forward(pyramids, params)
     else:
-        fused = [mean_feature([p[i] for p in pyramids])
-                 for i in range(PYRAMID_LEVELS)]
+        fused = fuse_mean(pyramids)
         terms = [[] for _ in range(PYRAMID_LEVELS)]
     logits = decode(fused, params, scene.labels.shape)
     l_m = cross_entropy(logits, scene.labels)
@@ -87,16 +91,23 @@ def forward_train(scene: ModalityScene, cfg: ModelConfig,
 def infer_logits(images: list[Tensor], cfg: ModelConfig,
                  params: dict[str, Tensor], out_size: tuple[int, int]) -> Tensor:
     """Mean-fused backbone inference for an arbitrary modality subset."""
-    if not images:
-        raise TensorError("inference needs at least one modality")
-    pyramids = encode_batch(images, cfg.encoder, params)
-    fused = [mean_feature([p[i] for p in pyramids]) for i in range(PYRAMID_LEVELS)]
-    return decode(fused, params, out_size)
+    return decode(fuse_mean(encode_batch(images, cfg.encoder, params)), params, out_size)
 
 
-def infer(images: list[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
+def infer(pyramids: list[list[Tensor]], cfg: ModelConfig, params: dict[str, Tensor],
           out_size: tuple[int, int]) -> np.ndarray:
-    """Predicted label map; argmax ties resolve to the lowest class id."""
+    """Predicted label map from the encoded pyramids of one modality subset.
+
+    Argmax ties resolve to the lowest class id.
+    """
+    if not pyramids:
+        raise TensorError("inference needs at least one modality")
+    widths = tuple(cfg.stage_channels)
+    for pyr in pyramids:
+        got = tuple(level.shape[0] for level in pyr)
+        if got != widths:
+            raise TensorError(f"infer: pyramid widths {got} do not match "
+                              f"stage channels {widths}")
     with T.no_grad():
-        logits = infer_logits(images, cfg, params, out_size)
+        logits = decode(fuse_mean(pyramids), params, out_size)
     return np.argmax(logits.data, axis=0).astype(np.int64)

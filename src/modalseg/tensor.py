@@ -14,6 +14,7 @@ module. Ground rules:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,7 +101,7 @@ class Tensor:
     def _adopt(self, arr: np.ndarray, requires_grad: bool) -> None:
         if arr.size == 0:
             raise TensorError("tensor dimensions must all be positive")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("non-finite values in tensor data")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -186,7 +187,7 @@ def record_op(
     fused ops outside this module (e.g. the segmentation loss).
     """
     data = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{name}: non-finite values in result")
     if data.size == 0:
         raise TensorError(f"{name}: empty result")
@@ -475,7 +476,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(t: Tensor) -> Tensor:
     """tanh-approximation GELU; smooth, so finite differences behave."""
     x = t.data
-    u = _GELU_C * (x + 0.044715 * x**3)
+    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would take numpy's generic pow
     th = np.tanh(u)
 
     def bwd(g):
@@ -589,9 +590,10 @@ def scale_spatial(f: Tensor, m: Tensor) -> Tensor:
     return record_op("scale_spatial", fd * md[None], (f, m), bwd)
 
 
+@functools.lru_cache(maxsize=None)
 def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
     """Dense row-stochastic matrix applying 1-d bilinear resampling
-    (half-pixel source mapping, edge clamping)."""
+    (half-pixel source mapping, edge clamping). Cached and read-only."""
     s = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
     i0f = np.floor(s)
     t = s - i0f
@@ -601,6 +603,7 @@ def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
     rows = np.arange(n_dst)
     np.add.at(mat, (rows, i0), 1.0 - t)
     np.add.at(mat, (rows, i1), t)
+    mat.setflags(write=False)
     return mat
 
 

@@ -7,13 +7,14 @@ import pytest
 
 import modalseg.tensor as T
 from modalseg.data import generate_dataset
-from modalseg.encoder import encode
+from modalseg.encoder import encode, encode_batch
 from modalseg.evaluate import (MassReport, confusion_matrix, enumerate_subsets,
                                miou, rankings_csv, render_report,
                                report_from_json, report_to_json, run_mass_eval,
                                subset_name)
 from modalseg.head import decode
-from modalseg.model import ModelConfig, infer, init_model_params, scene_tensors
+from modalseg.model import (ModelConfig, infer, infer_logits, init_model_params,
+                            scene_tensors)
 from modalseg.tensor import Tensor, no_grad
 
 MODALITIES = ("camera", "depth", "event", "range")
@@ -149,7 +150,9 @@ def test_singleton_subset_equals_bare_pipeline():
     cfg, params = small_model()
     scene = eval_dataset(count=1).scenes[0]
     images = scene_tensors(scene)
-    got = infer([images[1]], cfg, params, scene.labels.shape)
+    with no_grad():
+        pyramids = encode_batch([images[1]], cfg.encoder, params)
+    got = infer(pyramids, cfg, params, scene.labels.shape)
 
     with no_grad():  # backbone + head only, no selection/rectification code
         pyramid = encode(images[1], cfg.encoder, params)
@@ -162,14 +165,15 @@ def test_duplicated_modality_equals_singleton():
     cfg, params = small_model()
     scene = eval_dataset(count=1).scenes[0]
     img = scene_tensors(scene)[0]
-    single = infer([img], cfg, params, scene.labels.shape)
-    doubled = infer([img, img], cfg, params, scene.labels.shape)
+    with no_grad():
+        once = encode_batch([img], cfg.encoder, params)
+        twice = encode_batch([img, img], cfg.encoder, params)
+    single = infer(once, cfg, params, scene.labels.shape)
+    doubled = infer(twice, cfg, params, scene.labels.shape)
     assert np.array_equal(single, doubled)
 
 
 def test_full_subset_matches_mean_fusion_oracle():
-    from modalseg.model import infer_logits
-
     cfg, params = small_model()
     scene = eval_dataset(count=1).scenes[0]
     images = scene_tensors(scene)
@@ -188,6 +192,19 @@ def test_infer_rejects_empty_subset():
         infer([], cfg, params, (32, 32))
 
 
+def test_infer_rejects_pyramids_that_do_not_match_config():
+    cfg, params = small_model()
+    img = scene_tensors(eval_dataset(count=1).scenes[0])[0]
+    wider = ModelConfig(num_classes=3, modality_names=MODALITIES,
+                        stage_channels=(4, 6, 8, 12), d_embed=8)
+    with no_grad():
+        pyramid = encode(img, cfg.encoder, params)
+        other = encode(img, wider.encoder, init_model_params(wider, 0))
+    for bad in ([pyramid[:3]], [other], [pyramid, other]):
+        with pytest.raises(T.TensorError, match="stage channels"):
+            infer(bad, cfg, params, (32, 32))
+
+
 # ---------------------------------------------------------------------------
 # mass evaluation
 
@@ -199,6 +216,35 @@ def test_mass_eval_random_model_scores_in_range():
     assert len(report.subset_names) == 15
     assert all(0.0 <= s <= 100.0 and np.isfinite(s) for s in report.scores)
     assert abs(report.mean - np.mean(report.scores)) < 1e-9
+
+
+def test_mass_eval_matches_reencode_per_subset():
+    cfg, params = small_model()
+    ds = eval_dataset()
+
+    def reencode(images, scene):
+        with no_grad():
+            logits = infer_logits(images, cfg, params, scene.labels.shape)
+        return np.argmax(logits.data, axis=0)
+
+    assert run_mass_eval(cfg, params, ds) == run_mass_eval(cfg, params, ds,
+                                                           predictor=reencode)
+
+
+def test_mass_eval_encodes_each_modality_once_per_scene(monkeypatch):
+    import modalseg.evaluate as evaluate
+
+    cfg, params = small_model()
+    ds = eval_dataset(count=3)
+    encoded = []
+
+    def counting(images, enc_cfg, prm):
+        encoded.append(len(images))
+        return encode_batch(images, enc_cfg, prm)
+
+    monkeypatch.setattr(evaluate, "encode_batch", counting)
+    run_mass_eval(cfg, params, ds)
+    assert encoded == [4] * len(ds.scenes)
 
 
 def test_mass_eval_perfect_oracle_scores_100():

@@ -147,6 +147,21 @@ def test_ranking_against_brute_force_oracle():
         assert all(-1.0 - 1e-12 <= s <= 1.0 + 1e-12 for s in rank.scores)
 
 
+def test_ranking_scores_equal_tensor_cosine_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        # transposed views give non-contiguous data, as encoder maps have
+        feats = [T.transpose(Tensor(rng.normal(size=(3, 4, 5))), (2, 1, 0))
+                 for _ in range(4)]
+        if trial % 4 == 0:
+            feats[trial % 3] = Tensor(np.zeros((5, 4, 3)))
+        f_m = mean_feature(feats)
+        rank = rank_modalities(feats, f_m)
+        with no_grad():
+            want = tuple(cosine(f, f_m).item() for f in feats)
+        assert rank.scores == want
+
+
 # ---------------------------------------------------------------------------
 # consistency loss
 

@@ -186,6 +186,15 @@ def test_pointwise_grads(seed):
     check_grads(lambda t: T.sum_all(T.mul(T.softmax(t, axis=1), pick)), [x])
 
 
+def test_gelu_matches_cube_formula():
+    # x*x*x and x**3 may differ by an ulp; near -4 the 1 + tanh(u) term
+    # cancels, so the error is bounded relative to max(|gelu(x)|, 1)
+    x = np.linspace(-60.0, 60.0, 200_001)
+    want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    got = T.gelu(Tensor(x)).data
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_clamp_grads_away_from_edges(seed):
     rng = np.random.default_rng(400 + seed)
@@ -352,6 +361,14 @@ def test_resample_grads(seed):
     f = rng.normal(size=(2, 3, 4))
     check_grads(lambda t: T.sum_all(T.exp(T.resample_bilinear(t, 5, 7))), [f])
     check_grads(lambda t: T.sum_all(T.exp(T.resample_bilinear(t, 2, 2))), [f])
+
+
+def test_interp_matrix_is_cached_and_read_only():
+    mat = T._interp_matrix(3, 7)
+    assert T._interp_matrix(3, 7) is mat
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
 
 
 def test_resample_rejects_bad_target():
