@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .head import IGNORE_LABEL
+from .tensor import _interp_matrix
 
 MODALITY_NAMES = ("camera", "depth", "event", "range")
 MAGIC = b"MMSS"
@@ -90,20 +91,7 @@ def _smooth_field(rng: np.random.Generator, h: int, w: int,
                   lo: float, hi: float, grid: int = 4) -> np.ndarray:
     """Bilinear upsample of a coarse uniform grid: a gentle illumination field."""
     coarse = rng.uniform(lo, hi, size=(grid, grid))
-
-    def coords(n_dst, n_src):
-        s = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
-        i0 = np.floor(s)
-        t = s - i0
-        lo_i = np.clip(i0, 0, n_src - 1).astype(int)
-        hi_i = np.clip(i0 + 1, 0, n_src - 1).astype(int)
-        return lo_i, hi_i, t
-
-    y0, y1, ty = coords(h, grid)
-    x0, x1, tx = coords(w, grid)
-    top = coarse[y0][:, x0] * (1 - tx) + coarse[y0][:, x1] * tx
-    bot = coarse[y1][:, x0] * (1 - tx) + coarse[y1][:, x1] * tx
-    return top * (1 - ty)[:, None] + bot * ty[:, None]
+    return _interp_matrix(grid, h) @ coarse @ _interp_matrix(grid, w).T
 
 
 def _render_camera(class_map, k, rng_cam, rng_noise, night: bool) -> np.ndarray:

@@ -35,13 +35,6 @@ def init_head_params(stage_channels, d_embed: int, num_classes: int,
     return params
 
 
-def _project(level: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    c, h, wd = level.shape
-    tokens = T.transpose(T.reshape(level, (c, h * wd)), (1, 0))
-    tokens = T.add_bias(T.matmul(tokens, w), b)
-    return T.reshape(T.transpose(tokens, (1, 0)), (w.shape[1], h, wd))
-
-
 def decode(fused: list[Tensor], params: dict[str, Tensor],
            out_size: tuple[int, int]) -> Tensor:
     """Fused pyramid to K x H x W logits."""
@@ -51,11 +44,11 @@ def decode(fused: list[Tensor], params: dict[str, Tensor],
     h1, w1 = fused[0].shape[1], fused[0].shape[2]
     projected = []
     for i, level in enumerate(fused):
-        p = _project(level, params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
+        p = T.channel_mix(level, params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
         projected.append(T.resample_bilinear(p, h1, w1))
     stack = T.concat(projected, axis=0)
-    mixed = T.gelu(_project(stack, params["head.fuse.w"], params["head.fuse.b"]))
-    logits = _project(mixed, params["head.cls.w"], params["head.cls.b"])
+    mixed = T.gelu(T.channel_mix(stack, params["head.fuse.w"], params["head.fuse.b"]))
+    logits = T.channel_mix(mixed, params["head.cls.w"], params["head.cls.b"])
     return T.resample_bilinear(logits, out_size[0], out_size[1])
 
 

@@ -35,7 +35,7 @@ class RankingResult:
 
 
 def mean_feature(features: list[Tensor]) -> Tensor:
-    """Elementwise arithmetic mean of M equal-shape features."""
+    """Elementwise arithmetic mean of equal-shape tensors, added in list order."""
     if not features:
         raise TensorError("mean_feature: empty feature list")
     shape = features[0].shape
@@ -139,7 +139,4 @@ def consistency_loss(terms: list[list[Tensor]], class_count: int) -> Tensor:
         per_scale.append(T.mul(contrib, float(class_count)))
     if not per_scale:
         return Tensor(0.0)
-    total = per_scale[0]
-    for loss in per_scale[1:]:
-        total = T.add(total, loss)
-    return T.div(total, float(len(per_scale)))
+    return mean_feature(per_scale)

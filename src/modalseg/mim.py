@@ -39,15 +39,6 @@ def _check_pair(name: str, f_a: Tensor, f_b: Tensor) -> tuple[int, int, int]:
     return f_a.shape
 
 
-def _as_tokens(f: Tensor) -> Tensor:
-    c, h, w = f.shape
-    return T.transpose(T.reshape(f, (c, h * w)), (1, 0))
-
-
-def _as_map(tokens: Tensor, h: int, w: int) -> Tensor:
-    return T.reshape(T.transpose(tokens, (1, 0)), (tokens.shape[1], h, w))
-
-
 def rectify_channel(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
                     level: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Cross-calibrate per-channel: returns (f_a', f_b', W_a, W_b)."""
@@ -72,11 +63,10 @@ def rectify_spatial(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
     """Cross-calibrate per-pixel: returns (f_a'', f_b'')."""
     _, h, w = _check_pair("rectify_spatial", f_a, f_b)
     p = f"mim.l{level}"
-    tokens = _as_tokens(T.concat([f_a, f_b], axis=0))
-    att = T.sigmoid(T.add_bias(T.matmul(tokens, params[f"{p}.sp.w"]),
-                               params[f"{p}.sp.b"]))
-    m_a = T.reshape(T.narrow(att, 1, 0, 1), (h, w))
-    m_b = T.reshape(T.narrow(att, 1, 1, 1), (h, w))
+    att = T.sigmoid(T.channel_mix(T.concat([f_a, f_b], axis=0),
+                                  params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
+    m_a = T.reshape(T.narrow(att, 0, 0, 1), (h, w))
+    m_b = T.reshape(T.narrow(att, 0, 1, 1), (h, w))
     out_a = T.add(f_a, T.scale_spatial(f_b, m_b))
     out_b = T.add(f_b, T.scale_spatial(f_a, m_a))
     return out_a, out_b
@@ -84,11 +74,10 @@ def rectify_spatial(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
 
 def fuse(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
     """Mix the rectified pair down to one C x h x w map."""
-    _, h, w = _check_pair("fuse", f_a, f_b)
+    _check_pair("fuse", f_a, f_b)
     p = f"mim.l{level}"
-    tokens = _as_tokens(T.concat([f_a, f_b], axis=0))
-    mixed = T.add_bias(T.matmul(tokens, params[f"{p}.fuse.w"]), params[f"{p}.fuse.b"])
-    return _as_map(mixed, h, w)
+    return T.channel_mix(T.concat([f_a, f_b], axis=0),
+                         params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
 
 
 def mim_forward(f_robust: Tensor, f_fragile: Tensor, params: dict[str, Tensor],

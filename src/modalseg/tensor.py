@@ -15,6 +15,7 @@ module. Ground rules:
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -299,17 +300,6 @@ def maximum(a: Tensor, b) -> Tensor:
     return record_op("max", np.maximum(a.data, bd), (a, bt) if bt else (a,), bwd)
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div, "max": maximum}
-
-
-def elementwise(kind: str, a: Tensor, b) -> Tensor:
-    try:
-        op = _ELEMENTWISE[kind]
-    except KeyError:
-        raise TensorError(f"unknown elementwise op kind {kind!r}") from None
-    return op(a, b)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
@@ -345,7 +335,7 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise TensorError(f"reshape: dimensions must be positive, got {shape}")
-    if int(np.prod(shape, dtype=np.int64)) != t.size:
+    if math.prod(shape) != t.size:
         raise TensorError(f"reshape: cannot view {t.shape} as {shape}")
     orig = t.shape
 
@@ -359,7 +349,9 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(t.ndim)):
         raise TensorError(f"transpose: {axes} is not a permutation of {t.ndim} axes")
-    inverse = tuple(np.argsort(axes))
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
 
     def bwd(g):
         _accumulate(t, np.transpose(g, inverse))
@@ -461,8 +453,8 @@ def sqrt(t: Tensor) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     x = t.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         _accumulate(t, g * out_data * (1.0 - out_data))
@@ -588,6 +580,28 @@ def scale_spatial(f: Tensor, m: Tensor) -> Tensor:
         _accumulate(m, (g * fd).sum(axis=0))
 
     return record_op("scale_spatial", fd * md[None], (f, m), bwd)
+
+
+def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """1x1 projection: a C x h x w map times a C x D weight, plus a length-D
+    bias, gives a D x h x w map. The only op that lays a map out as pixel rows."""
+    c, h, wd = _check_chw("channel_mix", f)
+    if w.ndim != 2 or w.shape[0] != c:
+        raise TensorError(f"channel_mix: weight shape {w.shape} != ({c}, D)")
+    d = w.shape[1]
+    if b.shape != (d,):
+        raise TensorError(f"channel_mix: bias shape {b.shape} != ({d},)")
+    tokens = f.data.reshape(c, h * wd).T  # one row per pixel
+    wmat = w.data
+
+    def bwd(g):
+        g_tokens = np.array(g.reshape(d, h * wd)).T  # g's layout sets the sum order
+        _accumulate(b, g_tokens.sum(axis=0))
+        _accumulate(f, (g_tokens @ wmat.T).T.reshape(c, h, wd))
+        _accumulate(w, tokens.T @ g_tokens)
+
+    out = (tokens @ wmat + b.data).T.reshape(d, h, wd)
+    return record_op("channel_mix", out, (f, w, b), bwd)
 
 
 @functools.lru_cache(maxsize=None)

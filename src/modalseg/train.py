@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset
 from .head import total_loss
-from .masm import consistency_loss
+from .masm import consistency_loss, mean_feature
 from .model import FUSION_MODES, ModelConfig, forward_train, init_model_params
 from .tensor import NonFiniteError, Tensor, backward
 
@@ -189,15 +189,8 @@ def batch_losses(batch, model_cfg: ModelConfig, params: dict[str, Tensor],
         l_m, terms, _ = forward_train(scene, model_cfg, params, fusion=cfg.fusion)
         l_m_parts.append(l_m)
         l_c_parts.append(consistency_loss(terms, model_cfg.num_classes))
-    l_m = l_m_parts[0]
-    l_c = l_c_parts[0]
-    for part in l_m_parts[1:]:
-        l_m = T.add(l_m, part)
-    for part in l_c_parts[1:]:
-        l_c = T.add(l_c, part)
-    n = float(len(batch))
-    l_m = T.div(l_m, n)
-    l_c = T.div(l_c, n)
+    l_m = mean_feature(l_m_parts)
+    l_c = mean_feature(l_c_parts)
     return l_m, l_c, total_loss(l_m, l_c, cfg.beta)
 
 

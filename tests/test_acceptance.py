@@ -108,6 +108,8 @@ def _op_cases(rng):
          [n(size=(3, 2, 2)), n(size=(3,))]),
         ("scale_spatial", lambda f, w: m(T.scale_spatial(f, w)),
          [n(size=(3, 2, 2)), n(size=(2, 2))]),
+        ("channel_mix", lambda f, w, b: m(T.exp(T.channel_mix(f, w, b))),
+         [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
     ]
 
 

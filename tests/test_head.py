@@ -75,6 +75,17 @@ def test_decode_classifier_grads_match_finite_differences():
     check_param_grad(loss_fn, params, "head.proj2.b")
 
 
+def test_decode_projects_without_transposes(monkeypatch):
+    names = []
+    record = T.record_op
+    monkeypatch.setattr(T, "record_op",
+                        lambda name, *rest: names.append(name) or record(name, *rest))
+    with no_grad():
+        decode(pyramid_for(seed=10), head_params(seed=10), (32, 32))
+    assert names.count("channel_mix") == 6
+    assert "transpose" not in names
+
+
 def test_head_param_validation():
     with pytest.raises(ValueError):
         init_head_params(CHANNELS, 8, 1, np.random.default_rng(0))

@@ -178,6 +178,19 @@ def test_param_grads(pname):
     check_param_grad(lambda p: mim_loss(f_a, f_b, p), params, pname)
 
 
+def test_forward_mixes_channels_without_transposes(monkeypatch):
+    names = []
+    record = T.record_op
+    monkeypatch.setattr(T, "record_op",
+                        lambda name, *rest: names.append(name) or record(name, *rest))
+    rng = np.random.default_rng(13)
+    f_a, f_b = Tensor(rng.normal(size=(3, 4, 5))), Tensor(rng.normal(size=(3, 4, 5)))
+    with no_grad():
+        mim_forward(f_a, f_b, params_for((3,), seed=13), 0)
+    assert names.count("channel_mix") == 2
+    assert "transpose" not in names
+
+
 def test_attention_weights_in_unit_interval():
     for seed in range(10):
         params = params_for((3,), seed=seed)

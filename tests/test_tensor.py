@@ -67,13 +67,6 @@ def test_mul_by_one_is_exact_identity():
     assert out.data.tobytes() == x.data.tobytes()
 
 
-def test_elementwise_dispatch_and_unknown_kind():
-    a, b = Tensor([6.0]), Tensor([3.0])
-    assert T.elementwise("div", a, b).data[0] == 2.0
-    with pytest.raises(TensorError):
-        T.elementwise("pow", a, b)
-
-
 def test_elementwise_shape_mismatch():
     with pytest.raises(TensorError):
         T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
@@ -297,6 +290,49 @@ def test_scaling_shape_errors():
         T.scale_channels(f, Tensor(np.ones(4)))
     with pytest.raises(TensorError):
         T.scale_spatial(f, Tensor(np.ones((5, 4))))
+
+
+# ---------------------------------------------------------------------------
+# channel mixing (1x1 projection)
+
+
+def _channel_mix_by_composition(f, w, b):
+    """The reshape/transpose/matmul/add_bias chain that channel_mix fuses."""
+    c, h, wd = f.shape
+    tokens = T.transpose(T.reshape(f, (c, h * wd)), (1, 0))
+    tokens = T.add_bias(T.matmul(tokens, w), b)
+    return T.reshape(T.transpose(tokens, (1, 0)), (w.shape[1], h, wd))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("loss", ["weighted", "square"])
+def test_channel_mix_bit_identical_to_composition(seed, loss):
+    rng = np.random.default_rng(1100 + seed)
+    c, d, h, w = (int(v) for v in rng.integers(1, 9, size=4))
+    arrays = [rng.normal(size=(c, w, h)), rng.normal(size=(c, d)), rng.normal(size=d)]
+    pick = Tensor(rng.normal(size=(d, h, w)))
+    runs = []
+    for op in (T.channel_mix, _channel_mix_by_composition):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        # a transposed input map, as the encoder hands over: not C-contiguous
+        out = op(T.transpose(leaves[0], (0, 2, 1)), leaves[1], leaves[2])
+        other = pick if loss == "weighted" else out
+        backward(T.sum_all(T.mul(out, other)))
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
+
+
+def test_channel_mix_shape_errors():
+    f = Tensor(np.ones((3, 4, 5)))
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    with pytest.raises(TensorError):
+        T.channel_mix(Tensor(np.ones((3, 20))), w, b)
+    with pytest.raises(TensorError):
+        T.channel_mix(f, Tensor(np.ones((4, 2))), b)
+    with pytest.raises(TensorError):
+        T.channel_mix(f, Tensor(np.ones(3)), b)
+    with pytest.raises(TensorError):
+        T.channel_mix(f, w, Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
