@@ -216,7 +216,10 @@ def read_dataset(path) -> Dataset:
         offset += 4
         if offset + nlen > len(blob):
             raise TruncatedDatasetError("truncated modality name table")
-        names.append(blob[offset:offset + nlen].decode("utf-8"))
+        try:
+            names.append(blob[offset:offset + nlen].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"modality name is not UTF-8: {exc}") from exc
         offset += nlen
 
     record = 9 + h * w + m * 3 * h * w * 4

@@ -59,11 +59,12 @@ def init_encoder_params(cfg: EncoderConfig, rng) -> dict[str, Tensor]:
 
 
 def _merge_patches(x: Tensor, k: int) -> Tensor:
-    """C x h x w -> (h/k * w/k) x (C*k*k) token matrix, row-major patch order."""
-    c, h, w = x.shape
-    x = T.reshape(x, (c, h // k, k, w // k, k))
-    x = T.transpose(x, (1, 3, 0, 2, 4))
-    return T.reshape(x, ((h // k) * (w // k), c * k * k))
+    """N x C x h x w -> (N * h/k * w/k) x (C*k*k) token matrix; rows run image
+    by image in row-major patch order, column c*k*k + dy*k + dx."""
+    n, c, h, w = x.shape
+    x = T.reshape(x, (n, c, h // k, k, w // k, k))
+    x = T.transpose(x, (0, 2, 4, 1, 3, 5))
+    return T.reshape(x, (n * (h // k) * (w // k), c * k * k))
 
 
 def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -76,15 +77,29 @@ def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> list[Tensor]:
     """One modality image (C x H x W) to its 4-level feature pyramid."""
-    if image.ndim != 3 or image.shape[0] != cfg.in_channels:
-        raise TensorError(
-            f"encode: expected {cfg.in_channels} x H x W image, got {image.shape}")
-    _, h, w = image.shape
-    if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
-        raise TensorError(f"encode: {h}x{w} not divisible by {TOTAL_DOWNSAMPLE}")
+    return encode_batch([image], cfg, params)[0]
 
-    pyramid: list[Tensor] = []
-    x = image
+
+def encode_batch(images: list[Tensor], cfg: EncoderConfig,
+                 params: dict[str, Tensor]) -> list[list[Tensor]]:
+    """Encode N equal-size images as one N x C x H x W stack with the same
+    weights; one pyramid per image, in input order."""
+    if not images:
+        raise TensorError("encode_batch: empty image list")
+    sizes = {im.shape for im in images}
+    if len(sizes) != 1:
+        raise TensorError(f"encode_batch: mismatched image shapes {sorted(sizes)}")
+    shape = images[0].shape
+    if len(shape) != 3 or shape[0] != cfg.in_channels:
+        raise TensorError(
+            f"encode_batch: expected {cfg.in_channels} x H x W images, got {shape}")
+    n = len(images)
+    _, h, w = shape
+    if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
+        raise TensorError(f"encode_batch: {h}x{w} not divisible by {TOTAL_DOWNSAMPLE}")
+
+    levels: list[list[Tensor]] = []
+    x = T.stack(images)
     for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
         h, w = h // k, w // k
         tokens = _merge_patches(x, k)
@@ -92,17 +107,6 @@ def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> list
                             params[f"enc.s{s}.patch.b"])
         for b in range(cfg.blocks_per_stage):
             tokens = _mixer_block(tokens, params, f"enc.s{s}.b{b}")
-        x = T.reshape(T.transpose(tokens, (1, 0)), (c_out, h, w))
-        pyramid.append(x)
-    return pyramid
-
-
-def encode_batch(images: list[Tensor], cfg: EncoderConfig,
-                 params: dict[str, Tensor]) -> list[list[Tensor]]:
-    """Encode M modality images with the same weights; output order = input order."""
-    if not images:
-        raise TensorError("encode_batch: empty modality list")
-    sizes = {im.shape for im in images}
-    if len(sizes) != 1:
-        raise TensorError(f"encode_batch: mismatched image shapes {sorted(sizes)}")
-    return [encode(im, cfg, params) for im in images]
+        x = T.transpose(T.reshape(tokens, (n, h, w, c_out)), (0, 3, 1, 2))
+        levels.append(T.unstack(x))
+    return [list(pyramid) for pyramid in zip(*levels)]

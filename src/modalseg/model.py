@@ -1,10 +1,11 @@
 """Model assembly: parameter construction and the forward paths.
 
-Training forward: shared encoder on all modalities, similarity-ranked
-rectification producing the fused pyramid, decode head, supervision plus
-consistency terms. Inference forward: plain per-scale mean fusion of the
-encoded pyramids of the available subset, decode, argmax. The rectification
-and ranking machinery never runs at inference.
+Training forward: shared encoder on every modality of the whole batch in one
+stacked pass, then per scene similarity-ranked rectification producing the
+fused pyramid, decode head, supervision plus consistency terms. Inference
+forward: plain per-scale mean fusion of the encoded pyramids of the available
+subset, decode, argmax. The rectification and ranking machinery never runs
+at inference.
 """
 
 from __future__ import annotations
@@ -67,25 +68,34 @@ def scene_tensors(scene: ModalityScene) -> list[Tensor]:
     return [Tensor(np.asarray(img, dtype=np.float64)) for img in scene.modalities]
 
 
-def forward_train(scene: ModalityScene, cfg: ModelConfig,
+def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
                   params: dict[str, Tensor], fusion: str = "masm"
-                  ) -> tuple[Tensor, list[list[Tensor]], list[RankingResult]]:
-    """Supervision loss, consistency terms, and rankings for one scene."""
+                  ) -> list[tuple[Tensor, list[list[Tensor]], list[RankingResult]]]:
+    """Supervision loss, consistency terms, and rankings, one triple per scene.
+
+    All B*M images of the batch go through the encoder as one stack.
+    """
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
-    if len(scene.modalities) != len(cfg.modality_names):
-        raise TensorError(f"scene has {len(scene.modalities)} modalities, "
-                          f"model expects {len(cfg.modality_names)}")
-    pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
-    rankings: list[RankingResult] = []
-    if fusion == "masm" and len(pyramids) >= 2:
-        fused, rankings, terms = masm_forward(pyramids, params)
-    else:
-        fused = fuse_mean(pyramids)
-        terms = [[] for _ in range(PYRAMID_LEVELS)]
-    logits = decode(fused, params, scene.labels.shape)
-    l_m = cross_entropy(logits, scene.labels)
-    return l_m, terms, rankings
+    m = len(cfg.modality_names)
+    for scene in batch:
+        if len(scene.modalities) != m:
+            raise TensorError(f"scene has {len(scene.modalities)} modalities, "
+                              f"model expects {m}")
+    images = [t for scene in batch for t in scene_tensors(scene)]
+    pyramids = encode_batch(images, cfg.encoder, params)
+    out = []
+    for i, scene in enumerate(batch):
+        scene_pyramids = pyramids[i * m:(i + 1) * m]
+        rankings: list[RankingResult] = []
+        if fusion == "masm" and m >= 2:
+            fused, rankings, terms = masm_forward(scene_pyramids, params)
+        else:
+            fused = fuse_mean(scene_pyramids)
+            terms = [[] for _ in range(PYRAMID_LEVELS)]
+        logits = decode(fused, params, scene.labels.shape)
+        out.append((cross_entropy(logits, scene.labels), terms, rankings))
+    return out
 
 
 def infer_logits(images: list[Tensor], cfg: ModelConfig,

@@ -92,13 +92,6 @@ class Tensor:
         arr = np.array(data, dtype=np.float64)
         self._adopt(arr, requires_grad)
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """Adopt a freshly computed float64 array without copying."""
-        t = cls.__new__(cls)
-        t._adopt(np.asarray(arr, dtype=np.float64), requires_grad)
-        return t
-
     def _adopt(self, arr: np.ndarray, requires_grad: bool) -> None:
         if arr.size == 0:
             raise TensorError("tensor dimensions must all be positive")
@@ -130,7 +123,7 @@ class Tensor:
         return self.item()
 
     def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, requires_grad=False)
+        return _unchecked(self.data, requires_grad=False)  # data was checked on entry
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -175,6 +168,16 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _unchecked(data: np.ndarray, requires_grad: bool) -> Tensor:
+    """A Tensor around already validated float64 data, without the _adopt scan."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = requires_grad
+    out._node_index = None
+    return out
+
+
 def record_op(
     name: str,
     data: np.ndarray,
@@ -194,11 +197,7 @@ def record_op(
         raise TensorError(f"{name}: empty result")
     tape = active_tape()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor.__new__(Tensor)  # already validated; skip the _adopt re-check
-    out.data = data
-    out.grad = None
-    out.requires_grad = needs_grad
-    out._node_index = None
+    out = _unchecked(data, needs_grad)
     if needs_grad:
         tape._record(out, backward)
     return out
@@ -382,6 +381,45 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return record_op("concat", data, tuple(tensors), bwd)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """N equal-shape tensors to one tensor with a new leading axis of length N."""
+    if not tensors:
+        raise TensorError("stack: empty input list")
+    shape = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != shape:
+            raise TensorError(f"stack: shape mismatch {t.shape} vs {shape}")
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            _accumulate(t, g[i])
+
+    data = np.stack([t.data for t in tensors])
+    return record_op("stack", data, tuple(tensors), bwd)
+
+
+def unstack(t: Tensor) -> list[Tensor]:
+    """Split the leading axis: one tensor per index, one recorded op each.
+
+    Each part's backward adds into its own slice of ``t.grad``, so the N
+    parts never build N full-size gradient buffers.
+    """
+    if t.ndim < 2:
+        raise TensorError(f"unstack: need at least 2 axes, got shape {t.shape}")
+
+    def part(i: int) -> Tensor:
+        def bwd(g):
+            if not t.requires_grad:
+                return
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[i] += g
+
+        return record_op("unstack", t.data[i], (t,), bwd)
+
+    return [part(i) for i in range(t.shape[0])]
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:

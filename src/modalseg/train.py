@@ -15,6 +15,8 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -185,8 +187,7 @@ def batch_losses(batch, model_cfg: ModelConfig, params: dict[str, Tensor],
     """(L_M, L_C, L) over a batch of scenes, each a batch-mean."""
     l_m_parts = []
     l_c_parts = []
-    for scene in batch:
-        l_m, terms, _ = forward_train(scene, model_cfg, params, fusion=cfg.fusion)
+    for l_m, terms, _ in forward_train(batch, model_cfg, params, fusion=cfg.fusion):
         l_m_parts.append(l_m)
         l_c_parts.append(consistency_loss(terms, model_cfg.num_classes))
     l_m = mean_feature(l_m_parts)
@@ -330,15 +331,61 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "moments": sorted(ckpt.opt.m),
     }
     raw_header = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
-        fh.write(raw_header)
-        for n in names:
-            fh.write(ckpt.params[n].data.astype("<f8").tobytes())
-        for n in header["moments"]:
-            fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
-            fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
+    # Write beside the target, then rename over it: a failed write leaves the
+    # previous checkpoint whole and no temp file behind.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
+            fh.write(raw_header)
+            for n in names:
+                fh.write(ckpt.params[n].data.astype("<f8").tobytes())
+            for n in header["moments"]:
+                fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
+                fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _positive_shape(shape) -> tuple[int, ...]:
+    if not isinstance(shape, list) or not all(type(d) is int and d > 0 for d in shape):
+        raise TypeError(f"bad shape {shape!r}")
+    return tuple(shape)
+
+
+def _unique_names(names) -> list[str]:
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise TypeError(f"expected a list of names, got {names!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated name in {names!r}")
+    return names
+
+
+def _parse_header(raw: bytes) -> dict:
+    """Decode and type-check the JSON header; any flaw is a CheckpointError."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        for key, kind in (("num_classes", int), ("epoch", int), ("adam_step", int),
+                          ("rng_state", dict), ("history", list)):
+            if type(header[key]) is not kind:
+                raise TypeError(f"{key} must be of type {kind.__name__}")
+        cfg_fields = dict(header["config"])
+        cfg_fields["stage_channels"] = tuple(cfg_fields["stage_channels"])
+        header["config"] = TrainConfig(**cfg_fields)
+        header["params"] = [(meta["name"], _positive_shape(meta["shape"]))
+                            for meta in header["params"]]
+        names = _unique_names([name for name, _ in header["params"]])
+        if not set(_unique_names(header["moments"])) <= set(names):
+            raise ValueError("moments name unknown parameters")
+        header["modality_names"] = tuple(_unique_names(header["modality_names"]))
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers the
+        # UTF-8 and JSON decode errors and TrainConfig's own checks
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    return header
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -354,28 +401,23 @@ def load_checkpoint(path) -> Checkpoint:
                                      f"reader supports {CKPT_VERSION}")
     if len(blob) < 12 + hlen:
         raise CheckpointTruncatedError("truncated checkpoint header")
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-
-    cfg_fields = dict(header["config"])
-    cfg_fields["stage_channels"] = tuple(cfg_fields["stage_channels"])
-    cfg = TrainConfig(**cfg_fields)
+    header = _parse_header(blob[12:12 + hlen])
 
     offset = 12 + hlen
     params: dict[str, Tensor] = {}
-    for meta in header["params"]:
-        shape = tuple(meta["shape"])
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
+    for name, shape in header["params"]:
+        n_bytes = math.prod(shape) * 8
         if offset + n_bytes > len(blob):
             raise CheckpointTruncatedError("truncated parameter payload")
         arr = np.frombuffer(blob, dtype="<f8",
                             count=n_bytes // 8, offset=offset).reshape(shape)
-        params[meta["name"]] = Tensor(arr.copy(), requires_grad=True)
+        params[name] = Tensor(arr.copy(), requires_grad=True)
         offset += n_bytes
 
     opt = AdamState(step=header["adam_step"])
     for name in header["moments"]:
         shape = params[name].shape
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
+        n_bytes = math.prod(shape) * 8
         if offset + 2 * n_bytes > len(blob):
             raise CheckpointTruncatedError("truncated optimizer payload")
         opt.m[name] = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
@@ -388,8 +430,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointTruncatedError(
             f"{len(blob) - offset} unexpected trailing bytes")
 
-    rng_state = header["rng_state"]
-    return Checkpoint(config=cfg, num_classes=header["num_classes"],
-                      modality_names=tuple(header["modality_names"]),
+    return Checkpoint(config=header["config"], num_classes=header["num_classes"],
+                      modality_names=header["modality_names"],
                       epoch=header["epoch"], params=params, opt=opt,
-                      rng_state=rng_state, history=header["history"])
+                      rng_state=header["rng_state"], history=header["history"])

@@ -110,11 +110,16 @@ def _op_cases(rng):
          [n(size=(3, 2, 2)), n(size=(2, 2))]),
         ("channel_mix", lambda f, w, b: m(T.exp(T.channel_mix(f, w, b))),
          [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
+        ("stack", lambda a, b: m(T.exp(T.stack([a, b]))),
+         [n(size=(2, 3)), n(size=(2, 3))]),
+        ("unstack", lambda t: (lambda parts: m(T.add(T.exp(parts[0]),
+                                                     T.mul(parts[2], 3.0))))(T.unstack(t)),
+         [n(size=(3, 2, 2))]),  # part 1 unused: its slice must get zero gradient
     ]
 
 
 def _full_loss(scene, cfg, params):
-    l_m, terms, _ = forward_train(scene, cfg, params)
+    l_m, terms, _ = forward_train([scene], cfg, params)[0]
     return total_loss(l_m, consistency_loss(terms, cfg.num_classes), beta=1.0)
 
 

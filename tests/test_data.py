@@ -182,3 +182,39 @@ def test_errors_share_a_base_class():
 def test_write_rejects_empty_dataset(tmp_path):
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "x.mmss", Dataset(3, ("camera",), []))
+
+
+def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset(count=1))
+    blob = path.read_bytes()
+    m = int.from_bytes(blob[12:16], "little")
+    header_end = 28
+    for _ in range(m):  # the modality name table ends the header
+        header_end += 4 + int.from_bytes(blob[header_end:header_end + 4], "little")
+    rng = np.random.default_rng(2024)
+    errors = 0
+    for _ in range(300):
+        flipped = bytearray(blob)
+        for pos in rng.integers(0, header_end, size=rng.integers(1, 4)):
+            flipped[pos] ^= int(rng.integers(1, 256))
+        path.write_bytes(bytes(flipped))
+        try:
+            back = read_dataset(path)
+        except DatasetFormatError:
+            errors += 1
+            continue
+        again = tmp_path / "again.mmss"
+        write_dataset(again, back)
+        assert again.read_bytes() == bytes(flipped)
+    assert errors > 0
+
+
+def test_undecodable_modality_name_is_format_error(tmp_path):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset(count=1))
+    blob = bytearray(path.read_bytes())
+    blob[32] = 0xFF  # first byte of the first name; never valid UTF-8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        read_dataset(path)

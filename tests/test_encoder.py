@@ -125,3 +125,65 @@ def test_image_gradient_flows_to_input():
     backward(pyramid_loss(img, params))
     assert img.grad is not None and img.grad.shape == (3, 32, 32)
     assert np.any(img.grad != 0)
+
+
+# ---------------------------------------------------------------------------
+# one stacked pass for N images
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_batch_matches_per_image_encode(size):
+    params = small_params(seed=21)
+    rng = np.random.default_rng(22)
+    imgs = [Tensor(rng.random((3, size, size))) for _ in range(16)]
+    with no_grad():
+        batched = encode_batch(imgs, SMALL, params)
+        single = [encode(img, SMALL, params) for img in imgs]
+    for level in range(4):
+        scale = max(np.max(np.abs(p[level].data)) for p in single)
+        for b, s in zip(batched, single):
+            assert b[level].shape == s[level].shape
+            assert np.max(np.abs(b[level].data - s[level].data)) <= 1e-13 * scale
+
+
+def squares_loss(pyramids) -> Tensor:
+    parts = [T.sum_all(T.mul(lvl, lvl)) for levels in pyramids for lvl in levels]
+    total = parts[0]
+    for part in parts[1:]:
+        total = T.add(total, part)
+    return total
+
+
+def test_batch_param_grads_equal_sum_of_per_image_grads():
+    rng = np.random.default_rng(23)
+    imgs = [Tensor(rng.random((3, 32, 32))) for _ in range(16)]
+    batched = small_params(seed=24)
+    backward(squares_loss(encode_batch(imgs, SMALL, batched)))
+
+    single = small_params(seed=24)
+    summed = {n: np.zeros_like(p.data) for n, p in single.items()}
+    for img in imgs:
+        for p in single.values():
+            p.zero_grad()
+        backward(squares_loss([encode(img, SMALL, single)]))
+        for n, p in single.items():
+            summed[n] += p.grad
+    for n, p in batched.items():
+        scale = np.max(np.abs(summed[n]))
+        assert np.max(np.abs(p.grad - summed[n])) <= 1e-12 * scale, n
+
+
+def test_batch_adds_only_one_unstack_per_image_per_stage(monkeypatch):
+    names = []
+    real = T.record_op
+    monkeypatch.setattr(T, "record_op", lambda name, *a: names.append(name) or real(name, *a))
+    counts = {}
+    for n in (1, 16):
+        names.clear()
+        with no_grad():
+            encode_batch([Tensor(np.ones((3, 32, 32)))] * n, SMALL, small_params())
+        counts[n] = {name: names.count(name) for name in set(names)}
+    assert counts[16].pop("unstack") == 4 * 16
+    assert counts[1].pop("unstack") == 4
+    assert counts[16] == counts[1]
+    assert counts[1]["stack"] == 1 and counts[1]["transpose"] == 2 * 4

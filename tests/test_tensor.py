@@ -143,6 +143,8 @@ def test_structure_grads(seed):
     check_grads(lambda x: T.sum_all(T.exp(T.narrow(x, 2, 1, 2))), [a])
     check_grads(lambda x, w: T.sum_all(T.exp(T.add_bias(x, w))), [a, v])
     check_grads(lambda x: T.mean_all(T.mul(x, x)), [a])
+    check_grads(lambda x, y: T.sum_all(T.exp(T.stack([x, y]))), [a, b])
+    check_grads(lambda x: T.sum_all(T.mul(T.exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
 
 
 def test_structure_errors():
@@ -159,6 +161,12 @@ def test_structure_errors():
         T.narrow(t, 1, 2, 5)
     with pytest.raises(TensorError):
         T.add_bias(t, Tensor(np.ones(2)))
+    with pytest.raises(TensorError):
+        T.stack([])
+    with pytest.raises(TensorError):
+        T.stack([t, Tensor(np.ones((3, 2)))])
+    with pytest.raises(TensorError):
+        T.unstack(Tensor(np.ones(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +500,37 @@ def test_uniform_param_bounds():
     w = T.uniform_param(np.random.default_rng(0), (50, 50), fan_in=25)
     assert np.all(np.abs(w.data) <= 0.2)
     assert w.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# stacking along a new leading axis
+
+
+def test_stack_unstack_round_trip_and_ops(monkeypatch):
+    rng = np.random.default_rng(40)
+    parts = [Tensor(rng.normal(size=(2, 3, 4))) for _ in range(5)]
+    names = []
+    real = T.record_op
+
+    def counting(name, *args):
+        names.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(T, "record_op", counting)
+    stacked = T.stack(parts)
+    back = T.unstack(stacked)
+    assert names == ["stack"] + ["unstack"] * 5
+    assert stacked.shape == (5, 2, 3, 4)
+    for a, b in zip(parts, back):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_detach_shares_data_without_rescanning(monkeypatch):
+    t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    scans = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: scans.append(x) or real(x))
+    d = t.detach()
+    assert scans == []
+    assert d.data is t.data and not d.requires_grad and d.grad is None
+    assert d._node_index is None

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
+import modalseg.model as model
+import modalseg.train as train_module
 from modalseg.data import generate_dataset, generate_scene
+from modalseg.encoder import encode_batch
 from modalseg.model import init_model_params
 from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError,
@@ -186,6 +191,21 @@ def test_nonfinite_loss_aborts_with_diagnostics():
     assert diag["scene_seeds"] == [scene.seed]
 
 
+def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
+    ds = small_dataset(count=3)
+    mcfg = TINY.model_config(ds.num_classes, ds.modality_names)
+    params = init_model_params(mcfg, 0)
+    encoded = []
+
+    def counting(images, enc_cfg, prm):
+        encoded.append(len(images))
+        return encode_batch(images, enc_cfg, prm)
+
+    monkeypatch.setattr(model, "encode_batch", counting)
+    train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
+    assert encoded == [3 * 4]
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -340,3 +360,86 @@ def test_resume_rejects_reordered_modalities(tmp_path):
                                          labels=s.labels) for s in ds.scenes])
     with pytest.raises(CheckpointError):
         train(cfg, reordered, tmp_path / "run", resume=ckpt)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    before = path.read_bytes()
+    ckpt.epoch = 2
+    opened = []
+
+    class DiskFull:
+        """File that takes 100 bytes, then fails the write that passes them."""
+
+        def __init__(self, fh):
+            self.fh, self.left = fh, 100
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, data):
+            if len(data) > self.left:
+                self.fh.write(data[:self.left])
+                raise OSError(errno.ENOSPC, "no space left on device")
+            self.left -= len(data)
+            return self.fh.write(data)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        opened.append(file)
+        return DiskFull(open(file, mode, *args, **kwargs))
+
+    monkeypatch.setattr(train_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, ckpt)
+    monkeypatch.undo()
+    assert opened and all(p != path for p in opened)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mmck"]
+
+
+def checkpoints_equal(a, b) -> bool:
+    return (a.config == b.config and a.num_classes == b.num_classes
+            and a.modality_names == b.modality_names and a.epoch == b.epoch
+            and a.rng_state == b.rng_state and a.history == b.history
+            and a.opt.step == b.opt.step
+            and param_bytes(a.params) == param_bytes(b.params)
+            and sorted(a.opt.m) == sorted(b.opt.m)
+            and all(a.opt.m[n].tobytes() == b.opt.m[n].tobytes()
+                    and a.opt.v[n].tobytes() == b.opt.v[n].tobytes() for n in a.opt.m))
+
+
+def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    digits = [i for i in range(12, header_end) if chr(blob[i]).isdigit()]
+    rng = np.random.default_rng(2024)
+    outcomes = {"error": 0, "loaded": 0}
+    for case in range(400):
+        flipped = bytearray(blob)
+        if case < 300:  # arbitrary bytes: mostly breaks UTF-8 or JSON
+            for pos in rng.integers(0, header_end, size=rng.integers(1, 4)):
+                flipped[pos] ^= int(rng.integers(1, 256))
+        else:  # one digit for another: mostly still a well-formed header
+            pos = digits[rng.integers(len(digits))]
+            flipped[pos] = ord("0") + (blob[pos] - ord("0") + int(rng.integers(1, 10))) % 10
+        path.write_bytes(bytes(flipped))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            outcomes["error"] += 1
+            continue
+        outcomes["loaded"] += 1
+        again = tmp_path / "again.mmck"
+        save_checkpoint(again, loaded)
+        assert checkpoints_equal(load_checkpoint(again), loaded)
+    assert outcomes["error"] > 0 and outcomes["loaded"] > 0
