@@ -30,6 +30,7 @@ MODALITY_NAMES = ("camera", "depth", "event", "range")
 MAGIC = b"MMSS"
 FORMAT_VERSION = 1
 BORDER = 2  # annotation border width, labeled 255
+MAX_CLASSES = 16
 
 NIGHT_DIM = 0.15
 NIGHT_NOISE_SIGMA = 0.2
@@ -130,8 +131,8 @@ def generate_scene(seed: int, h: int, w: int, k: int, m: int = 4,
     """Render one scene; identical seeds give bit-identical scenes."""
     if h % 32 or w % 32:
         raise ValueError(f"scene size {h}x{w} must be divisible by 32")
-    if not 1 <= k <= 16:
-        raise ValueError("class count must be in [1, 16]")
+    if not 1 <= k <= MAX_CLASSES:
+        raise ValueError(f"class count must be in [1, {MAX_CLASSES}]")
     if not 1 <= m <= len(MODALITY_NAMES):
         raise ValueError(f"modality count must be in [1, {len(MODALITY_NAMES)}]")
     if not 0.0 <= p_night <= 1.0:
@@ -207,6 +208,8 @@ def read_dataset(path) -> Dataset:
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"format version {version}, "
                                    f"reader supports {FORMAT_VERSION}")
+    if not 1 <= k <= MAX_CLASSES:
+        raise DatasetFormatError(f"class count {k} outside [1, {MAX_CLASSES}]")
     offset = 28
     names = []
     for _ in range(m):
@@ -235,6 +238,8 @@ def read_dataset(path) -> Dataset:
         offset += 9
         labels = np.frombuffer(blob, dtype=np.uint8, count=h * w,
                                offset=offset).reshape(h, w).copy()
+        if np.any((labels >= k) & (labels != IGNORE_LABEL)):
+            raise DatasetFormatError(f"label outside [0, {k}) in a scene")
         offset += h * w
         modalities = []
         for _ in range(m):

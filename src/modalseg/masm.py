@@ -11,13 +11,13 @@ plain averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .mim import mim_forward
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, accumulate_grad, record_op
 
 SIM_EPS = 1e-6  # floor for mapped similarities before logs
 NORM_EPS = 1e-12  # below this a feature counts as zero for cosine
@@ -48,36 +48,42 @@ def mean_feature(features: list[Tensor]) -> Tensor:
     return T.div(total, float(len(features)))
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two equal-size features; 0 when either is ~zero."""
-    if a.size != b.size:
-        raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
-    af = T.reshape(a, (a.size,))
-    bf = T.reshape(b, (b.size,))
-    na = T.sqrt(T.sum_all(T.mul(af, af)))
-    nb = T.sqrt(T.sum_all(T.mul(bf, bf)))
-    if na.item() < NORM_EPS or nb.item() < NORM_EPS:
-        return Tensor(0.0)
-    return T.div(T.sum_all(T.mul(af, bf)), T.mul(na, nb))
-
-
-def _cosine_value(a: np.ndarray, b: np.ndarray) -> float:
-    """``cosine(a, b).item()`` in plain numpy, same operations in the same order."""
+def _cosine_parts(a: np.ndarray, b: np.ndarray):
+    """``(cosine, (af, bf, na, nb))`` of two equal-size arrays: their cosine
+    similarity and the flat arrays and norms it came from, or ``(0.0, None)``
+    when either norm is below NORM_EPS. The one cosine forward: ranking reads
+    the value, ``cosine`` records it as an op."""
     if a.size != b.size:
         raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
     af, bf = a.reshape(-1), b.reshape(-1)
     na = np.sqrt((af * af).sum())
     nb = np.sqrt((bf * bf).sum())
     if na < NORM_EPS or nb < NORM_EPS:
-        return 0.0
-    return float((af * bf).sum() / (na * nb))
+        return 0.0, None
+    return float((af * bf).sum() / (na * nb)), (af, bf, na, nb)
+
+
+def cosine(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of two equal-size features, one recorded op; 0, with
+    no gradient, when either is ~zero."""
+    c, parts = _cosine_parts(a.data, b.data)
+    if parts is None:
+        return Tensor(0.0)
+    af, bf, na, nb = parts
+
+    def bwd(g):
+        s = g / (na * nb)
+        accumulate_grad(a, (s * bf - (g * c / (na * na)) * af).reshape(a.shape))
+        accumulate_grad(b, (s * af - (g * c / (nb * nb)) * bf).reshape(b.shape))
+
+    return record_op("cosine", np.asarray(c), (a, b), bwd)
 
 
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
     """Stable descending sort of cosine scores; first is robust, last fragile."""
     if len(features) < 2:
         raise TensorError("rank_modalities: need at least 2 modalities")
-    scores = tuple(_cosine_value(f.data, f_m.data) for f in features)
+    scores = tuple(_cosine_parts(f.data, f_m.data)[0] for f in features)
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return RankingResult(scale=0, scores=scores, robust_idx=order[0],
                          fragile_idx=order[-1], remaining=tuple(order[1:-1]))
@@ -105,11 +111,7 @@ def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
     for i in range(levels):
         features = [pyr[i] for pyr in pyramids]
         f_m = mean_feature(features)
-        rank = rank_modalities(features, f_m)
-        rank = RankingResult(scale=i + 1, scores=rank.scores,
-                             robust_idx=rank.robust_idx,
-                             fragile_idx=rank.fragile_idx,
-                             remaining=rank.remaining)
+        rank = replace(rank_modalities(features, f_m), scale=i + 1)
         f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
                             params, level=i)
         fused.append(T.add(f_mim, f_m))

@@ -51,8 +51,7 @@ def rectify_channel(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
                                params[f"{p}.ch.b1"]))
     att = T.sigmoid(T.add_bias(T.matmul(hidden, params[f"{p}.ch.w2"]),
                                params[f"{p}.ch.b2"]))
-    w_a = T.reshape(T.narrow(att, 1, 0, c), (c,))
-    w_b = T.reshape(T.narrow(att, 1, c, c), (c,))
+    w_a, w_b = T.unstack(T.reshape(att, (2, c)))
     out_a = T.add(f_a, T.scale_channels(f_b, w_b))
     out_b = T.add(f_b, T.scale_channels(f_a, w_a))
     return out_a, out_b, w_a, w_b
@@ -61,12 +60,11 @@ def rectify_channel(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
 def rectify_spatial(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
                     level: int) -> tuple[Tensor, Tensor]:
     """Cross-calibrate per-pixel: returns (f_a'', f_b'')."""
-    _, h, w = _check_pair("rectify_spatial", f_a, f_b)
+    _check_pair("rectify_spatial", f_a, f_b)
     p = f"mim.l{level}"
     att = T.sigmoid(T.channel_mix(T.concat([f_a, f_b], axis=0),
                                   params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
-    m_a = T.reshape(T.narrow(att, 0, 0, 1), (h, w))
-    m_b = T.reshape(T.narrow(att, 0, 1, 1), (h, w))
+    m_a, m_b = T.unstack(att)
     out_a = T.add(f_a, T.scale_spatial(f_b, m_b))
     out_b = T.add(f_b, T.scale_spatial(f_a, m_a))
     return out_a, out_b

@@ -132,32 +132,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar; all real work happens in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
@@ -188,7 +162,7 @@ def record_op(
 
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
-    fused ops outside this module (e.g. the segmentation loss).
+    fused ops outside this module: the segmentation loss and ``masm.cosine``.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
@@ -250,17 +224,6 @@ def add(a: Tensor, b) -> Tensor:
     return record_op("add", a.data + bd, (a, bt) if bt else (a,), bwd)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    bd, bt = _binary_operands("sub", a, b)
-
-    def bwd(g):
-        _accumulate(a, g)
-        if bt is not None:
-            _accumulate(bt, -g)
-
-    return record_op("sub", a.data - bd, (a, bt) if bt else (a,), bwd)
-
-
 def mul(a: Tensor, b) -> Tensor:
     bd, bt = _binary_operands("mul", a, b)
     ad = a.data
@@ -285,18 +248,6 @@ def div(a: Tensor, b) -> Tensor:
             _accumulate(bt, -g * ad / (bd * bd))
 
     return record_op("div", ad / bd, (a, bt) if bt else (a,), bwd)
-
-
-def maximum(a: Tensor, b) -> Tensor:
-    bd, bt = _binary_operands("max", a, b)
-    take_a = a.data >= bd  # ties route the gradient to a
-
-    def bwd(g):
-        _accumulate(a, g * take_a)
-        if bt is not None:
-            _accumulate(bt, g * ~take_a)
-
-    return record_op("max", np.maximum(a.data, bd), (a, bt) if bt else (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +373,6 @@ def unstack(t: Tensor) -> list[Tensor]:
     return [part(i) for i in range(t.shape[0])]
 
 
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    if not 0 <= axis < t.ndim:
-        raise TensorError(f"narrow: axis {axis} out of range")
-    if length <= 0 or start < 0 or start + length > t.shape[axis]:
-        raise TensorError(f"narrow: bad range [{start}, {start + length}) on {t.shape}")
-    sl = [slice(None)] * t.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def bwd(g):
-        full = np.zeros_like(t.data)
-        full[sl] = g
-        _accumulate(t, full)
-
-    return record_op("narrow", t.data[sl].copy(), (t,), bwd)
-
-
 def sum_all(t: Tensor) -> Tensor:
     shape = t.shape
 
@@ -447,10 +380,6 @@ def sum_all(t: Tensor) -> Tensor:
         _accumulate(t, np.broadcast_to(g, shape))
 
     return record_op("sum", np.asarray(t.data.sum()), (t,), bwd)
-
-
-def mean_all(t: Tensor) -> Tensor:
-    return mul(sum_all(t), 1.0 / t.size)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +405,6 @@ def log(t: Tensor) -> Tensor:
         _accumulate(t, g / td)
 
     return record_op("log", np.log(td), (t,), bwd)
-
-
-def sqrt(t: Tensor) -> Tensor:
-    if np.any(t.data < 0.0):
-        raise TensorError("sqrt: negative input")
-    out_data = np.sqrt(t.data)
-
-    def bwd(g):
-        _accumulate(t, g / (2.0 * out_data))
-
-    return record_op("sqrt", out_data, (t,), bwd)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -525,18 +443,6 @@ def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
         _accumulate(t, g * inside)
 
     return record_op("clamp", np.clip(t.data, lo, hi), (t,), bwd)
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(t, p * (g - inner))
-
-    return record_op("softmax", p, (t,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

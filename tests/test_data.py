@@ -174,6 +174,38 @@ def test_tiny_file_is_truncation_error(tmp_path):
         read_dataset(path)
 
 
+def test_class_count_outside_generator_range_is_format_error(tmp_path):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset())
+    blob = bytearray(path.read_bytes())
+    for k in (0, 17):
+        blob[24:28] = k.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match="class count"):
+            read_dataset(path)
+
+
+def test_class_count_below_a_label_is_format_error(tmp_path):
+    ds = small_dataset()
+    assert max(int(s.labels[s.labels != 255].max()) for s in ds.scenes) >= 2
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, ds)
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = (2).to_bytes(4, "little")  # was 4
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match="label outside"):
+        read_dataset(path)
+
+
+def test_single_class_dataset_round_trips(tmp_path):
+    ds = generate_dataset(5, count=2, h=32, w=32, k=1, m=2)
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, ds)
+    back = read_dataset(path)
+    assert back.num_classes == 1
+    assert all(scenes_equal(a, b) for a, b in zip(ds.scenes, back.scenes))
+
+
 def test_errors_share_a_base_class():
     for exc in (BadMagicError, VersionMismatchError, TruncatedDatasetError):
         assert issubclass(exc, DatasetFormatError)

@@ -51,13 +51,11 @@ def test_decode_rejects_wrong_level_count():
         decode(pyramid_for()[:3], params, (32, 32))
 
 
-def test_decode_output_finite_and_softmax_normalized():
+def test_decode_output_finite():
     params = head_params(seed=5)
     with no_grad():
         logits = decode(pyramid_for(seed=6), params, (32, 32))
-        probs = T.softmax(logits, axis=0)
     assert np.all(np.isfinite(logits.data))
-    assert np.allclose(probs.data.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_decode_classifier_grads_match_finite_differences():

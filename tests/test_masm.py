@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import modalseg.masm as masm
 import modalseg.tensor as T
 from modalseg.encoder import EncoderConfig, encode_batch, init_encoder_params
 from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
@@ -97,6 +98,40 @@ def test_cosine_scale_invariance():
 def test_cosine_size_mismatch():
     with pytest.raises(TensorError):
         cosine(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+
+
+def test_cosine_records_one_op(monkeypatch):
+    names = []
+    record = T.record_op
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    monkeypatch.setattr(T, "record_op", spy)
+    monkeypatch.setattr(masm, "record_op", spy)
+    rng = np.random.default_rng(20)
+    a = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    c = cosine(a, b)
+    assert names == ["cosine"]
+    backward(c)
+    assert a.grad.shape == a.shape and b.grad.shape == b.shape
+
+
+def test_cosine_of_zero_feature_is_zero_without_gradient():
+    rng = np.random.default_rng(21)
+    for small in (0.0, 1e-14):  # a norm below NORM_EPS counts as zero
+        zero = Tensor(np.full((3, 2, 2), small), requires_grad=True)
+        other = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+        for x, y in ((zero, other), (other, zero)):
+            zero.zero_grad()
+            other.zero_grad()
+            c = cosine(x, y)
+            assert c.item() == 0.0
+            backward(T.add(c, T.sum_all(T.mul(zero, 2.0))))
+            assert other.grad is None
+            assert np.array_equal(zero.grad, np.full((3, 2, 2), 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,10 @@ def test_elementwise_grads(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4)) + np.where(rng.random((3, 4)) < 0.5, -2.0, 2.0)
-    # b bounded away from 0 (div) and from a (max ties)
+    # b bounded away from 0 (div)
     check_grads(lambda x, y: T.sum_all(T.add(x, y)), [a, b])
-    check_grads(lambda x, y: T.sum_all(T.sub(x, y)), [a, b])
     check_grads(lambda x, y: T.sum_all(T.mul(x, y)), [a, b])
     check_grads(lambda x, y: T.sum_all(T.div(x, y)), [a, b])
-    check_grads(lambda x, y: T.sum_all(T.maximum(x, y)), [a, b])
     check_grads(lambda x: T.sum_all(T.mul(x, 3.5)), [a])
     check_grads(lambda x: T.sum_all(T.div(x, -1.7)), [a])
 
@@ -140,9 +138,7 @@ def test_structure_grads(seed):
     check_grads(lambda x: T.sum_all(T.exp(T.reshape(x, (6, 4)))), [a])
     check_grads(lambda x: T.sum_all(T.exp(T.transpose(x, (2, 0, 1)))), [a])
     check_grads(lambda x, y: T.sum_all(T.exp(T.concat([x, y], axis=1))), [a, b])
-    check_grads(lambda x: T.sum_all(T.exp(T.narrow(x, 2, 1, 2))), [a])
     check_grads(lambda x, w: T.sum_all(T.exp(T.add_bias(x, w))), [a, v])
-    check_grads(lambda x: T.mean_all(T.mul(x, x)), [a])
     check_grads(lambda x, y: T.sum_all(T.exp(T.stack([x, y]))), [a, b])
     check_grads(lambda x: T.sum_all(T.mul(T.exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
 
@@ -157,8 +153,6 @@ def test_structure_errors():
         T.concat([t, Tensor(np.ones((2, 4)))], axis=0)
     with pytest.raises(TensorError):
         T.concat([], axis=0)
-    with pytest.raises(TensorError):
-        T.narrow(t, 1, 2, 5)
     with pytest.raises(TensorError):
         T.add_bias(t, Tensor(np.ones(2)))
     with pytest.raises(TensorError):
@@ -180,11 +174,8 @@ def test_pointwise_grads(seed):
     pos = rng.uniform(0.5, 2.0, size=(3, 5))
     check_grads(lambda t: T.sum_all(T.exp(t)), [x])
     check_grads(lambda t: T.sum_all(T.log(t)), [pos])
-    check_grads(lambda t: T.sum_all(T.sqrt(t)), [pos])
     check_grads(lambda t: T.sum_all(T.sigmoid(t)), [x])
     check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
-    pick = Tensor(rng.normal(size=(3, 5)))
-    check_grads(lambda t: T.sum_all(T.mul(T.softmax(t, axis=1), pick)), [x])
 
 
 def test_gelu_matches_cube_formula():
@@ -214,15 +205,6 @@ def test_clamp_values_and_errors():
 def test_log_domain_error():
     with pytest.raises(TensorError):
         T.log(Tensor([1.0, -1.0]))
-    with pytest.raises(TensorError):
-        T.sqrt(Tensor([-0.5]))
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(7)
-    p = T.softmax(Tensor(rng.normal(size=(5, 9)) * 30), axis=1)
-    assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(p.data >= 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -481,7 +463,7 @@ def test_composite_two_matmuls_softmax(seed):
     pick = Tensor(rng.normal(size=(2, 3)))
 
     def build(xv, a, b):
-        return T.sum_all(T.mul(T.softmax(T.matmul(T.matmul(xv, a), b), axis=1), pick))
+        return T.sum_all(T.mul(T.gelu(T.matmul(T.matmul(xv, a), b)), pick))
 
     check_grads(build, [x, w1, w2], tol=FD_TOL, eps=1e-5)
 
