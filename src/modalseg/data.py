@@ -18,8 +18,11 @@ annotation border that losses and metrics must skip.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -174,26 +177,51 @@ def generate_dataset(seed: int, count: int, h: int, w: int, k: int,
 # container
 
 
+@contextmanager
+def atomic_target(path):
+    """Yield a temp path beside ``path``; rename it over ``path`` when the
+    block succeeds, delete it when the block fails, so a failed write leaves
+    the previous file whole and no temp file behind. There is no fsync: this
+    guards against a failed write or a crashed process, not power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(path, dataset: Dataset) -> None:
+    """Write a ``.mmss`` file atomically. Raises ``DatasetFormatError``, before
+    any file is opened, for anything ``read_dataset`` would reject."""
     scenes = dataset.scenes
     if not scenes:
         raise ValueError("refusing to write an empty dataset")
+    k = dataset.num_classes
+    if not 1 <= k <= MAX_CLASSES:
+        raise DatasetFormatError(f"class count {k} outside [1, {MAX_CLASSES}]")
     h, w = scenes[0].labels.shape
     m = len(dataset.modality_names)
     blob = bytearray()
-    blob += struct.pack("<4sIIIIII", MAGIC, FORMAT_VERSION, len(scenes), m, h, w,
-                        dataset.num_classes)
+    blob += struct.pack("<4sIIIIII", MAGIC, FORMAT_VERSION, len(scenes), m, h, w, k)
     for name in dataset.modality_names:
         raw = name.encode("utf-8")
         blob += struct.pack("<I", len(raw)) + raw
     for scene in scenes:
-        if scene.labels.shape != (h, w) or len(scene.modalities) != m:
-            raise ValueError("inconsistent scene geometry in dataset")
+        labels = scene.labels
+        if labels.shape != (h, w) or len(scene.modalities) != m:
+            raise DatasetFormatError("inconsistent scene geometry in dataset")
+        if np.any((labels != IGNORE_LABEL) & ((labels < 0) | (labels >= k))):
+            raise DatasetFormatError(f"label outside [0, {k}) in a scene")
+        if any(img.shape != (3, h, w) for img in scene.modalities):
+            raise DatasetFormatError(f"modality image is not 3 x {h} x {w}")
         blob += struct.pack("<QB", scene.seed, 1 if scene.condition == "night" else 0)
-        blob += scene.labels.astype(np.uint8).tobytes()
+        blob += labels.astype(np.uint8).tobytes()
         for img in scene.modalities:
             blob += img.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_target(path) as tmp, open(tmp, "wb") as fh:
         fh.write(blob)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset
 from .encoder import encode_batch
-from .head import IGNORE_LABEL
+from .head import IGNORE_LABEL, embed
 from .masm import rank_modalities
 from .model import ModelConfig, fuse_mean, infer, scene_tensors
 
@@ -87,7 +87,8 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
 
     ``predictor(images, scene) -> label map`` can replace model inference
     (used by oracle tests); by default the model predicts, encoding each
-    modality of a scene once and mean-fusing every subset from those pyramids.
+    modality of a scene once, passing it once through the head's affine front
+    (``head.embed``) and averaging those embeddings for every subset.
     """
     if tuple(dataset.modality_names) != tuple(cfg.modality_names):
         raise ValueError(
@@ -102,10 +103,11 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
         images = scene_tensors(scene)
         if predictor is None:
             with T.no_grad():
-                pyramids = encode_batch(images, cfg.encoder, params)
+                embedded = [embed(p, params)
+                            for p in encode_batch(images, cfg.encoder, params)]
         for si, subset in enumerate(subsets):
             if predictor is None:
-                pred = infer([pyramids[i] for i in subset], cfg, params,
+                pred = infer([embedded[i] for i in subset], cfg, params,
                              scene.labels.shape)
             else:
                 pred = predictor([images[i] for i in subset], scene)

@@ -1,8 +1,9 @@
 """All-MLP decode head and the training objective.
 
-Every pyramid level is linearly projected to a common width, resampled to
-the quarter-resolution grid, concatenated and mixed, then classified and
-resampled to the label grid. Supervision is mean softmax cross-entropy over
+``embed`` projects every pyramid level linearly to a common width,
+resamples it to the quarter-resolution grid, concatenates and mixes: the
+affine front. ``decode`` activates that map, classifies it and resamples the
+logits to the label grid. Supervision is mean softmax cross-entropy over
 non-ignored pixels; pixels labeled 255 never contribute.
 """
 
@@ -35,20 +36,30 @@ def init_head_params(stage_channels, d_embed: int, num_classes: int,
     return params
 
 
-def decode(fused: list[Tensor], params: dict[str, Tensor],
-           out_size: tuple[int, int]) -> Tensor:
-    """Fused pyramid to K x H x W logits."""
-    if len(fused) != PYRAMID_LEVELS:
-        raise TensorError(f"decode: expected {PYRAMID_LEVELS}-level pyramid, "
-                          f"got {len(fused)}")
-    h1, w1 = fused[0].shape[1], fused[0].shape[2]
+def embed(pyramid: list[Tensor], params: dict[str, Tensor]) -> Tensor:
+    """Pyramid to the D x h1 x w1 map that enters the GELU.
+
+    Projection, resampling, concat and the fuse mix are all affine, so the
+    embedding of a mean-fused pyramid is the mean of its modalities' embeddings.
+    """
+    widths = tuple(params[f"head.proj{i}.w"].shape[0] for i in range(PYRAMID_LEVELS))
+    got = tuple(level.shape[0] for level in pyramid)
+    if got != widths:
+        raise TensorError(f"embed: expected a {PYRAMID_LEVELS}-level pyramid with "
+                          f"stage channels {widths}, got widths {got}")
+    h1, w1 = pyramid[0].shape[1], pyramid[0].shape[2]
     projected = []
-    for i, level in enumerate(fused):
+    for i, level in enumerate(pyramid):
         p = T.channel_mix(level, params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
         projected.append(T.resample_bilinear(p, h1, w1))
     stack = T.concat(projected, axis=0)
-    mixed = T.gelu(T.channel_mix(stack, params["head.fuse.w"], params["head.fuse.b"]))
-    logits = T.channel_mix(mixed, params["head.cls.w"], params["head.cls.b"])
+    return T.channel_mix(stack, params["head.fuse.w"], params["head.fuse.b"])
+
+
+def decode(embedded: Tensor, params: dict[str, Tensor],
+           out_size: tuple[int, int]) -> Tensor:
+    """Embedded map to K x H x W logits."""
+    logits = T.channel_mix(T.gelu(embedded), params["head.cls.w"], params["head.cls.b"])
     return T.resample_bilinear(logits, out_size[0], out_size[1])
 
 

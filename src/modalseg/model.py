@@ -3,9 +3,10 @@
 Training forward: shared encoder on every modality of the whole batch in one
 stacked pass, then per scene similarity-ranked rectification producing the
 fused pyramid, decode head, supervision plus consistency terms. Inference
-forward: plain per-scale mean fusion of the encoded pyramids of the available
-subset, decode, argmax. The rectification and ranking machinery never runs
-at inference.
+forward: each modality's pyramid through the head's affine front
+(``head.embed``), the mean of the available subset's embeddings, decode,
+argmax; that mean equals embedding the per-scale mean-fused pyramid. The
+rectification and ranking machinery never runs at inference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import ModalityScene
 from .encoder import PYRAMID_LEVELS, EncoderConfig, encode_batch, init_encoder_params
-from .head import cross_entropy, decode, init_head_params
+from .head import cross_entropy, decode, embed, init_head_params
 from .masm import RankingResult, masm_forward, mean_feature
 from .mim import init_mim_params
 from .tensor import Tensor, TensorError
@@ -93,7 +94,7 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
         else:
             fused = fuse_mean(scene_pyramids)
             terms = [[] for _ in range(PYRAMID_LEVELS)]
-        logits = decode(fused, params, scene.labels.shape)
+        logits = decode(embed(fused, params), params, scene.labels.shape)
         out.append((cross_entropy(logits, scene.labels), terms, rankings))
     return out
 
@@ -101,23 +102,19 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
 def infer_logits(images: list[Tensor], cfg: ModelConfig,
                  params: dict[str, Tensor], out_size: tuple[int, int]) -> Tensor:
     """Mean-fused backbone inference for an arbitrary modality subset."""
-    return decode(fuse_mean(encode_batch(images, cfg.encoder, params)), params, out_size)
+    embedded = [embed(p, params) for p in encode_batch(images, cfg.encoder, params)]
+    return decode(mean_feature(embedded), params, out_size)
 
 
-def infer(pyramids: list[list[Tensor]], cfg: ModelConfig, params: dict[str, Tensor],
+def infer(embedded: list[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
           out_size: tuple[int, int]) -> np.ndarray:
-    """Predicted label map from the encoded pyramids of one modality subset.
+    """Predicted label map from the head embeddings (``head.embed``) of one
+    modality subset: their mean, decoded. ``cfg`` is not read; the call shape
+    matches ``infer_logits``.
 
+    Raises ``TensorError`` for an empty subset or embeddings of unequal shape.
     Argmax ties resolve to the lowest class id.
     """
-    if not pyramids:
-        raise TensorError("inference needs at least one modality")
-    widths = tuple(cfg.stage_channels)
-    for pyr in pyramids:
-        got = tuple(level.shape[0] for level in pyr)
-        if got != widths:
-            raise TensorError(f"infer: pyramid widths {got} do not match "
-                              f"stage channels {widths}")
     with T.no_grad():
-        logits = decode(fuse_mean(pyramids), params, out_size)
+        logits = decode(mean_feature(embedded), params, out_size)
     return np.argmax(logits.data, axis=0).astype(np.int64)

@@ -16,7 +16,6 @@ import configparser
 import csv
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset
+from .data import Dataset, atomic_target
 from .head import total_loss
 from .masm import consistency_loss, mean_feature
 from .model import FUSION_MODES, ModelConfig, forward_train, init_model_params
@@ -331,24 +330,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "moments": sorted(ckpt.opt.m),
     }
     raw_header = json.dumps(header).encode("utf-8")
-    # Write beside the target, then rename over it: a failed write leaves the
-    # previous checkpoint whole and no temp file behind.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
-            fh.write(raw_header)
-            for n in names:
-                fh.write(ckpt.params[n].data.astype("<f8").tobytes())
-            for n in header["moments"]:
-                fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
-                fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_target(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
+        fh.write(raw_header)
+        for n in names:
+            fh.write(ckpt.params[n].data.astype("<f8").tobytes())
+        for n in header["moments"]:
+            fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
+            fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
 
 
 def _positive_shape(shape) -> tuple[int, ...]:

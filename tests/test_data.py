@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
+import modalseg.data as data_module
 from modalseg.data import (BadMagicError, Dataset, DatasetFormatError,
                            TruncatedDatasetError, VersionMismatchError,
                            generate_dataset, generate_scene, read_dataset,
@@ -214,6 +217,77 @@ def test_errors_share_a_base_class():
 def test_write_rejects_empty_dataset(tmp_path):
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "x.mmss", Dataset(3, ("camera",), []))
+
+
+def _write_rejected(tmp_path, ds, match):
+    path = tmp_path / "scenes.mmss"
+    with pytest.raises(DatasetFormatError, match=match):
+        write_dataset(path, ds)
+    assert list(tmp_path.iterdir()) == []  # rejected before any file was opened
+
+
+def test_write_rejects_class_count_outside_range(tmp_path):
+    for k in (0, 17):
+        ds = small_dataset()
+        ds.num_classes = k
+        _write_rejected(tmp_path, ds, "class count")
+
+
+def test_write_rejects_labels_the_reader_would_reject(tmp_path):
+    for bad in (-1, 256, 4, 254):  # -1 and 256 would wrap to 255 and 0 as uint8
+        ds = small_dataset()
+        labels = ds.scenes[1].labels.astype(np.int64)
+        labels[5, 7] = bad
+        ds.scenes[1].labels = labels
+        _write_rejected(tmp_path, ds, "label outside")
+    ds = small_dataset()
+    ds.num_classes = 2  # below a label the scenes hold
+    _write_rejected(tmp_path, ds, "label outside")
+
+
+def test_write_rejects_modality_images_that_are_not_3_x_h_x_w(tmp_path):
+    for shape in ((1, 32, 64), (3, 32, 32), (3, 64, 32), (3 * 32 * 64,)):
+        ds = small_dataset()
+        ds.scenes[2].modalities[1] = np.zeros(shape, dtype=np.float32)
+        _write_rejected(tmp_path, ds, "modality image")
+
+
+def test_failed_dataset_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset(seed=31))
+    before = path.read_bytes()
+    opened = []
+
+    class DiskFull:
+        """File that takes 100 bytes, then fails the write that passes them."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, data):
+            self.fh.write(data[:100])
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        opened.append(file)
+        return DiskFull(open(file, mode, *args, **kwargs))
+
+    monkeypatch.setattr(data_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        write_dataset(path, small_dataset(seed=32))
+    monkeypatch.undo()
+    assert opened and all(p != path for p in opened)
+    assert path.read_bytes() == before
+    assert all(scenes_equal(a, b) for a, b in
+               zip(read_dataset(path).scenes, small_dataset(seed=31).scenes))
+    assert [p.name for p in tmp_path.iterdir()] == ["scenes.mmss"]
 
 
 def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):

@@ -8,13 +8,14 @@ import pytest
 import modalseg.tensor as T
 from modalseg.data import generate_dataset
 from modalseg.encoder import encode, encode_batch
+from modalseg.masm import mean_feature
 from modalseg.evaluate import (MassReport, confusion_matrix, enumerate_subsets,
                                miou, rankings_csv, render_report,
                                report_from_json, report_to_json, run_mass_eval,
                                subset_name)
-from modalseg.head import decode
-from modalseg.model import (ModelConfig, infer, infer_logits, init_model_params,
-                            scene_tensors)
+from modalseg.head import decode, embed
+from modalseg.model import (ModelConfig, fuse_mean, infer, infer_logits,
+                            init_model_params, scene_tensors)
 from modalseg.tensor import Tensor, no_grad
 
 MODALITIES = ("camera", "depth", "event", "range")
@@ -152,11 +153,12 @@ def test_singleton_subset_equals_bare_pipeline():
     images = scene_tensors(scene)
     with no_grad():
         pyramids = encode_batch([images[1]], cfg.encoder, params)
-    got = infer(pyramids, cfg, params, scene.labels.shape)
+        embedded = [embed(p, params) for p in pyramids]
+    got = infer(embedded, cfg, params, scene.labels.shape)
 
     with no_grad():  # backbone + head only, no selection/rectification code
         pyramid = encode(images[1], cfg.encoder, params)
-        logits = decode(pyramid, params, scene.labels.shape)
+        logits = decode(embed(pyramid, params), params, scene.labels.shape)
     manual = np.argmax(logits.data, axis=0)
     assert np.array_equal(got, manual)
 
@@ -166,8 +168,9 @@ def test_duplicated_modality_equals_singleton():
     scene = eval_dataset(count=1).scenes[0]
     img = scene_tensors(scene)[0]
     with no_grad():
-        once = encode_batch([img], cfg.encoder, params)
-        twice = encode_batch([img, img], cfg.encoder, params)
+        once = [embed(p, params) for p in encode_batch([img], cfg.encoder, params)]
+        twice = [embed(p, params)
+                 for p in encode_batch([img, img], cfg.encoder, params)]
     single = infer(once, cfg, params, scene.labels.shape)
     doubled = infer(twice, cfg, params, scene.labels.shape)
     assert np.array_equal(single, doubled)
@@ -182,7 +185,7 @@ def test_full_subset_matches_mean_fusion_oracle():
         pyramids = [encode(img, cfg.encoder, params) for img in images]
         fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0))
                  for i in range(4)]
-        expect = decode(fused, params, scene.labels.shape)
+        expect = decode(embed(fused, params), params, scene.labels.shape)
     assert np.max(np.abs(got.data - expect.data)) < 1e-12
 
 
@@ -202,7 +205,34 @@ def test_infer_rejects_pyramids_that_do_not_match_config():
         other = encode(img, wider.encoder, init_model_params(wider, 0))
     for bad in ([pyramid[:3]], [other], [pyramid, other]):
         with pytest.raises(T.TensorError, match="stage channels"):
-            infer(bad, cfg, params, (32, 32))
+            with no_grad():  # pyramids enter inference through head.embed
+                embedded = [embed(p, params) for p in bad]
+            infer(embedded, cfg, params, (32, 32))
+
+
+def test_infer_rejects_embeddings_of_unequal_shape():
+    cfg, params = small_model()
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(8, 8, 8)))
+    for b in (Tensor(rng.normal(size=(8, 4, 4))), Tensor(rng.normal(size=(6, 8, 8)))):
+        with pytest.raises(T.TensorError):
+            infer([a, b], cfg, params, (32, 32))
+
+
+def test_infer_matches_unfolded_decode_on_every_subset():
+    cfg, params = small_model()
+    scene = eval_dataset(count=1).scenes[0]
+    with no_grad():
+        pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
+        embedded = [embed(p, params) for p in pyramids]
+        for subset in enumerate_subsets(4):
+            folded = decode(mean_feature([embedded[i] for i in subset]), params,
+                            scene.labels.shape).data
+            unfolded = decode(embed(fuse_mean([pyramids[i] for i in subset]), params),
+                              params, scene.labels.shape).data
+            assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+            pred = infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
+            assert np.array_equal(pred, np.argmax(folded, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +275,28 @@ def test_mass_eval_encodes_each_modality_once_per_scene(monkeypatch):
     monkeypatch.setattr(evaluate, "encode_batch", counting)
     run_mass_eval(cfg, params, ds)
     assert encoded == [4] * len(ds.scenes)
+
+
+def test_mass_eval_embeds_each_modality_once_and_decodes_each_subset(monkeypatch):
+    import modalseg.evaluate as evaluate
+    import modalseg.model as model
+
+    cfg, params = small_model()
+    ds = eval_dataset(count=3)
+    calls = {"embed": 0, "decode": 0, "infer": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "embed", counted("embed", evaluate.embed))
+    monkeypatch.setattr(model, "decode", counted("decode", model.decode))
+    monkeypatch.setattr(evaluate, "infer", counted("infer", evaluate.infer))
+    run_mass_eval(cfg, params, ds)
+    n = len(ds.scenes)
+    assert calls == {"embed": 4 * n, "decode": 15 * n, "infer": 15 * n}
 
 
 def test_mass_eval_perfect_oracle_scores_100():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.head import cross_entropy, decode, init_head_params, total_loss
+from modalseg.head import cross_entropy, decode, embed, init_head_params, total_loss
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
 from helpers import check_grads, check_param_grad
@@ -32,7 +32,7 @@ def test_decode_shape_contract():
     params = init_head_params((16, 32, 64, 96), 64, 5, np.random.default_rng(2))
     pyr = pyramid_for(size=64, seed=3, channels=(16, 32, 64, 96))
     with no_grad():
-        logits = decode(pyr, params, (64, 64))
+        logits = decode(embed(pyr, params), params, (64, 64))
     assert logits.shape == (5, 64, 64)
 
 
@@ -41,20 +41,20 @@ def test_decode_zero_pyramid_zero_biases_gives_zero_logits():
     zero_pyr = [Tensor(np.zeros((c, 8 // 2 ** i, 8 // 2 ** i)))
                 for i, c in enumerate(CHANNELS)]
     with no_grad():
-        logits = decode(zero_pyr, params, (32, 32))
+        logits = decode(embed(zero_pyr, params), params, (32, 32))
     assert np.array_equal(logits.data, np.zeros((3, 32, 32)))
 
 
 def test_decode_rejects_wrong_level_count():
     params = head_params()
     with pytest.raises(TensorError):
-        decode(pyramid_for()[:3], params, (32, 32))
+        decode(embed(pyramid_for()[:3], params), params, (32, 32))
 
 
 def test_decode_output_finite():
     params = head_params(seed=5)
     with no_grad():
-        logits = decode(pyramid_for(seed=6), params, (32, 32))
+        logits = decode(embed(pyramid_for(seed=6), params), params, (32, 32))
     assert np.all(np.isfinite(logits.data))
 
 
@@ -66,7 +66,7 @@ def test_decode_classifier_grads_match_finite_differences():
     labels[0, :] = 255
 
     def loss_fn(p):
-        return cross_entropy(decode(pyr, p, (32, 32)), labels)
+        return cross_entropy(decode(embed(pyr, p), p, (32, 32)), labels)
 
     backward(loss_fn(params))
     check_param_grad(loss_fn, params, "head.cls.w")
@@ -79,7 +79,8 @@ def test_decode_projects_without_transposes(monkeypatch):
     monkeypatch.setattr(T, "record_op",
                         lambda name, *rest: names.append(name) or record(name, *rest))
     with no_grad():
-        decode(pyramid_for(seed=10), head_params(seed=10), (32, 32))
+        params = head_params(seed=10)
+        decode(embed(pyramid_for(seed=10), params), params, (32, 32))
     assert names.count("channel_mix") == 6
     assert "transpose" not in names
 
