@@ -69,9 +69,8 @@ def _merge_patches(x: Tensor, k: int) -> Tensor:
 
 def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     normed = T.layer_norm(x, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"])
-    h = T.gelu(T.add_bias(T.matmul(normed, params[f"{prefix}.mlp.w1"]),
-                          params[f"{prefix}.mlp.b1"]))
-    h = T.add_bias(T.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
+    h = T.gelu(T.linear(normed, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    h = T.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
     return T.add(x, h)
 
 
@@ -103,8 +102,7 @@ def encode_batch(images: list[Tensor], cfg: EncoderConfig,
     for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
         h, w = h // k, w // k
         tokens = _merge_patches(x, k)
-        tokens = T.add_bias(T.matmul(tokens, params[f"enc.s{s}.patch.w"]),
-                            params[f"enc.s{s}.patch.b"])
+        tokens = T.linear(tokens, params[f"enc.s{s}.patch.w"], params[f"enc.s{s}.patch.b"])
         for b in range(cfg.blocks_per_stage):
             tokens = _mixer_block(tokens, params, f"enc.s{s}.b{b}")
         x = T.transpose(T.reshape(tokens, (n, h, w, c_out)), (0, 3, 1, 2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,18 +44,29 @@ def subset_name(subset, modality_names) -> str:
 
 
 def confusion_matrix(gt: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    """K x K counts (rows ground truth, cols prediction), 255 pixels skipped."""
-    if gt.shape != pred.shape:
+    """K x K counts (rows ground truth, cols prediction), 255 pixels skipped.
+
+    ``pred`` may stack several label grids on leading axes (one per subset);
+    the ground truth is then prepared once and every grid is counted in the
+    same ``bincount``, giving one K x K matrix per grid on the same axes.
+    """
+    gt, pred = np.asarray(gt), np.asarray(pred)
+    lead = pred.shape[:pred.ndim - gt.ndim]
+    if pred.shape[len(lead):] != gt.shape:
         raise ValueError(f"label grids differ: {gt.shape} vs {pred.shape}")
     gt = gt.ravel().astype(np.int64)
-    pred = pred.ravel().astype(np.int64)
     valid = gt != IGNORE_LABEL
-    gt, pred = gt[valid], pred[valid]
+    gt = gt[valid]
     if gt.size and (gt.min() < 0 or gt.max() >= k):
         raise ValueError(f"ground-truth labels outside [0, {k})")
-    if pred.size and (pred.min() < 0 or pred.max() >= k):
+    grids = math.prod(lead)
+    cells = pred.reshape(grids, -1).compress(valid, axis=1).astype(np.int64, copy=False)
+    if cells.size and (cells.min() < 0 or cells.max() >= k):
         raise ValueError(f"predicted labels outside [0, {k})")
-    return np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
+    # in place on the fresh compressed copy: no further grid-sized temporaries
+    cells += gt * k
+    cells += np.arange(0, grids * k * k, k * k)[:, None]
+    return np.bincount(cells.ravel(), minlength=grids * k * k).reshape(lead + (k, k))
 
 
 def miou(cm: np.ndarray) -> float:
@@ -98,20 +110,18 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
         raise ValueError("evaluation split is empty")
     subsets = enumerate_subsets(len(cfg.modality_names))
     k = dataset.num_classes
-    cms = [np.zeros((k, k), dtype=np.int64) for _ in subsets]
+    cms = np.zeros((len(subsets), k, k), dtype=np.int64)
     for scene in dataset.scenes:
         images = scene_tensors(scene)
         if predictor is None:
             with T.no_grad():
                 embedded = [embed(p, params)
                             for p in encode_batch(images, cfg.encoder, params)]
-        for si, subset in enumerate(subsets):
-            if predictor is None:
-                pred = infer([embedded[i] for i in subset], cfg, params,
-                             scene.labels.shape)
-            else:
-                pred = predictor([images[i] for i in subset], scene)
-            cms[si] += confusion_matrix(scene.labels, pred, k)
+            preds = [infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
+                     for subset in subsets]
+        else:
+            preds = [predictor([images[i] for i in subset], scene) for subset in subsets]
+        cms += confusion_matrix(scene.labels, np.stack(preds), k)
     scores = tuple(miou(cm) for cm in cms)
     names = tuple(subset_name(s, dataset.modality_names) for s in subsets)
     return MassReport(modality_names=tuple(dataset.modality_names),

@@ -35,17 +35,25 @@ class RankingResult:
 
 
 def mean_feature(features: list[Tensor]) -> Tensor:
-    """Elementwise arithmetic mean of equal-shape tensors, added in list order."""
+    """Elementwise arithmetic mean of equal-shape tensors, added in list
+    order, one recorded op."""
     if not features:
         raise TensorError("mean_feature: empty feature list")
     shape = features[0].shape
     for f in features[1:]:
         if f.shape != shape:
             raise TensorError(f"mean_feature: shape mismatch {f.shape} vs {shape}")
-    total = features[0]
+    total = features[0].data
     for f in features[1:]:
-        total = T.add(total, f)
-    return T.div(total, float(len(features)))
+        total = total + f.data
+    n = float(len(features))
+
+    def bwd(g):
+        share = g / n
+        for f in features:
+            accumulate_grad(f, share)
+
+    return record_op("mean", total / n, tuple(features), bwd)
 
 
 def _cosine_parts(a: np.ndarray, b: np.ndarray):
@@ -90,8 +98,14 @@ def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
 
 
 def map_similarity(c: Tensor) -> Tensor:
-    """[-1,1] cosine -> [eps,1] so the divergence logs stay defined."""
-    return T.clamp(T.mul(T.add(c, 1.0), 0.5), SIM_EPS, 1.0)
+    """[-1,1] cosine -> [eps,1] so the divergence logs stay defined; one op."""
+    x = (c.data + 1.0) * 0.5
+    inside = (x >= SIM_EPS) & (x <= 1.0)
+
+    def bwd(g):
+        accumulate_grad(c, (g * inside) * 0.5)
+
+    return record_op("map_similarity", np.clip(x, SIM_EPS, 1.0), (c,), bwd)
 
 
 def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
@@ -126,19 +140,33 @@ def consistency_loss(terms: list[list[Tensor]], class_count: int) -> Tensor:
 
     Each contributing scale adds K * [c1*log(c1/m) + c2*log(c2/m)] with m the
     midpoint; scales with fewer than two remaining modalities contribute
-    nothing. Returns the mean over contributing scales, or exact 0.
+    nothing. Returns the mean over contributing scales, or exact 0. One
+    recorded op: since m moves with both terms, dL/dc_j is K/n * log(c_j/m).
     """
     if class_count < 1:
         raise TensorError("consistency_loss: class_count must be positive")
-    per_scale: list[Tensor] = []
-    for scale_terms in terms:
-        if len(scale_terms) < 2:
-            continue
-        c1, c2 = scale_terms[0], scale_terms[1]
-        mid = T.mul(T.add(c1, c2), 0.5)
-        contrib = T.add(T.mul(c1, T.log(T.div(c1, mid))),
-                        T.mul(c2, T.log(T.div(c2, mid))))
-        per_scale.append(T.mul(contrib, float(class_count)))
-    if not per_scale:
+    pairs = [scale_terms[:2] for scale_terms in terms if len(scale_terms) >= 2]
+    if not pairs:
         return Tensor(0.0)
-    return mean_feature(per_scale)
+    k = float(class_count)
+    total = None
+    logs = []
+    for c1, c2 in pairs:
+        a, b = c1.data, c2.data
+        if (a <= 0.0).any() or (b <= 0.0).any():
+            raise TensorError("consistency_loss: similarities must be positive")
+        mid = (a + b) * 0.5
+        la, lb = np.log(a / mid), np.log(b / mid)
+        logs.append((la, lb))
+        value = (a * la + b * lb) * k
+        total = value if total is None else total + value
+    n = float(len(pairs))
+
+    def bwd(g):
+        s = g * (k / n)
+        for (c1, c2), (la, lb) in zip(pairs, logs):
+            accumulate_grad(c1, s * la)
+            accumulate_grad(c2, s * lb)
+
+    return record_op("consistency", total / n, tuple(c for pair in pairs for c in pair),
+                     bwd)

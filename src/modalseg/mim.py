@@ -47,10 +47,8 @@ def rectify_channel(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
     z = T.concat([T.pool_global(f_a, "avg"), T.pool_global(f_a, "max"),
                   T.pool_global(f_b, "avg"), T.pool_global(f_b, "max")], axis=0)
     z = T.reshape(z, (1, 4 * c))
-    hidden = T.gelu(T.add_bias(T.matmul(z, params[f"{p}.ch.w1"]),
-                               params[f"{p}.ch.b1"]))
-    att = T.sigmoid(T.add_bias(T.matmul(hidden, params[f"{p}.ch.w2"]),
-                               params[f"{p}.ch.b2"]))
+    hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
+    att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
     w_a, w_b = T.unstack(T.reshape(att, (2, c)))
     out_a = T.add(f_a, T.scale_channels(f_b, w_b))
     out_b = T.add(f_b, T.scale_channels(f_a, w_a))

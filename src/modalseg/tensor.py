@@ -15,6 +15,7 @@ module. Ground rules:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -162,7 +163,8 @@ def record_op(
 
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
-    fused ops outside this module: the segmentation loss and ``masm.cosine``.
+    fused ops outside this module: ``head.cross_entropy``, and in ``masm``
+    ``cosine``, ``mean_feature``, ``map_similarity`` and ``consistency_loss``.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
@@ -254,31 +256,24 @@ def div(a: Tensor, b) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise TensorError(f"matmul: need 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise TensorError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: an N x C token matrix times a C x D weight, plus a
+    length-D bias added to every row."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise TensorError(f"linear: need 2-d operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise TensorError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
+    d = w.shape[1]
+    if b.shape != (d,):
+        raise TensorError(f"linear: bias shape {b.shape} != ({d},)")
+    xd, wd = x.data, w.data
 
     def bwd(g):
-        _accumulate(a, g @ bd.T)
-        _accumulate(b, ad.T @ g)
+        _accumulate(b, g.reshape(-1, d).sum(axis=0))
+        _accumulate(x, g @ wd.T)
+        _accumulate(w, xd.T @ g)
 
-    return record_op("matmul", ad @ bd, (a, b), bwd)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-C vector to the last axis of x (the one sanctioned broadcast)."""
-    if b.ndim != 1 or x.ndim < 1 or x.shape[-1] != b.shape[0]:
-        raise TensorError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
-    c = b.shape[0]
-
-    def bwd(g):
-        _accumulate(x, g)
-        _accumulate(b, g.reshape(-1, c).sum(axis=0))
-
-    return record_op("add_bias", x.data + b.data, (x, b), bwd)
+    return record_op("linear", xd @ wd + b.data, (x, w, b), bwd)
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -321,8 +316,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for ax in range(first.ndim):
             if ax != axis and t.shape[ax] != first.shape[ax]:
                 raise TensorError(f"concat: shape mismatch {t.shape} vs {first.shape}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def bwd(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):

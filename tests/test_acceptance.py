@@ -29,8 +29,8 @@ from modalseg.encoder import encode_batch
 from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
                                render_report, run_mass_eval)
 from modalseg.head import cross_entropy, total_loss
-from modalseg.masm import (SIM_EPS, consistency_loss, cosine, masm_forward,
-                           rank_modalities)
+from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
+                           masm_forward, mean_feature, rank_modalities)
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
 from modalseg.train import (CheckpointError, TrainConfig, load_checkpoint,
@@ -73,10 +73,8 @@ def _op_cases(rng):
         ("add", lambda a, b: m(T.add(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("mul", lambda a, b: m(T.mul(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("div", lambda a, b: m(T.div(a, b)), [n(size=(3, 4)), p(3, 4)]),
-        ("matmul", lambda a, b: m(T.matmul(a, b)),
-         [n(size=(3, 4)), n(size=(4, 2))]),
-        ("add_bias", lambda x, b: m(T.add_bias(x, b)),
-         [n(size=(5, 3)), n(size=(3,))]),
+        ("linear", lambda x, w, b: m(T.exp(T.linear(x, w, b))),
+         [n(size=(3, 4)), n(size=(4, 2)), n(size=(2,))]),
         ("reshape", lambda t: m(T.mul(T.reshape(t, (3, 4)), 2.0)),
          [n(size=(2, 6))]),
         ("transpose", lambda t: m(T.exp(T.transpose(t, (1, 0, 2)))),
@@ -108,6 +106,12 @@ def _op_cases(rng):
          [n(size=(3, 2, 2))]),  # part 1 unused: its slice must get zero gradient
         ("cosine", lambda a, b: m(cosine(a, b)),
          [n(size=(3, 2, 2)), n(size=(3, 2, 2))]),
+        ("mean", lambda a, b, c: m(T.exp(mean_feature([a, b, a, c]))),
+         [n(size=(3, 2)), n(size=(3, 2)), n(size=(3, 2))]),  # a twice: fan-in
+        ("map_similarity", lambda c: m(T.exp(map_similarity(c))),
+         [rng.uniform(-0.9, 0.9, (3, 2))]),  # inside the clip: away from its kinks
+        ("consistency", lambda a, b, c, d: consistency_loss([[a, b], [], [c, d, a]], 7),
+         [np.asarray(rng.uniform(0.05, 1.0)) for _ in range(4)]),
     ]
 
 

@@ -88,6 +88,25 @@ def test_confusion_matrix_rejects_out_of_range():
         confusion_matrix(np.zeros((2, 2)), np.zeros((3, 2)), 2)
 
 
+def test_confusion_matrix_of_stacked_grids_equals_one_grid_at_a_time():
+    rng = np.random.default_rng(3)
+    k = 4
+    gt = rng.integers(0, k, size=(6, 5))
+    gt[rng.random((6, 5)) < 0.2] = 255
+    preds = rng.integers(0, k, size=(15, 6, 5))
+    stacked = confusion_matrix(gt, preds, k)
+    assert stacked.shape == (15, k, k)
+    for cm, pred in zip(stacked, preds):
+        assert np.array_equal(cm, confusion_matrix(gt, pred, k))
+    assert confusion_matrix(gt, preds.reshape(3, 5, 6, 5), k).shape == (3, 5, k, k)
+    r, c = np.argwhere(gt != 255)[0]
+    preds[7, r, c] = k  # one bad scored label anywhere in the stack is an error
+    with pytest.raises(ValueError):
+        confusion_matrix(gt, preds, k)
+    with pytest.raises(ValueError):
+        confusion_matrix(gt, preds[:, :, :4], k)
+
+
 def test_miou_perfect_prediction():
     gt = np.random.default_rng(0).integers(0, 3, size=(10, 10))
     cm = confusion_matrix(gt, gt, 3)

@@ -260,6 +260,115 @@ def test_map_similarity_range():
         assert map_similarity(Tensor(1.0)).item() == 1.0
 
 
+def test_consistency_rejects_nonpositive_terms():
+    for pair in ((0.0, 0.5), (0.5, -0.2), (-0.5, 0.5)):
+        with pytest.raises(TensorError):
+            consistency_loss([[Tensor(pair[0]), Tensor(pair[1])]], class_count=3)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the equivalent chains of elementary ops
+
+
+def _mean_by_chain(features):
+    total = features[0]
+    for f in features[1:]:
+        total = T.add(total, f)
+    return T.div(total, float(len(features)))
+
+
+def _map_similarity_by_chain(c):
+    return T.clamp(T.mul(T.add(c, 1.0), 0.5), SIM_EPS, 1.0)
+
+
+def _consistency_by_chain(terms, class_count):
+    per_scale = []
+    for scale_terms in terms:
+        if len(scale_terms) < 2:
+            continue
+        c1, c2 = scale_terms[0], scale_terms[1]
+        mid = T.mul(T.add(c1, c2), 0.5)
+        contrib = T.add(T.mul(c1, T.log(T.div(c1, mid))),
+                        T.mul(c2, T.log(T.div(c2, mid))))
+        per_scale.append(T.mul(contrib, float(class_count)))
+    return _mean_by_chain(per_scale)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("order", [(0,), (0, 1), (0, 1, 0, 2, 0), (2, 1, 0, 1)])
+def test_mean_feature_bit_identical_to_add_div_chain(seed, order):
+    rng = np.random.default_rng(30 + seed)
+    arrays = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
+    pick = Tensor(rng.normal(size=(3, 2, 4)))
+    runs = []
+    for op in (mean_feature, _mean_by_chain):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op([leaves[i] for i in order])
+        # leaf 0 feeds a second op too, so its gradients' summing order counts
+        backward(T.add(T.sum_all(T.mul(leaves[0], leaves[1])),
+                       T.sum_all(T.mul(out, pick))))
+        runs.append([out.data.tobytes()]
+                    + [t.grad.tobytes() for t in leaves if t.grad is not None])
+    assert runs[0] == runs[1]
+
+
+def test_map_similarity_bit_identical_to_add_mul_clamp_chain():
+    rng = np.random.default_rng(31)
+    edges = [-1.5, -1.0, -1.0 + 2 * SIM_EPS, -0.999999, -0.3, 0.0, 0.7, 1.0, 1.2]
+    arr = np.concatenate([edges, rng.uniform(-1.0, 1.0, 31)])
+    pick = Tensor(rng.normal(size=arr.shape))
+    runs = []
+    for op in (map_similarity, _map_similarity_by_chain):
+        c = Tensor(arr, requires_grad=True)
+        out = op(c)
+        backward(T.sum_all(T.mul(out, pick)))
+        runs.append((out.data.tobytes(), c.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_consistency_forward_bit_identical_to_chain_and_grads_close(seed):
+    rng = np.random.default_rng(40 + seed)
+    values = rng.uniform(SIM_EPS, 1.0, size=9)
+    values[3] = values[2]  # one scale with equal terms
+    shapes = [[0, 1], [], [2, 3, 4], [5], [6, 7, 8]]
+    runs = []
+    for op in (consistency_loss, _consistency_by_chain):
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        loss = op([[leaves[i] for i in scale] for scale in shapes], 5)
+        backward(T.mul(loss, 1.7))
+        runs.append((loss.data.tobytes(),
+                     np.array([0.0 if t.grad is None else float(t.grad) for t in leaves])))
+    (fused_value, fused_grad), (chain_value, chain_grad) = runs
+    assert fused_value == chain_value
+    assert np.max(np.abs(fused_grad - chain_grad)) <= 1e-12 * np.max(np.abs(chain_grad))
+    assert fused_grad[[4, 5]].tolist() == [0.0, 0.0]  # not among a scale's first two
+
+
+@pytest.mark.parametrize("name", ["mean", "map_similarity", "consistency"])
+def test_fused_masm_ops_record_one_op(monkeypatch, name):
+    names = []
+    record = T.record_op
+
+    def spy(op_name, *rest):
+        names.append(op_name)
+        return record(op_name, *rest)
+
+    monkeypatch.setattr(T, "record_op", spy)
+    monkeypatch.setattr(masm, "record_op", spy)
+    rng = np.random.default_rng(22)
+    leaves = [Tensor(v, requires_grad=True) for v in rng.uniform(0.1, 0.9, size=4)]
+    build = {
+        "mean": lambda: mean_feature(leaves),
+        "map_similarity": lambda: map_similarity(leaves[0]),
+        "consistency": lambda: consistency_loss([leaves[:2], [], leaves[2:]], 3),
+    }[name]
+    out = build()
+    assert names == [name]
+    backward(out)
+    assert leaves[0].grad is not None
+
+
 # ---------------------------------------------------------------------------
 # full forward
 

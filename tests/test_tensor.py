@@ -100,25 +100,31 @@ def test_elementwise_grads(seed):
 
 
 # ---------------------------------------------------------------------------
-# matmul and structure
+# linear layer (matrix product plus bias) and structure
 
 
 def test_matmul_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = T.matmul(Tensor(np.eye(2)), Tensor(x))
+    out = T.linear(Tensor(np.eye(2)), Tensor(x), Tensor(np.zeros(2)))
     assert np.array_equal(out.data, x)
 
 
 def test_matmul_hand_values():
-    out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    out = T.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]),
+                   Tensor([0.0]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
+    out = T.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]),
+                   Tensor([0.5]))
+    assert np.array_equal(out.data, [[3.5], [7.5]])
 
 
 def test_matmul_dim_mismatch():
     with pytest.raises(TensorError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
     with pytest.raises(TensorError):
-        T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+        T.linear(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+    with pytest.raises(TensorError):
+        T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -126,7 +132,64 @@ def test_matmul_grads(seed):
     rng = np.random.default_rng(100 + seed)
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     pick = Tensor(rng.normal(size=(3, 2)))
-    check_grads(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), pick)), [a, b], tol=1e-5)
+    c = rng.normal(size=2)
+    check_grads(lambda x, y, z: T.sum_all(T.mul(T.linear(x, y, z), pick)), [a, b, c],
+                tol=1e-5)
+
+
+def _matmul(a, b):
+    """Matrix product as its own op; with ``_add_bias``, the reference chain for
+    ``linear``."""
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        T.accumulate_grad(a, g @ bd.T)
+        T.accumulate_grad(b, ad.T @ g)
+
+    return T.record_op("matmul", ad @ bd, (a, b), bwd)
+
+
+def _add_bias(x, b):
+    """Row-wise bias add as its own op."""
+    c = b.shape[0]
+
+    def bwd(g):
+        T.accumulate_grad(x, g)
+        T.accumulate_grad(b, g.reshape(-1, c).sum(axis=0))
+
+    return T.record_op("add_bias", x.data + b.data, (x, b), bwd)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_linear_bit_identical_to_matmul_then_add_bias(seed):
+    rng = np.random.default_rng(1200 + seed)
+    n, c, d = (int(v) for v in rng.integers(1, 9, size=3))
+    arrays = [rng.normal(size=(c, n)), rng.normal(size=(c, d)), rng.normal(size=d)]
+    pick = Tensor(rng.normal(size=(n, d)))
+    runs = []
+    for op in (T.linear, lambda x, w, b: _add_bias(_matmul(x, w), b)):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        # a transposed token matrix: not C-contiguous, and x gets two grads
+        x = T.transpose(leaves[0], (1, 0))
+        out = op(x, leaves[1], leaves[2])
+        again = op(x, leaves[1], leaves[2])
+        backward(T.sum_all(T.add(T.mul(out, pick), T.mul(again, out))))
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
+
+
+def test_linear_records_one_op(monkeypatch):
+    names = []
+    record = T.record_op
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    monkeypatch.setattr(T, "record_op", spy)
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    T.linear(x, Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+    assert names == ["linear"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -138,7 +201,9 @@ def test_structure_grads(seed):
     check_grads(lambda x: T.sum_all(T.exp(T.reshape(x, (6, 4)))), [a])
     check_grads(lambda x: T.sum_all(T.exp(T.transpose(x, (2, 0, 1)))), [a])
     check_grads(lambda x, y: T.sum_all(T.exp(T.concat([x, y], axis=1))), [a, b])
-    check_grads(lambda x, w: T.sum_all(T.exp(T.add_bias(x, w))), [a, v])
+    w = rng.normal(size=(4, 4))
+    check_grads(lambda x, y, z: T.sum_all(T.exp(T.linear(T.reshape(x, (6, 4)), y, z))),
+                [a, w, v])
     check_grads(lambda x, y: T.sum_all(T.exp(T.stack([x, y]))), [a, b])
     check_grads(lambda x: T.sum_all(T.mul(T.exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
 
@@ -154,7 +219,7 @@ def test_structure_errors():
     with pytest.raises(TensorError):
         T.concat([], axis=0)
     with pytest.raises(TensorError):
-        T.add_bias(t, Tensor(np.ones(2)))
+        T.linear(t, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     with pytest.raises(TensorError):
         T.stack([])
     with pytest.raises(TensorError):
@@ -287,10 +352,10 @@ def test_scaling_shape_errors():
 
 
 def _channel_mix_by_composition(f, w, b):
-    """The reshape/transpose/matmul/add_bias chain that channel_mix fuses."""
+    """The reshape/transpose/linear chain that channel_mix fuses."""
     c, h, wd = f.shape
     tokens = T.transpose(T.reshape(f, (c, h * wd)), (1, 0))
-    tokens = T.add_bias(T.matmul(tokens, w), b)
+    tokens = T.linear(tokens, w, b)
     return T.reshape(T.transpose(tokens, (1, 0)), (w.shape[1], h, wd))
 
 
@@ -461,11 +526,12 @@ def test_composite_two_matmuls_softmax(seed):
     w1 = rng.normal(size=(3, 4))
     w2 = rng.normal(size=(4, 3))
     pick = Tensor(rng.normal(size=(2, 3)))
+    b1, b2 = rng.normal(size=4), rng.normal(size=3)
 
-    def build(xv, a, b):
-        return T.sum_all(T.mul(T.gelu(T.matmul(T.matmul(xv, a), b)), pick))
+    def build(xv, a, b, c1, c2):
+        return T.sum_all(T.mul(T.gelu(T.linear(T.linear(xv, a, c1), b, c2)), pick))
 
-    check_grads(build, [x, w1, w2], tol=FD_TOL, eps=1e-5)
+    check_grads(build, [x, w1, w2, b1, b2], tol=FD_TOL, eps=1e-5)
 
 
 def test_determinism_same_seed_bit_identical():
@@ -473,7 +539,8 @@ def test_determinism_same_seed_bit_identical():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(4, 4)))
         w = T.uniform_param(np.random.default_rng(43), (4, 4), fan_in=4)
-        return T.sigmoid(T.matmul(x, w)).data.tobytes()
+        b = T.uniform_param(np.random.default_rng(44), (4,), fan_in=4)
+        return T.sigmoid(T.linear(x, w, b)).data.tobytes()
 
     assert run() == run()
 

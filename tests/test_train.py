@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import errno
+import sys
 
 import numpy as np
 import pytest
 
 import modalseg.model as model
+import modalseg.tensor as T
 import modalseg.train as train_module
 from modalseg.data import generate_dataset, generate_scene
 from modalseg.encoder import encode_batch
@@ -204,6 +206,35 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
     monkeypatch.setattr(model, "encode_batch", counting)
     train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
     assert encoded == [3 * 4]
+
+
+MASM_STEP_OP_BUDGET = 717
+
+
+def test_masm_step_records_at_most_the_op_budget(monkeypatch):
+    """Recorded ops in one masm step at the benchmark's training size (batch 4,
+    32x32, M=4, K=3, widths 8/12/16/24, d_embed 16, beta 1): per-op Python
+    cost dominates a step of this size, so a fused op split back into a chain
+    shows up here."""
+    cfg = TrainConfig(stage_channels=(8, 12, 16, 24), d_embed=16, base_lr=1e-2,
+                      batch_size=4, epochs=1, fusion="masm", beta=1.0, seed=0)
+    ds = small_dataset(count=4)
+    mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
+    params = init_model_params(mcfg, 0)
+    names = []
+    record = T.record_op
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("modalseg") \
+                and getattr(mod, "record_op", None) is record:
+            monkeypatch.setattr(mod, "record_op", spy)
+    train_step(ds.scenes, params, AdamState(), cfg, mcfg, lr=1e-2)
+    assert "mean" in names and "consistency" in names  # the spy saw masm's binding
+    assert len(names) <= MASM_STEP_OP_BUDGET
 
 
 # ---------------------------------------------------------------------------
