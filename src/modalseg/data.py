@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import IMAGE_CHANNELS
 from .head import IGNORE_LABEL
 from .tensor import _interp_matrix
 
@@ -215,8 +216,9 @@ def write_dataset(path, dataset: Dataset) -> None:
             raise DatasetFormatError("inconsistent scene geometry in dataset")
         if np.any((labels != IGNORE_LABEL) & ((labels < 0) | (labels >= k))):
             raise DatasetFormatError(f"label outside [0, {k}) in a scene")
-        if any(img.shape != (3, h, w) for img in scene.modalities):
-            raise DatasetFormatError(f"modality image is not 3 x {h} x {w}")
+        if any(img.shape != (IMAGE_CHANNELS, h, w) for img in scene.modalities):
+            raise DatasetFormatError(
+                f"modality image is not {IMAGE_CHANNELS} x {h} x {w}")
         blob += struct.pack("<QB", scene.seed, 1 if scene.condition == "night" else 0)
         blob += labels.astype(np.uint8).tobytes()
         for img in scene.modalities:
@@ -253,7 +255,8 @@ def read_dataset(path) -> Dataset:
             raise DatasetFormatError(f"modality name is not UTF-8: {exc}") from exc
         offset += nlen
 
-    record = 9 + h * w + m * 3 * h * w * 4
+    image_values = IMAGE_CHANNELS * h * w
+    record = 9 + h * w + m * image_values * 4
     if len(blob) - offset != count * record:
         raise TruncatedDatasetError(
             f"payload is {len(blob) - offset} bytes, header promises {count * record}")
@@ -271,10 +274,10 @@ def read_dataset(path) -> Dataset:
         offset += h * w
         modalities = []
         for _ in range(m):
-            img = np.frombuffer(blob, dtype="<f4", count=3 * h * w,
-                                offset=offset).reshape(3, h, w)
+            img = np.frombuffer(blob, dtype="<f4", count=image_values,
+                                offset=offset).reshape(IMAGE_CHANNELS, h, w)
             modalities.append(img.astype(np.float32).copy())
-            offset += 3 * h * w * 4
+            offset += image_values * 4
         scenes.append(ModalityScene(seed=seed, condition="night" if cond else "day",
                                     modalities=modalities, labels=labels))
     return Dataset(num_classes=k, modality_names=tuple(names), scenes=scenes)

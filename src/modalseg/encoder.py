@@ -18,17 +18,15 @@ from .tensor import Tensor, TensorError
 STAGE_DOWNSAMPLE = (4, 2, 2, 2)
 PYRAMID_LEVELS = len(STAGE_DOWNSAMPLE)
 TOTAL_DOWNSAMPLE = 32
+IMAGE_CHANNELS = 3  # every modality image is 3 x H x W, here and in .mmss files
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    in_channels: int = 3
     stage_channels: tuple[int, ...] = (16, 32, 64, 96)
     blocks_per_stage: int = 1
 
     def __post_init__(self) -> None:
-        if self.in_channels < 1:
-            raise ValueError("in_channels must be positive")
         if len(self.stage_channels) != PYRAMID_LEVELS:
             raise ValueError(f"need {PYRAMID_LEVELS} stage channel counts")
         if any(c < 1 for c in self.stage_channels):
@@ -40,7 +38,7 @@ class EncoderConfig:
 def init_encoder_params(cfg: EncoderConfig, rng) -> dict[str, Tensor]:
     """Fresh trainable parameters; weights uniform in +-1/sqrt(fan_in), biases zero."""
     params: dict[str, Tensor] = {}
-    c_in = cfg.in_channels
+    c_in = IMAGE_CHANNELS
     for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
         fan = c_in * k * k
         params[f"enc.s{s}.patch.w"] = T.uniform_param(rng, (fan, c_out), fan)
@@ -89,9 +87,9 @@ def encode_batch(images: list[Tensor], cfg: EncoderConfig,
     if len(sizes) != 1:
         raise TensorError(f"encode_batch: mismatched image shapes {sorted(sizes)}")
     shape = images[0].shape
-    if len(shape) != 3 or shape[0] != cfg.in_channels:
+    if len(shape) != 3 or shape[0] != IMAGE_CHANNELS:
         raise TensorError(
-            f"encode_batch: expected {cfg.in_channels} x H x W images, got {shape}")
+            f"encode_batch: expected {IMAGE_CHANNELS} x H x W images, got {shape}")
     n = len(images)
     _, h, w = shape
     if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:

@@ -1,10 +1,12 @@
 """Cross-modal feature rectification and fusion for one (robust, fragile) pair.
 
-Channel stage: dual global pooling of both maps feeds a shared 2-layer MLP
-whose sigmoid output splits into one attention vector per input; each map is
-rectified additively with the other's weighted map. Spatial stage: a 1x1 mix
-of the concatenated pair yields two sigmoid maps used the same way. A final
-1x1 mix of the rectified pair produces the fused map.
+The pair travels as one 2 x C x h x w stack: index 0 the robust map, index 1
+the fragile one. Channel stage: dual global pooling of both maps feeds a
+shared 2-layer MLP whose sigmoid output gives one attention vector per map.
+Spatial stage: a 1x1 mix of the pair yields one sigmoid map per map. Both
+stages rectify with ``cross_rectify``: each map gains the other map weighted
+by the other's attention. A final 1x1 mix of the rectified pair produces the
+fused map.
 
 Rectification is additive (f + W (.) other), so zero attention degenerates to
 the identity. Each pyramid level owns an independent parameter set.
@@ -13,7 +15,7 @@ the identity. Each pyramid level owns an independent parameter set.
 from __future__ import annotations
 
 from . import tensor as T
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, accumulate_grad, record_op
 
 
 def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
@@ -32,53 +34,61 @@ def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
     return params
 
 
-def _check_pair(name: str, f_a: Tensor, f_b: Tensor) -> tuple[int, int, int]:
-    if f_a.ndim != 3 or f_a.shape != f_b.shape:
-        raise TensorError(f"{name}: need equal C x h x w maps, got "
-                          f"{f_a.shape} vs {f_b.shape}")
-    return f_a.shape
+def cross_rectify(pair: Tensor, att: Tensor) -> Tensor:
+    """``pair + (pair * att)[::-1]``: each map of a 2 x ... stack plus the
+    other map scaled by the other's attention. ``att`` has the pair's rank
+    and broadcasts over the axes where it has length 1."""
+    if pair.shape[0] != 2 or att.shape[0] != 2 or att.ndim != pair.ndim or any(
+            a not in (1, p) for a, p in zip(att.shape, pair.shape)):
+        raise TensorError(f"cross_rectify: attention {att.shape} does not "
+                          f"broadcast over a 2 x ... pair {pair.shape}")
+    pd, ad = pair.data, att.data
+    axes = tuple(i for i, (a, p) in enumerate(zip(att.shape, pair.shape)) if a != p)
+
+    def bwd(g):
+        swapped = g[::-1]
+        accumulate_grad(pair, g + swapped * ad)
+        accumulate_grad(att, (swapped * pd).sum(axis=axes, keepdims=True))
+
+    return record_op("cross_rectify", pd + (pd * ad)[::-1], (pair, att), bwd)
 
 
-def rectify_channel(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
-                    level: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Cross-calibrate per-channel: returns (f_a', f_b', W_a, W_b)."""
-    c, _, _ = _check_pair("rectify_channel", f_a, f_b)
+def rectify_channel(pair: Tensor, params: dict[str, Tensor],
+                    level: int) -> tuple[Tensor, Tensor]:
+    """Cross-calibrate per channel: returns the rectified pair and the
+    2 x C x 1 x 1 attention."""
+    _, c, _, _ = pair.shape
     p = f"mim.l{level}"
-    z = T.concat([T.pool_global(f_a, "avg"), T.pool_global(f_a, "max"),
-                  T.pool_global(f_b, "avg"), T.pool_global(f_b, "max")], axis=0)
-    z = T.reshape(z, (1, 4 * c))
+    z = T.concat([T.pool_global(pair, "avg"), T.pool_global(pair, "max")], axis=1)
+    z = T.reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
     hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
     att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
-    w_a, w_b = T.unstack(T.reshape(att, (2, c)))
-    out_a = T.add(f_a, T.scale_channels(f_b, w_b))
-    out_b = T.add(f_b, T.scale_channels(f_a, w_a))
-    return out_a, out_b, w_a, w_b
+    att = T.reshape(att, (2, c, 1, 1))
+    return cross_rectify(pair, att), att
 
 
-def rectify_spatial(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor],
-                    level: int) -> tuple[Tensor, Tensor]:
-    """Cross-calibrate per-pixel: returns (f_a'', f_b'')."""
-    _check_pair("rectify_spatial", f_a, f_b)
+def rectify_spatial(pair: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
+    """Cross-calibrate per pixel: returns the rectified pair."""
+    _, c, h, w = pair.shape
     p = f"mim.l{level}"
-    att = T.sigmoid(T.channel_mix(T.concat([f_a, f_b], axis=0),
+    att = T.sigmoid(T.channel_mix(T.reshape(pair, (2 * c, h, w)),
                                   params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
-    m_a, m_b = T.unstack(att)
-    out_a = T.add(f_a, T.scale_spatial(f_b, m_b))
-    out_b = T.add(f_b, T.scale_spatial(f_a, m_a))
-    return out_a, out_b
+    return cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
 
 
-def fuse(f_a: Tensor, f_b: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
+def fuse(pair: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
     """Mix the rectified pair down to one C x h x w map."""
-    _check_pair("fuse", f_a, f_b)
+    _, c, h, w = pair.shape
     p = f"mim.l{level}"
-    return T.channel_mix(T.concat([f_a, f_b], axis=0),
+    return T.channel_mix(T.reshape(pair, (2 * c, h, w)),
                          params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
 
 
 def mim_forward(f_robust: Tensor, f_fragile: Tensor, params: dict[str, Tensor],
                 level: int) -> Tensor:
-    """Full rectify-then-fuse pipeline for one scale."""
-    a, b, _, _ = rectify_channel(f_robust, f_fragile, params, level)
-    a, b = rectify_spatial(a, b, params, level)
-    return fuse(a, b, params, level)
+    """Full rectify-then-fuse pipeline for one scale; the two maps must be
+    equal C x h x w maps."""
+    if f_robust.ndim != 3:
+        raise TensorError(f"mim_forward: need C x h x w maps, got {f_robust.shape}")
+    pair, _ = rectify_channel(T.stack([f_robust, f_fragile]), params, level)
+    return fuse(rectify_spatial(pair, params, level), params, level)

@@ -5,7 +5,7 @@ module. Ground rules:
 
 - double precision only, row-major storage, explicit shape checks on every op
 - broadcasting is limited to tensor-vs-python-scalar; the few axis broadcasts
-  the pipeline needs (bias add, per-channel / per-pixel scaling) are dedicated
+  the pipeline needs (bias add, attention weighting) live inside dedicated
   ops with hand-written backward rules
 - every op checks its output for NaN/Inf and raises instead of propagating
 - gradients accumulate additively across fan-out; ``backward`` walks the tape
@@ -91,9 +91,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        self._adopt(arr, requires_grad)
-
-    def _adopt(self, arr: np.ndarray, requires_grad: bool) -> None:
         if arr.size == 0:
             raise TensorError("tensor dimensions must all be positive")
         if not np.isfinite(arr).all():
@@ -144,7 +141,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unchecked(data: np.ndarray, requires_grad: bool) -> Tensor:
-    """A Tensor around already validated float64 data, without the _adopt scan."""
+    """A Tensor around already validated float64 data, without the scan in
+    ``Tensor.__init__``."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -163,8 +161,9 @@ def record_op(
 
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
-    fused ops outside this module: ``head.cross_entropy``, and in ``masm``
-    ``cosine``, ``mean_feature``, ``map_similarity`` and ``consistency_loss``.
+    fused ops outside this module: ``head.cross_entropy``,
+    ``mim.cross_rectify``, and in ``masm`` ``cosine``, ``mean_feature``,
+    ``map_similarity`` and ``consistency_loss``.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
@@ -183,9 +182,9 @@ def record_op(
 accumulate_grad = _accumulate
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss; clears the tape."""
-    tape = tape if tape is not None else active_tape()
+    tape = active_tape()
     if tape is None:
         raise TensorError("backward called with gradients disabled")
     if loss.size != 1:
@@ -472,52 +471,27 @@ def _check_chw(name: str, f: Tensor) -> tuple[int, int, int]:
 
 
 def pool_global(f: Tensor, kind: str) -> Tensor:
-    """Collapse the spatial extent of a C x h x w map to a length-C vector."""
-    c, h, w = _check_chw("pool_global", f)
+    """Collapse the spatial extent of a ... x h x w map (at least 3 axes),
+    keeping the leading axes: a C x h x w map gives a length-C vector."""
+    if f.ndim < 3:
+        raise TensorError(f"pool_global: expected ... x h x w tensor, got shape {f.shape}")
+    h, w = f.shape[-2:]
     if kind == "avg":
         def bwd(g):
-            _accumulate(f, np.broadcast_to((g / (h * w))[:, None, None], f.shape))
+            _accumulate(f, np.broadcast_to((g / (h * w))[..., None, None], f.shape))
 
-        return record_op("pool_avg", f.data.mean(axis=(1, 2)), (f,), bwd)
+        return record_op("pool_avg", f.data.mean(axis=(-2, -1)), (f,), bwd)
     if kind == "max":
-        flat = f.data.reshape(c, -1)
-        idx = flat.argmax(axis=1)  # first max wins; deterministic
+        flat = f.data.reshape(*f.shape[:-2], h * w)
+        idx = flat.argmax(axis=-1)[..., None]  # first max wins; deterministic
 
         def bwd(g):
             full = np.zeros_like(flat)
-            full[np.arange(c), idx] = g
+            np.put_along_axis(full, idx, g[..., None], axis=-1)
             _accumulate(f, full.reshape(f.shape))
 
-        return record_op("pool_max", flat[np.arange(c), idx].copy(), (f,), bwd)
+        return record_op("pool_max", flat.max(axis=-1), (f,), bwd)
     raise TensorError(f"pool_global: kind must be 'avg' or 'max', got {kind!r}")
-
-
-def scale_channels(f: Tensor, w: Tensor) -> Tensor:
-    """Multiply each channel map of f by the matching entry of a length-C vector."""
-    c, _, _ = _check_chw("scale_channels", f)
-    if w.shape != (c,):
-        raise TensorError(f"scale_channels: weight shape {w.shape} != ({c},)")
-    fd, wd = f.data, w.data
-
-    def bwd(g):
-        _accumulate(f, g * wd[:, None, None])
-        _accumulate(w, (g * fd).sum(axis=(1, 2)))
-
-    return record_op("scale_channels", fd * wd[:, None, None], (f, w), bwd)
-
-
-def scale_spatial(f: Tensor, m: Tensor) -> Tensor:
-    """Multiply every channel of f by the same h x w map."""
-    _, h, w = _check_chw("scale_spatial", f)
-    if m.shape != (h, w):
-        raise TensorError(f"scale_spatial: map shape {m.shape} != ({h}, {w})")
-    fd, md = f.data, m.data
-
-    def bwd(g):
-        _accumulate(f, g * md[None])
-        _accumulate(m, (g * fd).sum(axis=0))
-
-    return record_op("scale_spatial", fd * md[None], (f, m), bwd)
 
 
 def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:

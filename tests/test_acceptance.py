@@ -31,6 +31,7 @@ from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
 from modalseg.head import cross_entropy, total_loss
 from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
                            masm_forward, mean_feature, rank_modalities)
+from modalseg.mim import cross_rectify
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
 from modalseg.train import (CheckpointError, TrainConfig, load_checkpoint,
@@ -93,10 +94,10 @@ def _op_cases(rng):
         ("pool_max", lambda f: m(T.pool_global(f, "max")), [n(size=(3, 4, 4))]),
         ("resample", lambda f: m(T.exp(T.resample_bilinear(f, 5, 4))),
          [n(size=(2, 3, 3))]),
-        ("scale_channels", lambda f, w: m(T.scale_channels(f, w)),
-         [n(size=(3, 2, 2)), n(size=(3,))]),
-        ("scale_spatial", lambda f, w: m(T.scale_spatial(f, w)),
-         [n(size=(3, 2, 2)), n(size=(2, 2))]),
+        ("cross_rectify per channel", lambda f, w: m(T.exp(cross_rectify(f, w))),
+         [n(size=(2, 3, 2, 2)), n(size=(2, 3, 1, 1))]),
+        ("cross_rectify per pixel", lambda f, w: m(T.exp(cross_rectify(f, w))),
+         [n(size=(2, 3, 2, 2)), n(size=(2, 1, 2, 2))]),
         ("channel_mix", lambda f, w, b: m(T.exp(T.channel_mix(f, w, b))),
          [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
         ("stack", lambda a, b: m(T.exp(T.stack([a, b]))),

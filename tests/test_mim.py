@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import modalseg.mim as mim
 import modalseg.tensor as T
-from modalseg.mim import (fuse, init_mim_params, mim_forward, rectify_channel,
-                          rectify_spatial)
+from modalseg.mim import (cross_rectify, fuse, init_mim_params, mim_forward,
+                          rectify_channel, rectify_spatial)
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
 from helpers import check_grads, check_param_grad
@@ -36,22 +37,23 @@ def test_channel_zero_attention_is_identity():
     rng = np.random.default_rng(1)
     f_a, f_b = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
     with no_grad():
-        out_a, out_b, w_a, w_b = rectify_channel(f_a, f_b, params, 0)
-    assert np.allclose(out_a.data, f_a.data, atol=1e-15)
-    assert np.allclose(out_b.data, f_b.data, atol=1e-15)
-    assert np.all(w_a.data < 1e-15) and np.all(w_b.data < 1e-15)
+        out, att = rectify_channel(T.stack([f_a, f_b]), params, 0)
+    (out_a, out_b), (w_a, w_b) = out.data, att.data
+    assert np.allclose(out_a, f_a.data, atol=1e-15)
+    assert np.allclose(out_b, f_b.data, atol=1e-15)
+    assert np.all(w_a < 1e-15) and np.all(w_b < 1e-15)
 
 
 def test_channel_equal_inputs_shape_and_finiteness():
     params = params_for((3,))
     f = Tensor(np.random.default_rng(2).normal(size=(3, 4, 4)))
     with no_grad():
-        out_a, out_b, w_a, w_b = rectify_channel(f, f, params, 0)
-    for t in (out_a, out_b):
+        out, att = rectify_channel(T.stack([f, f]), params, 0)
+    for t in out.data:
         assert t.shape == (3, 4, 4)
-        assert np.all(np.isfinite(t.data))
-    for w in (w_a, w_b):
-        assert np.all((w.data > 0) & (w.data < 1))
+        assert np.all(np.isfinite(t))
+    for w in att.data:
+        assert np.all((w > 0) & (w < 1))
 
 
 def test_channel_scalar_trace_oracle():
@@ -66,8 +68,9 @@ def test_channel_scalar_trace_oracle():
     params["mim.l0.ch.b2"].data = b2
     a, b = 0.8, -0.6
     with no_grad():
-        out_a, out_b, w_a, w_b = rectify_channel(
-            Tensor([[[a]]]), Tensor([[[b]]]), params, 0)
+        pair = T.stack([Tensor([[[a]]]), Tensor([[[b]]])])
+        out, att_t = rectify_channel(pair, params, 0)
+    (out_a, out_b), (w_a, w_b) = out.data, att_t.data
 
     z = np.array([a, a, b, b])  # avg and max of a single pixel coincide
     att = np_sigmoid(np_gelu(z @ w1 + b1) @ w2 + b2)
@@ -80,8 +83,8 @@ def test_channel_scalar_trace_oracle():
 def test_channel_shape_mismatch():
     params = params_for((3,))
     with pytest.raises(TensorError):
-        rectify_channel(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((3, 2, 2))),
-                        params, 0)
+        mim_forward(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((3, 2, 2))),
+                    params, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +98,9 @@ def test_spatial_zero_attention_is_identity():
     rng = np.random.default_rng(3)
     f_a, f_b = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
     with no_grad():
-        out_a, out_b = rectify_spatial(f_a, f_b, params, 0)
-    assert np.allclose(out_a.data, f_a.data, atol=1e-15)
-    assert np.allclose(out_b.data, f_b.data, atol=1e-15)
+        out_a, out_b = rectify_spatial(T.stack([f_a, f_b]), params, 0).data
+    assert np.allclose(out_a, f_a.data, atol=1e-15)
+    assert np.allclose(out_b, f_b.data, atol=1e-15)
 
 
 def test_spatial_constant_inputs_give_constant_outputs():
@@ -105,9 +108,9 @@ def test_spatial_constant_inputs_give_constant_outputs():
     f_a = Tensor(np.full((2, 3, 5), 0.7))
     f_b = Tensor(np.full((2, 3, 5), -0.2))
     with no_grad():
-        out_a, out_b = rectify_spatial(f_a, f_b, params, 0)
+        out_a, out_b = rectify_spatial(T.stack([f_a, f_b]), params, 0).data
     for out in (out_a, out_b):
-        per_channel = out.data.reshape(2, -1)
+        per_channel = out.reshape(2, -1)
         assert np.allclose(per_channel, per_channel[:, :1], atol=1e-14)
 
 
@@ -120,13 +123,13 @@ def test_spatial_scalar_trace_oracle():
     fa = np.array([[[0.4, -0.9], [1.2, 0.0]]])
     fb = np.array([[[-0.3, 0.8], [0.5, -1.1]]])
     with no_grad():
-        out_a, out_b = rectify_spatial(Tensor(fa), Tensor(fb), params, 0)
+        out_a, out_b = rectify_spatial(T.stack([Tensor(fa), Tensor(fb)]), params, 0).data
 
     for i in range(2):
         for j in range(2):
             att = np_sigmoid(np.array([fa[0, i, j], fb[0, i, j]]) @ spw + spb)
-            assert abs(out_a.data[0, i, j] - (fa[0, i, j] + att[1] * fb[0, i, j])) < 1e-12
-            assert abs(out_b.data[0, i, j] - (fb[0, i, j] + att[0] * fa[0, i, j])) < 1e-12
+            assert abs(out_a[0, i, j] - (fa[0, i, j] + att[1] * fb[0, i, j])) < 1e-12
+            assert abs(out_b[0, i, j] - (fb[0, i, j] + att[0] * fa[0, i, j])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,7 @@ def test_fuse_averaging_weights():
     rng = np.random.default_rng(5)
     f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
     with no_grad():
-        out = fuse(Tensor(f_a), Tensor(f_b), params, 0)
+        out = fuse(T.stack([Tensor(f_a), Tensor(f_b)]), params, 0)
     assert np.allclose(out.data, (f_a + f_b) / 2, atol=1e-14)
 
 
@@ -148,7 +151,7 @@ def test_fuse_zero_inputs_zero_bias():
     params = params_for((3,), seed=6)
     zero = Tensor(np.zeros((3, 2, 2)))
     with no_grad():
-        out = fuse(zero, zero, params, 0)
+        out = fuse(T.stack([zero, zero]), params, 0)
     assert np.array_equal(out.data, np.zeros((3, 2, 2)))
 
 
@@ -191,6 +194,88 @@ def test_forward_mixes_channels_without_transposes(monkeypatch):
     assert "transpose" not in names
 
 
+# ---------------------------------------------------------------------------
+# the stacked pair against the two-map chain it replaced
+
+
+def _scale(f, w, expand, reduce_axes):
+    """Reference op: f times a broadcast weight, with its hand-written backward."""
+    fd, wd = f.data, w.data
+
+    def bwd(g):
+        T.accumulate_grad(f, g * expand(wd))
+        T.accumulate_grad(w, (g * fd).sum(axis=reduce_axes))
+
+    return T.record_op("scale", fd * expand(wd), (f, w), bwd)
+
+
+def _two_map_reference(f_a, f_b, params, level):
+    """MIM spelled out once per map: unstack the attention, scale, add, and
+    concatenate the pair for each 1x1 mix."""
+    c = f_a.shape[0]
+    p = f"mim.l{level}"
+    per_channel = lambda f, w: _scale(f, w, lambda v: v[:, None, None], (1, 2))
+    per_pixel = lambda f, m: _scale(f, m, lambda v: v[None], 0)
+    z = T.concat([T.pool_global(f_a, "avg"), T.pool_global(f_a, "max"),
+                  T.pool_global(f_b, "avg"), T.pool_global(f_b, "max")], axis=0)
+    z = T.reshape(z, (1, 4 * c))
+    hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
+    att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
+    w_a, w_b = T.unstack(T.reshape(att, (2, c)))
+    f_a, f_b = T.add(f_a, per_channel(f_b, w_b)), T.add(f_b, per_channel(f_a, w_a))
+    att = T.sigmoid(T.channel_mix(T.concat([f_a, f_b], axis=0),
+                                  params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
+    m_a, m_b = T.unstack(att)
+    f_a, f_b = T.add(f_a, per_pixel(f_b, m_b)), T.add(f_b, per_pixel(f_a, m_a))
+    return T.channel_mix(T.concat([f_a, f_b], axis=0),
+                         params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_pair_matches_two_map_chain(seed):
+    """Forward byte-equal; input and parameter gradients equal up to the
+    summation order of the per-pixel attention gradient."""
+    rng = np.random.default_rng(300 + seed)
+    c, h, w = (int(v) for v in rng.integers(1, 6, size=3))
+    arrays = rng.normal(size=(2, c, h, w))
+    pick = rng.normal(size=(c, h, w))
+    results = []
+    for forward in (mim_forward, _two_map_reference):
+        params = params_for((c,), seed=seed)
+        f_a, f_b = (Tensor(x, requires_grad=True) for x in arrays)
+        out = forward(f_a, f_b, params, 0)
+        backward(T.sum_all(T.mul(out, Tensor(pick))))
+        grads = {"f_a": f_a.grad, "f_b": f_b.grad}
+        grads.update((k, v.grad) for k, v in params.items())
+        results.append((out.data, grads))
+    (out, grads), (ref_out, ref_grads) = results
+    assert out.tobytes() == ref_out.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
+
+
+def test_cross_rectify_records_one_op(monkeypatch):
+    names = []
+    record = mim.record_op
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    monkeypatch.setattr(mim, "record_op", spy)
+    pair = Tensor(np.array([[[[1.0, 2.0]]], [[[3.0, 4.0]]]]), requires_grad=True)
+    att = Tensor(np.array([[[[0.5]]], [[[0.25]]]]), requires_grad=True)
+    out = cross_rectify(pair, att)
+    assert names == ["cross_rectify"]
+    # a + w_b * b and b + w_a * a
+    assert np.array_equal(out.data, [[[[1.75, 3.0]]], [[[3.5, 5.0]]]])
+    backward(T.sum_all(out))
+    assert np.array_equal(pair.grad, [[[[1.5, 1.5]]], [[[1.25, 1.25]]]])
+    assert np.array_equal(att.grad, [[[[3.0]]], [[[7.0]]]])
+
+
 def test_attention_weights_in_unit_interval():
     for seed in range(10):
         params = params_for((3,), seed=seed)
@@ -198,9 +283,10 @@ def test_attention_weights_in_unit_interval():
         f_a = Tensor(rng.normal(size=(3, 4, 4)) * 3)
         f_b = Tensor(rng.normal(size=(3, 4, 4)) * 3)
         with no_grad():
-            _, _, w_a, w_b = rectify_channel(f_a, f_b, params, 0)
-        assert np.all((w_a.data > 0) & (w_a.data < 1))
-        assert np.all((w_b.data > 0) & (w_b.data < 1))
+            _, att = rectify_channel(T.stack([f_a, f_b]), params, 0)
+        w_a, w_b = att.data
+        assert np.all((w_a > 0) & (w_a < 1))
+        assert np.all((w_b > 0) & (w_b < 1))
 
 
 def test_output_shape_matches_input_at_every_stage():
@@ -210,8 +296,10 @@ def test_output_shape_matches_input_at_every_stage():
         f_a = Tensor(rng.normal(size=(c, 3, 5)))
         f_b = Tensor(rng.normal(size=(c, 3, 5)))
         with no_grad():
-            a1, b1, _, _ = rectify_channel(f_a, f_b, params, level)
-            a2, b2 = rectify_spatial(a1, b1, params, level)
-            out = fuse(a2, b2, params, level)
+            pair1, _ = rectify_channel(T.stack([f_a, f_b]), params, level)
+            pair2 = rectify_spatial(pair1, params, level)
+            out = fuse(pair2, params, level)
+        a1, b1 = pair1.data
+        a2, b2 = pair2.data
         assert a1.shape == b1.shape == a2.shape == b2.shape == (c, 3, 5)
         assert out.shape == (c, 3, 5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
+from modalseg.mim import cross_rectify
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
 from helpers import FD_TOL, check_grads, max_rel_err
@@ -312,6 +313,17 @@ def test_pool_hand_values():
     f = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
     assert T.pool_global(f, "avg").data[0] == 2.5
     assert T.pool_global(f, "max").data[0] == 4.0
+    # a stacked 2 x C x h x w pair pools to 2 x C; the leading axes stay
+    pair = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]], [[0.0, -1.0], [7.0, 1.0]]],
+                            [[[-2.0, -4.0], [-6.0, -8.0]], [[5.0, 5.0], [5.0, 5.0]]]]))
+    assert np.array_equal(T.pool_global(pair, "avg").data, [[2.5, 1.75], [-5.0, 5.0]])
+    assert np.array_equal(T.pool_global(pair, "max").data, [[4.0, 7.0], [-2.0, 5.0]])
+    pair = Tensor(pair.data, requires_grad=True)
+    weights = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    backward(T.sum_all(T.mul(T.pool_global(pair, "max"), weights)))
+    want = np.zeros((2, 2, 2, 2))
+    want[0, 0, 1, 1], want[0, 1, 1, 0], want[1, 0, 0, 0], want[1, 1, 0, 0] = 1, 2, 3, 4
+    assert np.array_equal(pair.grad, want)  # ties (all 5s) go to the first max
 
 
 def test_pool_bad_kind_and_rank():
@@ -325,26 +337,30 @@ def test_pool_bad_kind_and_rank():
 def test_pool_grads(seed):
     rng = np.random.default_rng(600 + seed)
     f = rng.normal(size=(3, 4, 5))
-    check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "avg"))), [f])
-    check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "max"))), [f])
+    pair = rng.normal(size=(2, 3, 4, 5))
+    for arr in (f, pair):
+        check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "avg"))), [arr])
+        check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "max"))), [arr])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_channel_and_spatial_scaling_grads(seed):
+    """``mim.cross_rectify`` with per-channel and per-pixel attention."""
     rng = np.random.default_rng(700 + seed)
-    f = rng.normal(size=(3, 4, 5))
-    w = rng.normal(size=3)
-    m = rng.normal(size=(4, 5))
-    check_grads(lambda a, b: T.sum_all(T.exp(T.scale_channels(a, b))), [f, w])
-    check_grads(lambda a, b: T.sum_all(T.exp(T.scale_spatial(a, b))), [f, m])
+    pair = rng.normal(size=(2, 3, 4, 5))
+    w = rng.normal(size=(2, 3, 1, 1))
+    m = rng.normal(size=(2, 1, 4, 5))
+    check_grads(lambda a, b: T.sum_all(T.exp(cross_rectify(a, b))), [pair, w])
+    check_grads(lambda a, b: T.sum_all(T.exp(cross_rectify(a, b))), [pair, m])
 
 
 def test_scaling_shape_errors():
-    f = Tensor(np.ones((3, 4, 5)))
-    with pytest.raises(TensorError):
-        T.scale_channels(f, Tensor(np.ones(4)))
-    with pytest.raises(TensorError):
-        T.scale_spatial(f, Tensor(np.ones((5, 4))))
+    pair = Tensor(np.ones((2, 3, 4, 5)))
+    for att_shape in ((2, 4, 1, 1), (2, 1, 5, 4), (2, 3), (1, 3, 1, 1), (2, 3, 4, 5, 1)):
+        with pytest.raises(TensorError):
+            cross_rectify(pair, Tensor(np.ones(att_shape)))
+    with pytest.raises(TensorError):  # not a pair
+        cross_rectify(Tensor(np.ones((3, 3, 4, 5))), Tensor(np.ones((3, 3, 1, 1))))
 
 
 # ---------------------------------------------------------------------------
