@@ -25,12 +25,13 @@ from .train import TrainConfig, load_checkpoint, load_config, train
 
 def _cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     specs = [("train.mmss", args.train, args.seed),
              ("eval.mmss", args.eval, args.seed + 1)]
-    for fname, count, seed in specs:
+    for fname, count, _ in specs:
         if count < 1:
             raise ValueError(f"scene count for {fname} must be positive")
+    out.mkdir(parents=True, exist_ok=True)
+    for fname, count, seed in specs:
         ds = generate_dataset(seed, count=count, h=args.size, w=args.size,
                               k=args.classes, m=args.modalities,
                               p_night=args.p_night)
@@ -58,19 +59,21 @@ def _cmd_eval(args) -> int:
     cfg = ckpt.config.model_config(ckpt.num_classes, ckpt.modality_names)
     report = run_mass_eval(cfg, ckpt.params, dataset)
     rendered = render_report(report, args.format)
+    # everything that can fail runs before the first write
+    rankings = rankings_csv(cfg, ckpt.params, dataset) if args.dump_rankings else None
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(rendered)
     Path(str(report_path) + ".json").write_text(report_to_json(report))
-    if args.dump_rankings:
-        Path(args.dump_rankings).write_text(rankings_csv(cfg, ckpt.params, dataset))
+    if rankings is not None:
+        Path(args.dump_rankings).write_text(rankings)
     print(rendered, end="")
     print(f"mean mIoU over {len(report.scores)} subsets: {report.mean:.2f}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    report = report_from_json(Path(args.report_json).read_text())
+    report = report_from_json(Path(args.report_json).read_bytes())
     rendered = render_report(report, args.format)
     if args.out:
         Path(args.out).write_text(rendered)

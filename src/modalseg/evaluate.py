@@ -155,12 +155,56 @@ def report_to_json(report: MassReport) -> str:
     }, indent=2)
 
 
-def report_from_json(text: str) -> MassReport:
-    raw = json.loads(text)
-    names = tuple(entry["name"] for entry in raw["subsets"])
-    scores = tuple(float(entry["miou"]) for entry in raw["subsets"])
-    return MassReport(modality_names=tuple(raw["modality_names"]),
-                      subset_names=names, scores=scores, mean=float(raw["mean"]))
+class ReportFormatError(ValueError):
+    """A report sidecar that is not what ``report_to_json`` writes."""
+
+
+def _field(obj, key: str, kind, what: str):
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ReportFormatError(f"report field {key!r} is missing or not {what}")
+    return value
+
+
+def _number(obj, key: str) -> float:
+    try:
+        return float(_field(obj, key, (int, float), "a number"))
+    except OverflowError:
+        raise ReportFormatError(f"report field {key!r} is out of range") from None
+
+
+def report_from_json(data: str | bytes) -> MassReport:
+    """Read a sidecar written by ``report_to_json`` (UTF-8 bytes or text).
+
+    Raises ``ReportFormatError`` unless it names M modalities, carries
+    2^M - 1 finite subset scores, and its mean is their average.
+    """
+    try:
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError:
+        raise ReportFormatError("report is not UTF-8 text") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ReportFormatError(f"report is not JSON: {exc}") from None
+    modalities = _field(raw, "modality_names", list, "a list")
+    if not 1 <= len(modalities) <= MAX_MODALITIES or not all(
+            isinstance(n, str) for n in modalities):
+        raise ReportFormatError(
+            f"modality_names must hold 1 to {MAX_MODALITIES} strings")
+    subsets = _field(raw, "subsets", list, "a list")
+    want = 2 ** len(modalities) - 1
+    if len(subsets) != want:
+        raise ReportFormatError(f"{len(subsets)} subsets for {len(modalities)} "
+                                f"modalities; expected {want}")
+    names = tuple(_field(entry, "name", str, "a string") for entry in subsets)
+    scores = tuple(_number(entry, "miou") for entry in subsets)
+    if not all(math.isfinite(s) for s in scores):
+        raise ReportFormatError("non-finite subset mIoU")
+    mean = _number(raw, "mean")
+    average = float(np.mean(scores))
+    if not abs(mean - average) <= 1e-9:
+        raise ReportFormatError(f"mean {mean} is not the subset average {average}")
+    return MassReport(modality_names=tuple(modalities), subset_names=names,
+                      scores=scores, mean=mean)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,31 @@
 """Cross-modal feature rectification and fusion for one (robust, fragile) pair.
 
-The pair travels as one 2 x C x h x w stack: index 0 the robust map, index 1
-the fragile one. Channel stage: dual global pooling of both maps feeds a
-shared 2-layer MLP whose sigmoid output gives one attention vector per map.
-Spatial stage: a 1x1 mix of the pair yields one sigmoid map per map. Both
-stages rectify with ``cross_rectify``: each map gains the other map weighted
-by the other's attention. A final 1x1 mix of the rectified pair produces the
-fused map.
+``mim_forward`` records the whole module as one op, ``mim``, with a
+hand-written backward. Inside it the pair travels as one 2 x C x h x w array
+(index 0 the robust map, index 1 the fragile one) through three plain-numpy
+stages. Each stage returns its output and its backward, which maps the
+output gradient to the input gradient and accumulates the stage's parameter
+gradients on the way:
 
-Rectification is additive (f + W (.) other), so zero attention degenerates to
-the identity. Each pyramid level owns an independent parameter set.
+- ``rectify_channel``: dual global pooling of both maps feeds a shared
+  2-layer MLP whose sigmoid output gives one attention vector per map.
+- ``rectify_spatial``: a 1x1 mix of the pair yields one sigmoid map per map.
+- ``fuse``: a final 1x1 mix of the rectified pair gives the fused map.
+
+Both rectify stages cross-rectify, ``pair + (pair * att)[::-1]``: each map
+gains the other map weighted by the other's attention. Rectification is
+additive (f + W (.) other), so zero attention degenerates to the identity.
+Each pyramid level owns an independent parameter set.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import tensor as T
-from .tensor import Tensor, TensorError, accumulate_grad, record_op
+from .tensor import NonFiniteError, Tensor, TensorError, accumulate_grad, record_op
+
+_PARAM_NAMES = ("ch.w1", "ch.b1", "ch.w2", "ch.b2", "sp.w", "sp.b", "fuse.w", "fuse.b")
 
 
 def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
@@ -34,61 +44,119 @@ def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
     return params
 
 
-def cross_rectify(pair: Tensor, att: Tensor) -> Tensor:
-    """``pair + (pair * att)[::-1]``: each map of a 2 x ... stack plus the
-    other map scaled by the other's attention. ``att`` has the pair's rank
-    and broadcasts over the axes where it has length 1."""
-    if pair.shape[0] != 2 or att.shape[0] != 2 or att.ndim != pair.ndim or any(
-            a not in (1, p) for a, p in zip(att.shape, pair.shape)):
-        raise TensorError(f"cross_rectify: attention {att.shape} does not "
-                          f"broadcast over a 2 x ... pair {pair.shape}")
-    pd, ad = pair.data, att.data
-    axes = tuple(i for i, (a, p) in enumerate(zip(att.shape, pair.shape)) if a != p)
+def _level(params: dict[str, Tensor], level: int, *names: str) -> list[Tensor]:
+    return [params[f"mim.l{level}.{n}"] for n in names]
 
-    def bwd(g):
+
+def _check_logits(logits: np.ndarray, stage: str) -> None:
+    """The sigmoid maps an Inf logit to a finite 0 or 1, so logits are
+    checked before it."""
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(f"mim: non-finite {stage} attention logits")
+
+
+def _cross_rectify(pair: np.ndarray, att: np.ndarray, axes):
+    """``pair + (pair * att)[::-1]``: each map plus the other map scaled by the
+    other's attention. Returns it and its backward, which gives the pair's
+    gradient and the attention's, summed over ``axes`` where it broadcasts."""
+    def grad(g):
         swapped = g[::-1]
-        accumulate_grad(pair, g + swapped * ad)
-        accumulate_grad(att, (swapped * pd).sum(axis=axes, keepdims=True))
+        return g + swapped * att, (swapped * pair).sum(axis=axes)
 
-    return record_op("cross_rectify", pd + (pd * ad)[::-1], (pair, att), bwd)
-
-
-def rectify_channel(pair: Tensor, params: dict[str, Tensor],
-                    level: int) -> tuple[Tensor, Tensor]:
-    """Cross-calibrate per channel: returns the rectified pair and the
-    2 x C x 1 x 1 attention."""
-    _, c, _, _ = pair.shape
-    p = f"mim.l{level}"
-    z = T.concat([T.pool_global(pair, "avg"), T.pool_global(pair, "max")], axis=1)
-    z = T.reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
-    hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
-    att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
-    att = T.reshape(att, (2, c, 1, 1))
-    return cross_rectify(pair, att), att
+    return pair + (pair * att)[::-1], grad
 
 
-def rectify_spatial(pair: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
-    """Cross-calibrate per pixel: returns the rectified pair."""
+def rectify_channel(pair: np.ndarray, params: dict[str, Tensor], level: int):
+    """Cross-calibrate per channel. Returns the rectified pair, the
+    2 x C x 1 x 1 attention and the stage's backward."""
     _, c, h, w = pair.shape
-    p = f"mim.l{level}"
-    att = T.sigmoid(T.channel_mix(T.reshape(pair, (2 * c, h, w)),
-                                  params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
-    return cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
+    w1, b1, w2, b2 = _level(params, level, "ch.w1", "ch.b1", "ch.w2", "ch.b2")
+    w1d, w2d = w1.data, w2.data
+    flat = pair.reshape(2, c, h * w)
+    idx = flat.argmax(axis=-1)[..., None]  # first max wins; deterministic
+    z = np.concatenate([pair.mean(axis=(-2, -1)), flat.max(axis=-1)], axis=1)
+    z = z.reshape(1, 4 * c)  # [avg_a, max_a, avg_b, max_b]
+    pre = z @ w1d + b1.data
+    hidden, th = T._gelu(pre)
+    logits = hidden @ w2d + b2.data
+    _check_logits(logits, "channel")
+    att = T._sigmoid(logits)
+    att4 = att.reshape(2, c, 1, 1)
+    out, rectify_grad = _cross_rectify(pair, att4, (2, 3))
+
+    def grad(g):
+        g_pair, g_att = rectify_grad(g)
+        g_logits = T._sigmoid_grad(g_att.reshape(1, 2 * c), att)
+        accumulate_grad(b2, g_logits.sum(axis=0))
+        accumulate_grad(w2, hidden.T @ g_logits)
+        g_pre = T._gelu_grad(g_logits @ w2d.T, pre, th)
+        accumulate_grad(b1, g_pre.sum(axis=0))
+        accumulate_grad(w1, z.T @ g_pre)
+        g_z = (g_pre @ w1d.T).reshape(2, 2 * c)
+        g_max = np.zeros_like(flat)
+        np.put_along_axis(g_max, idx, g_z[:, c:, None], axis=-1)
+        g_pair += g_max.reshape(pair.shape)
+        g_pair += (g_z[:, :c] / (h * w))[..., None, None]
+        return g_pair
+
+    return out, att4, grad
 
 
-def fuse(pair: Tensor, params: dict[str, Tensor], level: int) -> Tensor:
-    """Mix the rectified pair down to one C x h x w map."""
+def rectify_spatial(pair: np.ndarray, params: dict[str, Tensor], level: int):
+    """Cross-calibrate per pixel. Returns the rectified pair and the stage's
+    backward."""
     _, c, h, w = pair.shape
-    p = f"mim.l{level}"
-    return T.channel_mix(T.reshape(pair, (2 * c, h, w)),
-                         params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+    sw, sb = _level(params, level, "sp.w", "sp.b")
+    swd = sw.data
+    logits, tokens = T._mix(pair.reshape(2 * c, h, w), swd, sb.data)
+    _check_logits(logits, "spatial")
+    att = T._sigmoid(logits)
+    out, rectify_grad = _cross_rectify(pair, att.reshape(2, 1, h, w), 1)
+
+    def grad(g):
+        g_pair, g_att = rectify_grad(g)
+        g_f, g_w, g_b = T._mix_grad(T._sigmoid_grad(g_att, att), tokens, swd)
+        accumulate_grad(sb, g_b)
+        accumulate_grad(sw, g_w)
+        g_pair += g_f.reshape(pair.shape)
+        return g_pair
+
+    return out, grad
+
+
+def fuse(pair: np.ndarray, params: dict[str, Tensor], level: int):
+    """Mix the rectified pair down to one C x h x w map. Returns the map and
+    the stage's backward."""
+    _, c, h, w = pair.shape
+    fw, fb = _level(params, level, "fuse.w", "fuse.b")
+    fwd = fw.data
+    out, tokens = T._mix(pair.reshape(2 * c, h, w), fwd, fb.data)
+
+    def grad(g):
+        g_f, g_w, g_b = T._mix_grad(g, tokens, fwd)
+        accumulate_grad(fb, g_b)
+        accumulate_grad(fw, g_w)
+        return g_f.reshape(pair.shape)
+
+    return out, grad
 
 
 def mim_forward(f_robust: Tensor, f_fragile: Tensor, params: dict[str, Tensor],
                 level: int) -> Tensor:
-    """Full rectify-then-fuse pipeline for one scale; the two maps must be
-    equal C x h x w maps."""
-    if f_robust.ndim != 3:
-        raise TensorError(f"mim_forward: need C x h x w maps, got {f_robust.shape}")
-    pair, _ = rectify_channel(T.stack([f_robust, f_fragile]), params, level)
-    return fuse(rectify_spatial(pair, params, level), params, level)
+    """Full rectify-then-fuse pipeline for one scale as one recorded op; the
+    two maps must be equal C x h x w maps."""
+    if f_robust.ndim != 3 or f_fragile.shape != f_robust.shape:
+        raise TensorError(f"mim_forward: need two equal C x h x w maps, got "
+                          f"{f_robust.shape} and {f_fragile.shape}")
+    pair = np.stack([f_robust.data, f_fragile.data])
+    pair, _, channel_grad = rectify_channel(pair, params, level)
+    pair, spatial_grad = rectify_spatial(pair, params, level)
+    out, fuse_grad = fuse(pair, params, level)
+
+    def bwd(g):
+        g_pair = channel_grad(spatial_grad(fuse_grad(g)))
+        accumulate_grad(f_robust, g_pair[0])
+        accumulate_grad(f_fragile, g_pair[1])
+
+    inputs = (f_robust, f_fragile, *_level(params, level, *_PARAM_NAMES))
+    return record_op("mim", out, inputs, bwd)

@@ -162,7 +162,7 @@ def record_op(
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
     fused ops outside this module: ``head.cross_entropy``,
-    ``mim.cross_rectify``, and in ``masm`` ``cosine``, ``mean_feature``,
+    ``mim.mim_forward``, and in ``masm`` ``cosine``, ``mean_feature``,
     ``map_similarity`` and ``consistency_loss``.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -400,13 +400,24 @@ def log(t: Tensor) -> Tensor:
     return record_op("log", np.log(td), (t,), bwd)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
+# The numpy bodies of sigmoid, GELU and the 1x1 mix are shared with fused ops
+# elsewhere (``mim.mim_forward``), so each formula is written once.
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    out_data = _sigmoid(t.data)
 
     def bwd(g):
-        _accumulate(t, g * out_data * (1.0 - out_data))
+        _accumulate(t, _sigmoid_grad(g, out_data))
 
     return record_op("sigmoid", out_data, (t,), bwd)
 
@@ -414,17 +425,27 @@ def sigmoid(t: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximation GELU of ``x``, and the tanh its gradient reuses."""
+    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would take numpy's generic pow
+    th = np.tanh(u)
+    return 0.5 * x * (1.0 + th), th
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du)
+
+
 def gelu(t: Tensor) -> Tensor:
     """tanh-approximation GELU; smooth, so finite differences behave."""
     x = t.data
-    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would take numpy's generic pow
-    th = np.tanh(u)
+    out_data, th = _gelu(x)
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        _accumulate(t, g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du))
+        _accumulate(t, _gelu_grad(g, x, th))
 
-    return record_op("gelu", 0.5 * x * (1.0 + th), (t,), bwd)
+    return record_op("gelu", out_data, (t,), bwd)
 
 
 def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
@@ -503,17 +524,33 @@ def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d = w.shape[1]
     if b.shape != (d,):
         raise TensorError(f"channel_mix: bias shape {b.shape} != ({d},)")
-    tokens = f.data.reshape(c, h * wd).T  # one row per pixel
+    out, tokens = _mix(f.data, w.data, b.data)
     wmat = w.data
 
     def bwd(g):
-        g_tokens = np.array(g.reshape(d, h * wd)).T  # g's layout sets the sum order
-        _accumulate(b, g_tokens.sum(axis=0))
-        _accumulate(f, (g_tokens @ wmat.T).T.reshape(c, h, wd))
-        _accumulate(w, tokens.T @ g_tokens)
+        g_f, g_w, g_b = _mix_grad(g, tokens, wmat)
+        _accumulate(b, g_b)
+        _accumulate(f, g_f)
+        _accumulate(w, g_w)
 
-    out = (tokens @ wmat + b.data).T.reshape(d, h, wd)
     return record_op("channel_mix", out, (f, w, b), bwd)
+
+
+def _mix(f: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``channel_mix`` on arrays: the D x h x w result, and the pixel-row
+    token matrix its gradient reuses."""
+    c, h, wd = f.shape
+    tokens = f.reshape(c, h * wd).T  # one row per pixel
+    return (tokens @ w + b).T.reshape(w.shape[1], h, wd), tokens
+
+
+def _mix_grad(g: np.ndarray, tokens: np.ndarray,
+              w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of ``_mix`` with respect to its map, weight and bias."""
+    d, h, wd = g.shape
+    g_tokens = np.array(g.reshape(d, h * wd)).T  # g's layout sets the sum order
+    g_f = (g_tokens @ w.T).T.reshape(w.shape[0], h, wd)
+    return g_f, tokens.T @ g_tokens, g_tokens.sum(axis=0)
 
 
 @functools.lru_cache(maxsize=None)

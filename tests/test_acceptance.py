@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from helpers import check_grads, max_rel_err
+from helpers import check_grads, cross_rectify, max_rel_err
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
 from modalseg.encoder import encode_batch
@@ -31,7 +31,7 @@ from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
 from modalseg.head import cross_entropy, total_loss
 from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
                            masm_forward, mean_feature, rank_modalities)
-from modalseg.mim import cross_rectify
+from modalseg.mim import init_mim_params, mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
 from modalseg.train import (CheckpointError, TrainConfig, load_checkpoint,
@@ -70,6 +70,7 @@ def _op_cases(rng):
     n = rng.normal
     p = lambda *s: rng.uniform(0.5, 2.0, s)  # positive, away from 0
     m = T.sum_all
+    mim_params = init_mim_params((2,), np.random.default_rng(0))  # names, shapes
     return [
         ("add", lambda a, b: m(T.add(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("mul", lambda a, b: m(T.mul(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
@@ -113,6 +114,9 @@ def _op_cases(rng):
          [rng.uniform(-0.9, 0.9, (3, 2))]),  # inside the clip: away from its kinks
         ("consistency", lambda a, b, c, d: consistency_loss([[a, b], [], [c, d, a]], 7),
          [np.asarray(rng.uniform(0.05, 1.0)) for _ in range(4)]),
+        ("mim", lambda a, b, *ws: m(T.exp(mim_forward(a, b, dict(zip(mim_params, ws)), 0))),
+         [n(size=(2, 3, 3)), n(size=(2, 3, 3)),
+          *(n(scale=0.5, size=t.shape) for t in mim_params.values())]),
     ]
 
 

@@ -113,3 +113,35 @@ def test_synth_rejects_bad_size(tmp_path, capsys):
     assert run("synth", "--out", tmp_path, "--train", 1, "--eval", 1,
                "--size", 48) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_rejects_malformed_sidecar(tmp_path, capsys):
+    sidecar = tmp_path / "report.md.json"
+    sidecar.write_text('{"modality_names": ["camera", "depth"], '
+                       '"subsets": [{"name": "C", "miou": 50.0}], "mean": 50.0}')
+    assert run("report", "--report-json", sidecar) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected 3" in err
+
+
+def test_synth_rejects_empty_split_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("synth", "--out", out, "--train", 2, "--eval", 0, "--size", 32) == 1
+    assert "eval.mmss must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_ranking_dump_of_one_modality_before_writing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 3, "--out", data, "--train", 2, "--eval", 1,
+               "--size", 32, "--classes", 3, "--modalities", 1) == 0
+    (tmp_path / "train.ini").write_text(CONFIG_INI)
+    assert run("train", "--config", tmp_path / "train.ini",
+               "--data", data / "train.mmss", "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("eval", "--model", tmp_path / "run" / "model.mmck",
+               "--data", data / "eval.mmss", "--report", out / "report.md",
+               "--dump-rankings", out / "rankings.csv") == 1
+    assert "at least 2 modalities" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ import modalseg.tensor as T
 from modalseg.data import generate_dataset
 from modalseg.encoder import encode, encode_batch
 from modalseg.masm import mean_feature
-from modalseg.evaluate import (MassReport, confusion_matrix, enumerate_subsets,
-                               miou, rankings_csv, render_report,
-                               report_from_json, report_to_json, run_mass_eval,
-                               subset_name)
+from modalseg.evaluate import (MassReport, ReportFormatError, confusion_matrix,
+                               enumerate_subsets, miou, rankings_csv,
+                               render_report, report_from_json, report_to_json,
+                               run_mass_eval, subset_name)
 from modalseg.head import decode, embed
 from modalseg.model import (ModelConfig, fuse_mean, infer, infer_logits,
                             init_model_params, scene_tensors)
@@ -384,6 +386,43 @@ def test_report_json_round_trip():
     report = sample_report()
     back = report_from_json(report_to_json(report))
     assert back == report
+    assert report_from_json(report_to_json(report).encode()) == report
+
+
+def _edited_sidecar(edit):
+    raw = json.loads(report_to_json(sample_report()))
+    edit(raw)
+    return json.dumps(raw).encode()
+
+
+MALFORMED_SIDECARS = {
+    "not-utf-8": report_to_json(sample_report()).encode().replace(b"camera", b"c\xe4mera"),
+    "utf-16": report_to_json(sample_report()).encode("utf-16"),
+    "not-json": b'{"modality_names": ["camera"',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-an-object": b"[1, 2]",
+    "no-subsets": _edited_sidecar(lambda r: r.pop("subsets")),
+    "subsets-not-a-list": _edited_sidecar(lambda r: r.update(subsets="C,D")),
+    "modality-not-a-string": _edited_sidecar(lambda r: r["modality_names"].__setitem__(0, 7)),
+    "no-modalities": _edited_sidecar(lambda r: r.update(modality_names=[])),
+    "name-not-a-string": _edited_sidecar(lambda r: r["subsets"][0].update(name=None)),
+    "miou-a-string": _edited_sidecar(lambda r: r["subsets"][0].update(miou="10")),
+    "miou-a-bool": _edited_sidecar(lambda r: r["subsets"][0].update(miou=True)),
+    "miou-too-large": _edited_sidecar(lambda r: r["subsets"][0].update(miou=10 ** 400)),
+    "2-modalities-1-subset": _edited_sidecar(
+        lambda r: r.update(modality_names=["camera", "depth"], subsets=r["subsets"][:1])),
+    "16-subsets": _edited_sidecar(lambda r: r["subsets"].append(r["subsets"][0])),
+    "nan-miou": _edited_sidecar(lambda r: r["subsets"][0].update(miou=float("nan"))),
+    "inf-miou": _edited_sidecar(lambda r: r["subsets"][0].update(miou=float("inf"))),
+    "nan-mean": _edited_sidecar(lambda r: r.update(mean=float("nan"))),
+    "wrong-mean": _edited_sidecar(lambda r: r.update(mean=r["mean"] + 1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SIDECARS)
+def test_malformed_report_sidecar_is_typed_error(case):
+    with pytest.raises(ReportFormatError):
+        report_from_json(MALFORMED_SIDECARS[case])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Rectification module: identities, scalar trace oracles, gradients."""
+"""Rectification module: identities, scalar trace oracles, gradients, and the
+fused op against the chain of tensor ops it replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import helpers
 import modalseg.mim as mim
 import modalseg.tensor as T
-from modalseg.mim import (cross_rectify, fuse, init_mim_params, mim_forward,
-                          rectify_channel, rectify_spatial)
-from modalseg.tensor import Tensor, TensorError, backward, no_grad
+from modalseg.mim import (fuse, init_mim_params, mim_forward, rectify_channel,
+                          rectify_spatial)
+from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import check_grads, check_param_grad
+from helpers import check_grads, check_param_grad, cross_rectify, mim_chain
 
 
 def params_for(channels, seed=0):
@@ -35,24 +37,21 @@ def test_channel_zero_attention_is_identity():
     params["mim.l0.ch.w2"].data = np.zeros((6, 6))
     params["mim.l0.ch.b2"].data = np.full(6, -40.0)
     rng = np.random.default_rng(1)
-    f_a, f_b = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
-    with no_grad():
-        out, att = rectify_channel(T.stack([f_a, f_b]), params, 0)
-    (out_a, out_b), (w_a, w_b) = out.data, att.data
-    assert np.allclose(out_a, f_a.data, atol=1e-15)
-    assert np.allclose(out_b, f_b.data, atol=1e-15)
+    f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
+    (out_a, out_b), (w_a, w_b), _ = rectify_channel(np.stack([f_a, f_b]), params, 0)
+    assert np.allclose(out_a, f_a, atol=1e-15)
+    assert np.allclose(out_b, f_b, atol=1e-15)
     assert np.all(w_a < 1e-15) and np.all(w_b < 1e-15)
 
 
 def test_channel_equal_inputs_shape_and_finiteness():
     params = params_for((3,))
-    f = Tensor(np.random.default_rng(2).normal(size=(3, 4, 4)))
-    with no_grad():
-        out, att = rectify_channel(T.stack([f, f]), params, 0)
-    for t in out.data:
+    f = np.random.default_rng(2).normal(size=(3, 4, 4))
+    out, att, _ = rectify_channel(np.stack([f, f]), params, 0)
+    for t in out:
         assert t.shape == (3, 4, 4)
         assert np.all(np.isfinite(t))
-    for w in att.data:
+    for w in att:
         assert np.all((w > 0) & (w < 1))
 
 
@@ -67,10 +66,8 @@ def test_channel_scalar_trace_oracle():
     params["mim.l0.ch.w2"].data = w2
     params["mim.l0.ch.b2"].data = b2
     a, b = 0.8, -0.6
-    with no_grad():
-        pair = T.stack([Tensor([[[a]]]), Tensor([[[b]]])])
-        out, att_t = rectify_channel(pair, params, 0)
-    (out_a, out_b), (w_a, w_b) = out.data, att_t.data
+    (out_a, out_b), (w_a, w_b), _ = rectify_channel(np.array([[[[a]]], [[[b]]]]),
+                                                    params, 0)
 
     z = np.array([a, a, b, b])  # avg and max of a single pixel coincide
     att = np_sigmoid(np_gelu(z @ w1 + b1) @ w2 + b2)
@@ -96,19 +93,16 @@ def test_spatial_zero_attention_is_identity():
     params["mim.l0.sp.w"].data = np.zeros((6, 2))
     params["mim.l0.sp.b"].data = np.full(2, -40.0)
     rng = np.random.default_rng(3)
-    f_a, f_b = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
-    with no_grad():
-        out_a, out_b = rectify_spatial(T.stack([f_a, f_b]), params, 0).data
-    assert np.allclose(out_a, f_a.data, atol=1e-15)
-    assert np.allclose(out_b, f_b.data, atol=1e-15)
+    f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
+    (out_a, out_b), _ = rectify_spatial(np.stack([f_a, f_b]), params, 0)
+    assert np.allclose(out_a, f_a, atol=1e-15)
+    assert np.allclose(out_b, f_b, atol=1e-15)
 
 
 def test_spatial_constant_inputs_give_constant_outputs():
     params = params_for((2,), seed=4)
-    f_a = Tensor(np.full((2, 3, 5), 0.7))
-    f_b = Tensor(np.full((2, 3, 5), -0.2))
-    with no_grad():
-        out_a, out_b = rectify_spatial(T.stack([f_a, f_b]), params, 0).data
+    pair = np.stack([np.full((2, 3, 5), 0.7), np.full((2, 3, 5), -0.2)])
+    (out_a, out_b), _ = rectify_spatial(pair, params, 0)
     for out in (out_a, out_b):
         per_channel = out.reshape(2, -1)
         assert np.allclose(per_channel, per_channel[:, :1], atol=1e-14)
@@ -122,8 +116,7 @@ def test_spatial_scalar_trace_oracle():
     params["mim.l0.sp.b"].data = spb
     fa = np.array([[[0.4, -0.9], [1.2, 0.0]]])
     fb = np.array([[[-0.3, 0.8], [0.5, -1.1]]])
-    with no_grad():
-        out_a, out_b = rectify_spatial(T.stack([Tensor(fa), Tensor(fb)]), params, 0).data
+    (out_a, out_b), _ = rectify_spatial(np.stack([fa, fb]), params, 0)
 
     for i in range(2):
         for j in range(2):
@@ -142,17 +135,14 @@ def test_fuse_averaging_weights():
     params["mim.l0.fuse.b"].data = np.zeros(3)
     rng = np.random.default_rng(5)
     f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-    with no_grad():
-        out = fuse(T.stack([Tensor(f_a), Tensor(f_b)]), params, 0)
-    assert np.allclose(out.data, (f_a + f_b) / 2, atol=1e-14)
+    out, _ = fuse(np.stack([f_a, f_b]), params, 0)
+    assert np.allclose(out, (f_a + f_b) / 2, atol=1e-14)
 
 
 def test_fuse_zero_inputs_zero_bias():
     params = params_for((3,), seed=6)
-    zero = Tensor(np.zeros((3, 2, 2)))
-    with no_grad():
-        out = fuse(T.stack([zero, zero]), params, 0)
-    assert np.array_equal(out.data, np.zeros((3, 2, 2)))
+    out, _ = fuse(np.zeros((2, 3, 2, 2)), params, 0)
+    assert np.array_equal(out, np.zeros((3, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,65 +172,33 @@ def test_param_grads(pname):
 
 
 def test_forward_mixes_channels_without_transposes(monkeypatch):
+    """The whole pipeline, both 1x1 mixes included, is one recorded op."""
     names = []
     record = T.record_op
-    monkeypatch.setattr(T, "record_op",
-                        lambda name, *rest: names.append(name) or record(name, *rest))
+    spy = lambda name, *rest: names.append(name) or record(name, *rest)
+    monkeypatch.setattr(T, "record_op", spy)
+    monkeypatch.setattr(mim, "record_op", spy)
     rng = np.random.default_rng(13)
     f_a, f_b = Tensor(rng.normal(size=(3, 4, 5))), Tensor(rng.normal(size=(3, 4, 5)))
     with no_grad():
         mim_forward(f_a, f_b, params_for((3,), seed=13), 0)
-    assert names.count("channel_mix") == 2
-    assert "transpose" not in names
+    assert names == ["mim"]
 
 
 # ---------------------------------------------------------------------------
-# the stacked pair against the two-map chain it replaced
-
-
-def _scale(f, w, expand, reduce_axes):
-    """Reference op: f times a broadcast weight, with its hand-written backward."""
-    fd, wd = f.data, w.data
-
-    def bwd(g):
-        T.accumulate_grad(f, g * expand(wd))
-        T.accumulate_grad(w, (g * fd).sum(axis=reduce_axes))
-
-    return T.record_op("scale", fd * expand(wd), (f, w), bwd)
-
-
-def _two_map_reference(f_a, f_b, params, level):
-    """MIM spelled out once per map: unstack the attention, scale, add, and
-    concatenate the pair for each 1x1 mix."""
-    c = f_a.shape[0]
-    p = f"mim.l{level}"
-    per_channel = lambda f, w: _scale(f, w, lambda v: v[:, None, None], (1, 2))
-    per_pixel = lambda f, m: _scale(f, m, lambda v: v[None], 0)
-    z = T.concat([T.pool_global(f_a, "avg"), T.pool_global(f_a, "max"),
-                  T.pool_global(f_b, "avg"), T.pool_global(f_b, "max")], axis=0)
-    z = T.reshape(z, (1, 4 * c))
-    hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
-    att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
-    w_a, w_b = T.unstack(T.reshape(att, (2, c)))
-    f_a, f_b = T.add(f_a, per_channel(f_b, w_b)), T.add(f_b, per_channel(f_a, w_a))
-    att = T.sigmoid(T.channel_mix(T.concat([f_a, f_b], axis=0),
-                                  params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
-    m_a, m_b = T.unstack(att)
-    f_a, f_b = T.add(f_a, per_pixel(f_b, m_b)), T.add(f_b, per_pixel(f_a, m_a))
-    return T.channel_mix(T.concat([f_a, f_b], axis=0),
-                         params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+# the fused op against the chain of tensor ops it replaced
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_stacked_pair_matches_two_map_chain(seed):
-    """Forward byte-equal; input and parameter gradients equal up to the
-    summation order of the per-pixel attention gradient."""
+    """``mim_forward`` against ``helpers.mim_chain``: forward byte-equal; input
+    and parameter gradients equal up to summation order."""
     rng = np.random.default_rng(300 + seed)
     c, h, w = (int(v) for v in rng.integers(1, 6, size=3))
     arrays = rng.normal(size=(2, c, h, w))
     pick = rng.normal(size=(c, h, w))
     results = []
-    for forward in (mim_forward, _two_map_reference):
+    for forward in (mim_forward, mim_chain):
         params = params_for((c,), seed=seed)
         f_a, f_b = (Tensor(x, requires_grad=True) for x in arrays)
         out = forward(f_a, f_b, params, 0)
@@ -256,15 +214,29 @@ def test_stacked_pair_matches_two_map_chain(seed):
         assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("pname", ["ch.w2", "sp.w"])
+def test_huge_attention_weights_raise_nonfinite(pname):
+    """An overflowing attention logit raises, though its sigmoid would be a
+    finite 1, in the fused op as in the chain."""
+    rng = np.random.default_rng(14)
+    maps = rng.uniform(1.0, 2.0, size=(2, 3, 4, 4))
+    for forward in (mim_forward, mim_chain):
+        params = params_for((3,), seed=14)
+        params["mim.l0.ch.w1"].data = np.ones((12, 6))  # positive hidden units
+        params[f"mim.l0.{pname}"].data = np.full(params[f"mim.l0.{pname}"].shape, 1e308)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            forward(Tensor(maps[0]), Tensor(maps[1]), params, 0)
+
+
 def test_cross_rectify_records_one_op(monkeypatch):
     names = []
-    record = mim.record_op
+    record = helpers.record_op
 
     def spy(name, *rest):
         names.append(name)
         return record(name, *rest)
 
-    monkeypatch.setattr(mim, "record_op", spy)
+    monkeypatch.setattr(helpers, "record_op", spy)
     pair = Tensor(np.array([[[[1.0, 2.0]]], [[[3.0, 4.0]]]]), requires_grad=True)
     att = Tensor(np.array([[[[0.5]]], [[[0.25]]]]), requires_grad=True)
     out = cross_rectify(pair, att)
@@ -280,11 +252,8 @@ def test_attention_weights_in_unit_interval():
     for seed in range(10):
         params = params_for((3,), seed=seed)
         rng = np.random.default_rng(100 + seed)
-        f_a = Tensor(rng.normal(size=(3, 4, 4)) * 3)
-        f_b = Tensor(rng.normal(size=(3, 4, 4)) * 3)
-        with no_grad():
-            _, att = rectify_channel(T.stack([f_a, f_b]), params, 0)
-        w_a, w_b = att.data
+        pair = rng.normal(size=(2, 3, 4, 4)) * 3
+        _, (w_a, w_b), _ = rectify_channel(pair, params, 0)
         assert np.all((w_a > 0) & (w_a < 1))
         assert np.all((w_b > 0) & (w_b < 1))
 
@@ -293,13 +262,9 @@ def test_output_shape_matches_input_at_every_stage():
     params = params_for((4, 6), seed=11)
     rng = np.random.default_rng(12)
     for level, c in enumerate((4, 6)):
-        f_a = Tensor(rng.normal(size=(c, 3, 5)))
-        f_b = Tensor(rng.normal(size=(c, 3, 5)))
-        with no_grad():
-            pair1, _ = rectify_channel(T.stack([f_a, f_b]), params, level)
-            pair2 = rectify_spatial(pair1, params, level)
-            out = fuse(pair2, params, level)
-        a1, b1 = pair1.data
-        a2, b2 = pair2.data
+        pair = rng.normal(size=(2, c, 3, 5))
+        (a1, b1), _, _ = rectify_channel(pair, params, level)
+        (a2, b2), _ = rectify_spatial(np.stack([a1, b1]), params, level)
+        out, _ = fuse(np.stack([a2, b2]), params, level)
         assert a1.shape == b1.shape == a2.shape == b2.shape == (c, 3, 5)
         assert out.shape == (c, 3, 5)

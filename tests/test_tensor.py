@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.mim import cross_rectify
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import FD_TOL, check_grads, max_rel_err
+from helpers import FD_TOL, check_grads, cross_rectify, max_rel_err
 
 SEEDS = range(20)
 
@@ -345,7 +344,8 @@ def test_pool_grads(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_channel_and_spatial_scaling_grads(seed):
-    """``mim.cross_rectify`` with per-channel and per-pixel attention."""
+    """``helpers.cross_rectify``, the reference for ``mim.mim_forward``'s
+    rectify stages, with per-channel and per-pixel attention."""
     rng = np.random.default_rng(700 + seed)
     pair = rng.normal(size=(2, 3, 4, 5))
     w = rng.normal(size=(2, 3, 1, 1))
