@@ -72,11 +72,6 @@ def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return T.add(x, h)
 
 
-def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> list[Tensor]:
-    """One modality image (C x H x W) to its 4-level feature pyramid."""
-    return encode_batch([image], cfg, params)[0]
-
-
 def encode_batch(images: list[Tensor], cfg: EncoderConfig,
                  params: dict[str, Tensor]) -> list[list[Tensor]]:
     """Encode N equal-size images as one N x C x H x W stack with the same

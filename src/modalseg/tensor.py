@@ -1,7 +1,9 @@
 """Dense float64 tensor engine with tape-based reverse-mode differentiation.
 
-Everything downstream (encoder, fusion, losses) is built from the ops in this
-module. Ground rules:
+The encoder and the decode head are chains of the ops in this module. The
+fused ops elsewhere (``masm``'s cosine, mean, map similarity and consistency,
+``mim.mim_forward`` and ``head.cross_entropy``) are recorded through
+``record_op`` with hand-written backwards. Ground rules:
 
 - double precision only, row-major storage, explicit shape checks on every op
 - broadcasting is limited to tensor-vs-python-scalar; the few axis broadcasts
@@ -237,20 +239,6 @@ def mul(a: Tensor, b) -> Tensor:
     return record_op("mul", ad * bd, (a, bt) if bt else (a,), bwd)
 
 
-def div(a: Tensor, b) -> Tensor:
-    bd, bt = _binary_operands("div", a, b)
-    if np.any(bd == 0.0):
-        raise ZeroDivisionError("div: zero divisor")
-    ad = a.data
-
-    def bwd(g):
-        _accumulate(a, g / bd)
-        if bt is not None:
-            _accumulate(bt, -g * ad / (bd * bd))
-
-    return record_op("div", ad / bd, (a, bt) if bt else (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
@@ -366,42 +354,12 @@ def unstack(t: Tensor) -> list[Tensor]:
     return [part(i) for i in range(t.shape[0])]
 
 
-def sum_all(t: Tensor) -> Tensor:
-    shape = t.shape
-
-    def bwd(g):
-        _accumulate(t, np.broadcast_to(g, shape))
-
-    return record_op("sum", np.asarray(t.data.sum()), (t,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
 
-def exp(t: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes NonFiniteError below
-        out_data = np.exp(t.data)
-
-    def bwd(g):
-        _accumulate(t, g * out_data)
-
-    return record_op("exp", out_data, (t,), bwd)
-
-
-def log(t: Tensor) -> Tensor:
-    if np.any(t.data <= 0.0):
-        raise TensorError("log: domain requires strictly positive values")
-    td = t.data
-
-    def bwd(g):
-        _accumulate(t, g / td)
-
-    return record_op("log", np.log(td), (t,), bwd)
-
-
-# The numpy bodies of sigmoid, GELU and the 1x1 mix are shared with fused ops
-# elsewhere (``mim.mim_forward``), so each formula is written once.
+# The numpy bodies of the sigmoid, GELU and the 1x1 mix are also called by the
+# fused ``mim.mim_forward``, so each formula is written once.
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -411,15 +369,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return g * out * (1.0 - out)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out_data = _sigmoid(t.data)
-
-    def bwd(g):
-        _accumulate(t, _sigmoid_grad(g, out_data))
-
-    return record_op("sigmoid", out_data, (t,), bwd)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -446,17 +395,6 @@ def gelu(t: Tensor) -> Tensor:
         _accumulate(t, _gelu_grad(g, x, th))
 
     return record_op("gelu", out_data, (t,), bwd)
-
-
-def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
-    if not lo < hi:
-        raise TensorError(f"clamp: need lo < hi, got [{lo}, {hi}]")
-    inside = (t.data >= lo) & (t.data <= hi)
-
-    def bwd(g):
-        _accumulate(t, g * inside)
-
-    return record_op("clamp", np.clip(t.data, lo, hi), (t,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -489,30 +427,6 @@ def _check_chw(name: str, f: Tensor) -> tuple[int, int, int]:
     if f.ndim != 3:
         raise TensorError(f"{name}: expected C x h x w tensor, got shape {f.shape}")
     return f.shape
-
-
-def pool_global(f: Tensor, kind: str) -> Tensor:
-    """Collapse the spatial extent of a ... x h x w map (at least 3 axes),
-    keeping the leading axes: a C x h x w map gives a length-C vector."""
-    if f.ndim < 3:
-        raise TensorError(f"pool_global: expected ... x h x w tensor, got shape {f.shape}")
-    h, w = f.shape[-2:]
-    if kind == "avg":
-        def bwd(g):
-            _accumulate(f, np.broadcast_to((g / (h * w))[..., None, None], f.shape))
-
-        return record_op("pool_avg", f.data.mean(axis=(-2, -1)), (f,), bwd)
-    if kind == "max":
-        flat = f.data.reshape(*f.shape[:-2], h * w)
-        idx = flat.argmax(axis=-1)[..., None]  # first max wins; deterministic
-
-        def bwd(g):
-            full = np.zeros_like(flat)
-            np.put_along_axis(full, idx, g[..., None], axis=-1)
-            _accumulate(f, full.reshape(f.shape))
-
-        return record_op("pool_max", flat.max(axis=-1), (f,), bwd)
-    raise TensorError(f"pool_global: kind must be 'avg' or 'max', got {kind!r}")
 
 
 def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:

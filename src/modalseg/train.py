@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,29 +97,20 @@ class TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """Read a [model]/[train] INI file; unknown keys are an error."""
+    """Read a [model]/[train] INI file; unknown keys are an error. [model] takes
+    the fields ``ModelConfig`` shares with ``TrainConfig``, [train] the rest; a
+    value parses as its default's type, ``stage_channels`` as a comma list."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    model_keys = {f.name for f in fields(ModelConfig)}
+    handlers: dict[str, dict] = {"model": {}, "train": {}}
+    for f in fields(TrainConfig):
+        kind = type(f.default)
+        parse = (lambda v: tuple(int(x) for x in v.split(","))) if kind is tuple else kind
+        handlers["model" if f.name in model_keys else "train"][f.name] = parse
     kwargs: dict = {}
-    handlers = {
-        "model": {
-            "stage_channels": lambda v: tuple(int(x) for x in v.split(",")),
-            "blocks_per_stage": int,
-            "d_embed": int,
-        },
-        "train": {
-            "fusion": str,
-            "beta": float,
-            "base_lr": float,
-            "poly_power": float,
-            "warmup_frac": float,
-            "epochs": int,
-            "batch_size": int,
-            "seed": int,
-        },
-    }
     for section in parser.sections():
         if section not in handlers:
             raise ValueError(f"unknown config section [{section}]")
@@ -356,7 +347,8 @@ def _unique_names(names) -> list[str]:
 
 
 def _parse_header(raw: bytes) -> dict:
-    """Decode and type-check the JSON header; any flaw is a CheckpointError."""
+    """Decode and type-check the JSON header and check its parameter names and
+    shapes against the model its config builds; any flaw is a CheckpointError."""
     try:
         header = json.loads(raw.decode("utf-8"))
         for key, kind in (("num_classes", int), ("epoch", int), ("adam_step", int),
@@ -372,8 +364,19 @@ def _parse_header(raw: bytes) -> dict:
         if not set(_unique_names(header["moments"])) <= set(names):
             raise ValueError("moments name unknown parameters")
         header["modality_names"] = tuple(_unique_names(header["modality_names"]))
+        model_cfg = header["config"].model_config(header["num_classes"],
+                                                  header["modality_names"])
+        expected = {n: t.shape for n, t in init_model_params(model_cfg, 0).items()}
+        stored = dict(header["params"])
+        if stored != expected:
+            wrong = sorted(n for n in expected.keys() & stored.keys()
+                           if expected[n] != stored[n])
+            raise ValueError(
+                f"parameters do not match the stored config: missing "
+                f"{sorted(expected.keys() - stored.keys())}, unexpected "
+                f"{sorted(stored.keys() - expected.keys())}, wrong shape {wrong}")
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers the
-        # UTF-8 and JSON decode errors and TrainConfig's own checks
+        # UTF-8 and JSON decode errors and the config classes' own checks
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return header
 
@@ -394,28 +397,24 @@ def load_checkpoint(path) -> Checkpoint:
     header = _parse_header(blob[12:12 + hlen])
 
     offset = 12 + hlen
-    params: dict[str, Tensor] = {}
-    for name, shape in header["params"]:
+
+    def read(shape, truncated: str) -> np.ndarray:
+        nonlocal offset
         n_bytes = math.prod(shape) * 8
         if offset + n_bytes > len(blob):
-            raise CheckpointTruncatedError("truncated parameter payload")
-        arr = np.frombuffer(blob, dtype="<f8",
-                            count=n_bytes // 8, offset=offset).reshape(shape)
-        params[name] = Tensor(arr.copy(), requires_grad=True)
+            raise CheckpointTruncatedError(truncated)
+        arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
+                            offset=offset).reshape(shape).copy()
         offset += n_bytes
+        return arr
 
+    params = {name: Tensor(read(shape, "truncated parameter payload"), requires_grad=True)
+              for name, shape in header["params"]}
     opt = AdamState(step=header["adam_step"])
     for name in header["moments"]:
         shape = params[name].shape
-        n_bytes = math.prod(shape) * 8
-        if offset + 2 * n_bytes > len(blob):
-            raise CheckpointTruncatedError("truncated optimizer payload")
-        opt.m[name] = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
-                                    offset=offset).reshape(shape).copy()
-        offset += n_bytes
-        opt.v[name] = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
-                                    offset=offset).reshape(shape).copy()
-        offset += n_bytes
+        opt.m[name] = read(shape, "truncated optimizer payload")
+        opt.v[name] = read(shape, "truncated optimizer payload")
     if offset != len(blob):
         raise CheckpointTruncatedError(
             f"{len(blob) - offset} unexpected trailing bytes")

@@ -1,5 +1,6 @@
-"""Shared oracles for the test suites: finite differences, error metrics, and
-the MIM pipeline as a chain of recorded tensor ops."""
+"""Shared oracles for the test suites: finite differences, error metrics,
+generic tensor ops the model does not run, and the MIM pipeline as a chain of
+recorded tensor ops."""
 
 from __future__ import annotations
 
@@ -72,6 +73,99 @@ def check_param_grad(loss_fn, params: dict, pname: str, tol=FD_TOL, eps=FD_EPS):
 
 
 # ---------------------------------------------------------------------------
+# generic ops the model does not run: the loss reducers of the gradient checks,
+# and the pooling and sigmoid of ``mim_chain``
+
+
+def div(a: Tensor, b) -> Tensor:
+    bd, bt = T._binary_operands("div", a, b)
+    if np.any(bd == 0.0):
+        raise ZeroDivisionError("div: zero divisor")
+    ad = a.data
+
+    def bwd(g):
+        accumulate_grad(a, g / bd)
+        if bt is not None:
+            accumulate_grad(bt, -g * ad / (bd * bd))
+
+    return record_op("div", ad / bd, (a, bt) if bt else (a,), bwd)
+
+
+def sum_all(t: Tensor) -> Tensor:
+    shape = t.shape
+
+    def bwd(g):
+        accumulate_grad(t, np.broadcast_to(g, shape))
+
+    return record_op("sum", np.asarray(t.data.sum()), (t,), bwd)
+
+
+def exp(t: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):  # overflow becomes NonFiniteError below
+        out_data = np.exp(t.data)
+
+    def bwd(g):
+        accumulate_grad(t, g * out_data)
+
+    return record_op("exp", out_data, (t,), bwd)
+
+
+def log(t: Tensor) -> Tensor:
+    if np.any(t.data <= 0.0):
+        raise TensorError("log: domain requires strictly positive values")
+    td = t.data
+
+    def bwd(g):
+        accumulate_grad(t, g / td)
+
+    return record_op("log", np.log(td), (t,), bwd)
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    out_data = T._sigmoid(t.data)
+
+    def bwd(g):
+        accumulate_grad(t, T._sigmoid_grad(g, out_data))
+
+    return record_op("sigmoid", out_data, (t,), bwd)
+
+
+def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
+    if not lo < hi:
+        raise TensorError(f"clamp: need lo < hi, got [{lo}, {hi}]")
+    inside = (t.data >= lo) & (t.data <= hi)
+
+    def bwd(g):
+        accumulate_grad(t, g * inside)
+
+    return record_op("clamp", np.clip(t.data, lo, hi), (t,), bwd)
+
+
+def pool_global(f: Tensor, kind: str) -> Tensor:
+    """Collapse the spatial extent of a ... x h x w map (at least 3 axes),
+    keeping the leading axes: a C x h x w map gives a length-C vector."""
+    if f.ndim < 3:
+        raise TensorError(f"pool_global: expected ... x h x w tensor, got shape {f.shape}")
+    h, w = f.shape[-2:]
+    if kind == "avg":
+        def bwd(g):
+            accumulate_grad(f, np.broadcast_to((g / (h * w))[..., None, None], f.shape))
+
+        return record_op("pool_avg", f.data.mean(axis=(-2, -1)), (f,), bwd)
+    if kind == "max":
+        flat = f.data.reshape(*f.shape[:-2], h * w)
+        idx = flat.argmax(axis=-1)[..., None]  # first max wins; deterministic
+
+        def bwd(g):
+            full = np.zeros_like(flat)
+            np.put_along_axis(full, idx, g[..., None], axis=-1)
+            accumulate_grad(f, full.reshape(f.shape))
+
+        return record_op("pool_max", flat.max(axis=-1), (f,), bwd)
+    raise TensorError(f"pool_global: kind must be 'avg' or 'max', got {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # reference for the fused ``mim.mim_forward``
 
 
@@ -103,12 +197,12 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     pair = T.stack([f_robust, f_fragile])
     _, c, h, w = pair.shape
     p = f"mim.l{level}"
-    z = T.concat([T.pool_global(pair, "avg"), T.pool_global(pair, "max")], axis=1)
+    z = T.concat([pool_global(pair, "avg"), pool_global(pair, "max")], axis=1)
     z = T.reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
     hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
-    att = T.sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
+    att = sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
     pair = cross_rectify(pair, T.reshape(att, (2, c, 1, 1)))
-    att = T.sigmoid(T.channel_mix(T.reshape(pair, (2 * c, h, w)),
+    att = sigmoid(T.channel_mix(T.reshape(pair, (2 * c, h, w)),
                                   params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
     pair = cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
     return T.channel_mix(T.reshape(pair, (2 * c, h, w)),

@@ -3,7 +3,8 @@
 Each test is self-contained and checks one release property end to end:
   1. the substitute property surface exists (full-scale benchmarks are out
      of desk reach, so the package is accepted on properties + experiments)
-  2. gradient correctness, per op and through the full training loss
+  2. gradient correctness, per op and through the full training loss, with a
+     case for every op the model records
   3. ranking, mIoU, and cross-entropy against independent oracles
   4. consistency-loss identities and the beta=0 short circuit
   5. subset enumeration counts and order
@@ -14,15 +15,20 @@ Each test is self-contained and checks one release property end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 import tempfile
 import time
 
 import numpy as np
 import pytest
 
+import modalseg
 import modalseg.tensor as T
-from helpers import check_grads, cross_rectify, max_rel_err
+from helpers import (check_grads, clamp, cross_rectify, div, exp, log, max_rel_err,
+                     pool_global, sigmoid, sum_all)
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
 from modalseg.encoder import encode_batch
@@ -34,8 +40,8 @@ from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
 from modalseg.mim import init_mim_params, mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
-from modalseg.train import (CheckpointError, TrainConfig, load_checkpoint,
-                            save_checkpoint, train)
+from modalseg.train import (AdamState, CheckpointError, TrainConfig, load_checkpoint,
+                            save_checkpoint, train, train_step)
 
 MODALITIES = ("camera", "depth", "event", "range")
 TINY = dict(stage_channels=(4, 6, 8, 10), d_embed=8)
@@ -69,55 +75,59 @@ def _op_cases(rng):
     """One scalar-loss builder per differentiable op, fresh arrays per seed."""
     n = rng.normal
     p = lambda *s: rng.uniform(0.5, 2.0, s)  # positive, away from 0
-    m = T.sum_all
+    m = sum_all
     mim_params = init_mim_params((2,), np.random.default_rng(0))  # names, shapes
-    return [
+    cases = [
         ("add", lambda a, b: m(T.add(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("mul", lambda a, b: m(T.mul(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
-        ("div", lambda a, b: m(T.div(a, b)), [n(size=(3, 4)), p(3, 4)]),
-        ("linear", lambda x, w, b: m(T.exp(T.linear(x, w, b))),
+        ("div", lambda a, b: m(div(a, b)), [n(size=(3, 4)), p(3, 4)]),
+        ("linear", lambda x, w, b: m(exp(T.linear(x, w, b))),
          [n(size=(3, 4)), n(size=(4, 2)), n(size=(2,))]),
         ("reshape", lambda t: m(T.mul(T.reshape(t, (3, 4)), 2.0)),
          [n(size=(2, 6))]),
-        ("transpose", lambda t: m(T.exp(T.transpose(t, (1, 0, 2)))),
+        ("transpose", lambda t: m(exp(T.transpose(t, (1, 0, 2)))),
          [n(size=(2, 3, 2))]),
-        ("concat", lambda a, b: m(T.exp(T.concat([a, b], axis=1))),
+        ("concat", lambda a, b: m(exp(T.concat([a, b], axis=1))),
          [n(size=(2, 3)), n(size=(2, 2))]),
-        ("sum_all", lambda t: T.sum_all(T.mul(t, t)), [n(size=(3, 4))]),
-        ("exp", lambda t: m(T.exp(t)), [n(size=(3, 4))]),
-        ("log", lambda t: m(T.log(t)), [p(3, 4)]),
-        ("sigmoid", lambda t: m(T.sigmoid(t)), [n(size=(3, 4))]),
+        ("sum_all", lambda t: sum_all(T.mul(t, t)), [n(size=(3, 4))]),
+        ("exp", lambda t: m(exp(t)), [n(size=(3, 4))]),
+        ("log", lambda t: m(log(t)), [p(3, 4)]),
+        ("sigmoid", lambda t: m(sigmoid(t)), [n(size=(3, 4))]),
         ("gelu", lambda t: m(T.gelu(t)), [n(size=(3, 4))]),
-        ("clamp", lambda t: m(T.clamp(t, -0.7, 0.7)), [n(size=(3, 4))]),
+        ("clamp", lambda t: m(clamp(t, -0.7, 0.7)), [n(size=(3, 4))]),
         ("layer_norm", lambda x, g, b: m(T.layer_norm(x, g, b)),
          [n(size=(4, 6)), p(6), n(size=(6,))]),
-        ("pool_avg", lambda f: m(T.pool_global(f, "avg")), [n(size=(3, 4, 4))]),
-        ("pool_max", lambda f: m(T.pool_global(f, "max")), [n(size=(3, 4, 4))]),
-        ("resample", lambda f: m(T.exp(T.resample_bilinear(f, 5, 4))),
+        ("pool_avg", lambda f: m(pool_global(f, "avg")), [n(size=(3, 4, 4))]),
+        ("pool_max", lambda f: m(pool_global(f, "max")), [n(size=(3, 4, 4))]),
+        ("resample_bilinear", lambda f: m(exp(T.resample_bilinear(f, 5, 4))),
          [n(size=(2, 3, 3))]),
-        ("cross_rectify per channel", lambda f, w: m(T.exp(cross_rectify(f, w))),
+        ("cross_rectify per channel", lambda f, w: m(exp(cross_rectify(f, w))),
          [n(size=(2, 3, 2, 2)), n(size=(2, 3, 1, 1))]),
-        ("cross_rectify per pixel", lambda f, w: m(T.exp(cross_rectify(f, w))),
+        ("cross_rectify per pixel", lambda f, w: m(exp(cross_rectify(f, w))),
          [n(size=(2, 3, 2, 2)), n(size=(2, 1, 2, 2))]),
-        ("channel_mix", lambda f, w, b: m(T.exp(T.channel_mix(f, w, b))),
+        ("channel_mix", lambda f, w, b: m(exp(T.channel_mix(f, w, b))),
          [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
-        ("stack", lambda a, b: m(T.exp(T.stack([a, b]))),
+        ("stack", lambda a, b: m(exp(T.stack([a, b]))),
          [n(size=(2, 3)), n(size=(2, 3))]),
-        ("unstack", lambda t: (lambda parts: m(T.add(T.exp(parts[0]),
+        ("unstack", lambda t: (lambda parts: m(T.add(exp(parts[0]),
                                                      T.mul(parts[2], 3.0))))(T.unstack(t)),
          [n(size=(3, 2, 2))]),  # part 1 unused: its slice must get zero gradient
         ("cosine", lambda a, b: m(cosine(a, b)),
          [n(size=(3, 2, 2)), n(size=(3, 2, 2))]),
-        ("mean", lambda a, b, c: m(T.exp(mean_feature([a, b, a, c]))),
+        ("mean", lambda a, b, c: m(exp(mean_feature([a, b, a, c]))),
          [n(size=(3, 2)), n(size=(3, 2)), n(size=(3, 2))]),  # a twice: fan-in
-        ("map_similarity", lambda c: m(T.exp(map_similarity(c))),
+        ("map_similarity", lambda c: m(exp(map_similarity(c))),
          [rng.uniform(-0.9, 0.9, (3, 2))]),  # inside the clip: away from its kinks
         ("consistency", lambda a, b, c, d: consistency_loss([[a, b], [], [c, d, a]], 7),
          [np.asarray(rng.uniform(0.05, 1.0)) for _ in range(4)]),
-        ("mim", lambda a, b, *ws: m(T.exp(mim_forward(a, b, dict(zip(mim_params, ws)), 0))),
+        ("mim", lambda a, b, *ws: m(exp(mim_forward(a, b, dict(zip(mim_params, ws)), 0))),
          [n(size=(2, 3, 3)), n(size=(2, 3, 3)),
           *(n(scale=0.5, size=t.shape) for t in mim_params.values())]),
     ]
+    labels = rng.integers(0, 3, size=(2, 3))  # drawn last: earlier cases keep their arrays
+    labels[0, 0] = 255  # ignored: its logits get zero gradient
+    cases.append(("cross_entropy", lambda x: cross_entropy(x, labels), [n(size=(3, 2, 3))]))
+    return cases
 
 
 def _full_loss(scene, cfg, params):
@@ -166,6 +176,35 @@ def test_criterion_2_gradients_per_op_and_end_to_end():
         assert err < 1e-3, f"{pname}{list(idx)}: end-to-end rel err {err:.3g}"
 
     assert time.monotonic() - start < 60.0
+
+
+def test_criterion_2_every_recorded_op_has_a_gradient_case(monkeypatch):
+    """Every op name the model records, in a masm and a mean training step at
+    the benchmark's training size and in one evaluated scene, names a
+    finite-difference case of ``_op_cases``."""
+    record = T.record_op
+    recorded = set()
+
+    def spy(name, *rest):
+        recorded.add(name)
+        return record(name, *rest)
+
+    for info in pkgutil.iter_modules(modalseg.__path__):
+        mod = importlib.import_module(f"modalseg.{info.name}")
+        if getattr(mod, "record_op", None) is record:
+            monkeypatch.setattr(mod, "record_op", spy)
+    ds = generate_dataset(5, count=4, h=32, w=32, k=3, m=4, p_night=0.5)
+    for fusion in ("masm", "mean"):
+        cfg = TrainConfig(stage_channels=(8, 12, 16, 24), d_embed=16, base_lr=1e-2,
+                          batch_size=4, epochs=1, fusion=fusion, beta=1.0, seed=0)
+        mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
+        params = init_model_params(mcfg, 0)
+        train_step(ds.scenes, params, AdamState(), cfg, mcfg, lr=1e-2)
+    run_mass_eval(mcfg, params, dataclasses.replace(ds, scenes=ds.scenes[:1]))
+
+    assert {"mim", "consistency", "cross_entropy", "linear"} <= recorded  # every binding
+    cases = {name for name, _, _ in _op_cases(np.random.default_rng(0))}
+    assert recorded <= cases, f"ops without a gradient case: {sorted(recorded - cases)}"
 
 
 # ---------------------------------------------------------------------------

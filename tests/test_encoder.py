@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.encoder import EncoderConfig, encode, encode_batch, init_encoder_params
+from modalseg.encoder import EncoderConfig, encode_batch, init_encoder_params
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_param_grad
+from helpers import check_param_grad, sum_all
 
 SMALL = EncoderConfig(stage_channels=(4, 6, 8, 10))
 
@@ -23,23 +23,24 @@ def test_pyramid_shapes_64():
     params = init_encoder_params(cfg, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     with no_grad():
-        pyr = encode(Tensor(rng.random((3, 64, 64))), cfg, params)
+        pyr = encode_batch([Tensor(rng.random((3, 64, 64)))], cfg, params)[0]
     assert [f.shape for f in pyr] == [(16, 16, 16), (32, 8, 8), (64, 4, 4), (96, 2, 2)]
 
 
 def test_pyramid_shapes_non_square():
     params = small_params()
     with no_grad():
-        pyr = encode(Tensor(np.random.default_rng(3).random((3, 32, 64))), SMALL, params)
+        image = Tensor(np.random.default_rng(3).random((3, 32, 64)))
+        pyr = encode_batch([image], SMALL, params)[0]
     assert [f.shape for f in pyr] == [(4, 8, 16), (6, 4, 8), (8, 2, 4), (10, 1, 2)]
 
 
 def test_indivisible_size_rejected():
     params = small_params()
     with pytest.raises(TensorError):
-        encode(Tensor(np.ones((3, 48, 64))), SMALL, params)
+        encode_batch([Tensor(np.ones((3, 48, 64)))], SMALL, params)
     with pytest.raises(TensorError):
-        encode(Tensor(np.ones((4, 32, 32))), SMALL, params)
+        encode_batch([Tensor(np.ones((4, 32, 32)))], SMALL, params)
 
 
 def test_zero_images_give_identical_pyramids():
@@ -56,8 +57,8 @@ def test_encode_is_pure():
     params = small_params()
     img = Tensor(np.random.default_rng(5).random((3, 32, 32)))
     with no_grad():
-        first = encode(img, SMALL, params)
-        second = encode(img, SMALL, params)
+        first = encode_batch([img], SMALL, params)[0]
+        second = encode_batch([img], SMALL, params)[0]
     for a, b in zip(first, second):
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -103,10 +104,10 @@ def test_config_validation():
 
 
 def pyramid_loss(image: Tensor, params) -> Tensor:
-    levels = encode(image, SMALL, params)
-    total = T.sum_all(levels[0])
+    levels = encode_batch([image], SMALL, params)[0]
+    total = sum_all(levels[0])
     for lvl in levels[1:]:
-        total = T.add(total, T.sum_all(lvl))
+        total = T.add(total, sum_all(lvl))
     return total
 
 
@@ -138,7 +139,7 @@ def test_batch_matches_per_image_encode(size):
     imgs = [Tensor(rng.random((3, size, size))) for _ in range(16)]
     with no_grad():
         batched = encode_batch(imgs, SMALL, params)
-        single = [encode(img, SMALL, params) for img in imgs]
+        single = [encode_batch([img], SMALL, params)[0] for img in imgs]
     for level in range(4):
         scale = max(np.max(np.abs(p[level].data)) for p in single)
         for b, s in zip(batched, single):
@@ -147,7 +148,7 @@ def test_batch_matches_per_image_encode(size):
 
 
 def squares_loss(pyramids) -> Tensor:
-    parts = [T.sum_all(T.mul(lvl, lvl)) for levels in pyramids for lvl in levels]
+    parts = [sum_all(T.mul(lvl, lvl)) for levels in pyramids for lvl in levels]
     total = parts[0]
     for part in parts[1:]:
         total = T.add(total, part)
@@ -165,7 +166,7 @@ def test_batch_param_grads_equal_sum_of_per_image_grads():
     for img in imgs:
         for p in single.values():
             p.zero_grad()
-        backward(squares_loss([encode(img, SMALL, single)]))
+        backward(squares_loss([encode_batch([img], SMALL, single)[0]]))
         for n, p in single.items():
             summed[n] += p.grad
     for n, p in batched.items():

@@ -9,7 +9,7 @@ import pytest
 
 import modalseg.tensor as T
 from modalseg.data import generate_dataset
-from modalseg.encoder import encode, encode_batch
+from modalseg.encoder import encode_batch
 from modalseg.masm import mean_feature
 from modalseg.evaluate import (MassReport, ReportFormatError, confusion_matrix,
                                enumerate_subsets, miou, rankings_csv,
@@ -178,7 +178,7 @@ def test_singleton_subset_equals_bare_pipeline():
     got = infer(embedded, cfg, params, scene.labels.shape)
 
     with no_grad():  # backbone + head only, no selection/rectification code
-        pyramid = encode(images[1], cfg.encoder, params)
+        pyramid = encode_batch([images[1]], cfg.encoder, params)[0]
         logits = decode(embed(pyramid, params), params, scene.labels.shape)
     manual = np.argmax(logits.data, axis=0)
     assert np.array_equal(got, manual)
@@ -203,7 +203,7 @@ def test_full_subset_matches_mean_fusion_oracle():
     images = scene_tensors(scene)
     with no_grad():
         got = infer_logits(images, cfg, params, scene.labels.shape)
-        pyramids = [encode(img, cfg.encoder, params) for img in images]
+        pyramids = [encode_batch([img], cfg.encoder, params)[0] for img in images]
         fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0))
                  for i in range(4)]
         expect = decode(embed(fused, params), params, scene.labels.shape)
@@ -222,8 +222,8 @@ def test_infer_rejects_pyramids_that_do_not_match_config():
     wider = ModelConfig(num_classes=3, modality_names=MODALITIES,
                         stage_channels=(4, 6, 8, 12), d_embed=8)
     with no_grad():
-        pyramid = encode(img, cfg.encoder, params)
-        other = encode(img, wider.encoder, init_model_params(wider, 0))
+        pyramid = encode_batch([img], cfg.encoder, params)[0]
+        other = encode_batch([img], wider.encoder, init_model_params(wider, 0))[0]
     for bad in ([pyramid[:3]], [other], [pyramid, other]):
         with pytest.raises(T.TensorError, match="stage channels"):
             with no_grad():  # pyramids enter inference through head.embed

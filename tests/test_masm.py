@@ -13,7 +13,7 @@ from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
 from modalseg.mim import init_mim_params
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_param_grad
+from helpers import check_param_grad, clamp, div, log, sum_all
 
 
 def feature_with_cosine(target: float, slot: int, dim: int = 6) -> Tensor:
@@ -129,7 +129,7 @@ def test_cosine_of_zero_feature_is_zero_without_gradient():
             other.zero_grad()
             c = cosine(x, y)
             assert c.item() == 0.0
-            backward(T.add(c, T.sum_all(T.mul(zero, 2.0))))
+            backward(T.add(c, sum_all(T.mul(zero, 2.0))))
             assert other.grad is None
             assert np.array_equal(zero.grad, np.full((3, 2, 2), 2.0))
 
@@ -274,11 +274,11 @@ def _mean_by_chain(features):
     total = features[0]
     for f in features[1:]:
         total = T.add(total, f)
-    return T.div(total, float(len(features)))
+    return div(total, float(len(features)))
 
 
 def _map_similarity_by_chain(c):
-    return T.clamp(T.mul(T.add(c, 1.0), 0.5), SIM_EPS, 1.0)
+    return clamp(T.mul(T.add(c, 1.0), 0.5), SIM_EPS, 1.0)
 
 
 def _consistency_by_chain(terms, class_count):
@@ -288,8 +288,8 @@ def _consistency_by_chain(terms, class_count):
             continue
         c1, c2 = scale_terms[0], scale_terms[1]
         mid = T.mul(T.add(c1, c2), 0.5)
-        contrib = T.add(T.mul(c1, T.log(T.div(c1, mid))),
-                        T.mul(c2, T.log(T.div(c2, mid))))
+        contrib = T.add(T.mul(c1, log(div(c1, mid))),
+                        T.mul(c2, log(div(c2, mid))))
         per_scale.append(T.mul(contrib, float(class_count)))
     return _mean_by_chain(per_scale)
 
@@ -305,8 +305,8 @@ def test_mean_feature_bit_identical_to_add_div_chain(seed, order):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op([leaves[i] for i in order])
         # leaf 0 feeds a second op too, so its gradients' summing order counts
-        backward(T.add(T.sum_all(T.mul(leaves[0], leaves[1])),
-                       T.sum_all(T.mul(out, pick))))
+        backward(T.add(sum_all(T.mul(leaves[0], leaves[1])),
+                       sum_all(T.mul(out, pick))))
         runs.append([out.data.tobytes()]
                     + [t.grad.tobytes() for t in leaves if t.grad is not None])
     assert runs[0] == runs[1]
@@ -321,7 +321,7 @@ def test_map_similarity_bit_identical_to_add_mul_clamp_chain():
     for op in (map_similarity, _map_similarity_by_chain):
         c = Tensor(arr, requires_grad=True)
         out = op(c)
-        backward(T.sum_all(T.mul(out, pick)))
+        backward(sum_all(T.mul(out, pick)))
         runs.append((out.data.tobytes(), c.grad.tobytes()))
     assert runs[0] == runs[1]
 

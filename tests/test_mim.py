@@ -13,7 +13,7 @@ from modalseg.mim import (fuse, init_mim_params, mim_forward, rectify_channel,
                           rectify_spatial)
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import check_grads, check_param_grad, cross_rectify, mim_chain
+from helpers import check_grads, check_param_grad, cross_rectify, exp, mim_chain, sum_all
 
 
 def params_for(channels, seed=0):
@@ -150,7 +150,7 @@ def test_fuse_zero_inputs_zero_bias():
 
 
 def mim_loss(f_a, f_b, params):
-    return T.sum_all(T.exp(T.mul(mim_forward(f_a, f_b, params, 0), 0.1)))
+    return sum_all(exp(T.mul(mim_forward(f_a, f_b, params, 0), 0.1)))
 
 
 def test_full_pipeline_grads_wrt_inputs():
@@ -202,7 +202,7 @@ def test_stacked_pair_matches_two_map_chain(seed):
         params = params_for((c,), seed=seed)
         f_a, f_b = (Tensor(x, requires_grad=True) for x in arrays)
         out = forward(f_a, f_b, params, 0)
-        backward(T.sum_all(T.mul(out, Tensor(pick))))
+        backward(sum_all(T.mul(out, Tensor(pick))))
         grads = {"f_a": f_a.grad, "f_b": f_b.grad}
         grads.update((k, v.grad) for k, v in params.items())
         results.append((out.data, grads))
@@ -243,7 +243,7 @@ def test_cross_rectify_records_one_op(monkeypatch):
     assert names == ["cross_rectify"]
     # a + w_b * b and b + w_a * a
     assert np.array_equal(out.data, [[[[1.75, 3.0]]], [[[3.5, 5.0]]]])
-    backward(T.sum_all(out))
+    backward(sum_all(out))
     assert np.array_equal(pair.grad, [[[[1.5, 1.5]]], [[[1.25, 1.25]]]])
     assert np.array_equal(att.grad, [[[[3.0]]], [[[7.0]]]])
 

@@ -7,13 +7,17 @@ are kept away from the sample points so the oracle stays valid.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import modalseg.tensor as T
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import FD_TOL, check_grads, cross_rectify, max_rel_err
+from helpers import (FD_TOL, check_grads, clamp, cross_rectify, div, exp, log, max_rel_err,
+                     pool_global, sigmoid, sum_all)
 
 SEEDS = range(20)
 
@@ -44,7 +48,7 @@ def test_tensor_rejects_empty():
 def test_op_output_nonfinite_is_error():
     x = Tensor([1000.0])
     with pytest.raises(NonFiniteError):
-        T.exp(x)
+        exp(x)
 
 
 def test_item_requires_scalar():
@@ -74,14 +78,14 @@ def test_elementwise_shape_mismatch():
 
 def test_div_by_zero():
     with pytest.raises(ZeroDivisionError):
-        T.div(Tensor([1.0]), Tensor([0.0]))
+        div(Tensor([1.0]), Tensor([0.0]))
     with pytest.raises(ZeroDivisionError):
-        T.div(Tensor([1.0]), 0.0)
+        div(Tensor([1.0]), 0.0)
 
 
 def test_grad_of_mul_matches_spec_example():
     a, b = Tensor([2.0], requires_grad=True), Tensor([5.0], requires_grad=True)
-    backward(T.sum_all(T.mul(a, b)))
+    backward(sum_all(T.mul(a, b)))
     assert max_rel_err(a.grad, np.array([5.0])) < FD_TOL
     assert max_rel_err(b.grad, np.array([2.0])) < FD_TOL
 
@@ -92,11 +96,11 @@ def test_elementwise_grads(seed):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4)) + np.where(rng.random((3, 4)) < 0.5, -2.0, 2.0)
     # b bounded away from 0 (div)
-    check_grads(lambda x, y: T.sum_all(T.add(x, y)), [a, b])
-    check_grads(lambda x, y: T.sum_all(T.mul(x, y)), [a, b])
-    check_grads(lambda x, y: T.sum_all(T.div(x, y)), [a, b])
-    check_grads(lambda x: T.sum_all(T.mul(x, 3.5)), [a])
-    check_grads(lambda x: T.sum_all(T.div(x, -1.7)), [a])
+    check_grads(lambda x, y: sum_all(T.add(x, y)), [a, b])
+    check_grads(lambda x, y: sum_all(T.mul(x, y)), [a, b])
+    check_grads(lambda x, y: sum_all(div(x, y)), [a, b])
+    check_grads(lambda x: sum_all(T.mul(x, 3.5)), [a])
+    check_grads(lambda x: sum_all(div(x, -1.7)), [a])
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def test_matmul_grads(seed):
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     pick = Tensor(rng.normal(size=(3, 2)))
     c = rng.normal(size=2)
-    check_grads(lambda x, y, z: T.sum_all(T.mul(T.linear(x, y, z), pick)), [a, b, c],
+    check_grads(lambda x, y, z: sum_all(T.mul(T.linear(x, y, z), pick)), [a, b, c],
                 tol=1e-5)
 
 
@@ -173,7 +177,7 @@ def test_linear_bit_identical_to_matmul_then_add_bias(seed):
         x = T.transpose(leaves[0], (1, 0))
         out = op(x, leaves[1], leaves[2])
         again = op(x, leaves[1], leaves[2])
-        backward(T.sum_all(T.add(T.mul(out, pick), T.mul(again, out))))
+        backward(sum_all(T.add(T.mul(out, pick), T.mul(again, out))))
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
     assert runs[0] == runs[1]
 
@@ -198,14 +202,14 @@ def test_structure_grads(seed):
     a = rng.normal(size=(2, 3, 4))
     b = rng.normal(size=(2, 3, 4))
     v = rng.normal(size=4)
-    check_grads(lambda x: T.sum_all(T.exp(T.reshape(x, (6, 4)))), [a])
-    check_grads(lambda x: T.sum_all(T.exp(T.transpose(x, (2, 0, 1)))), [a])
-    check_grads(lambda x, y: T.sum_all(T.exp(T.concat([x, y], axis=1))), [a, b])
+    check_grads(lambda x: sum_all(exp(T.reshape(x, (6, 4)))), [a])
+    check_grads(lambda x: sum_all(exp(T.transpose(x, (2, 0, 1)))), [a])
+    check_grads(lambda x, y: sum_all(exp(T.concat([x, y], axis=1))), [a, b])
     w = rng.normal(size=(4, 4))
-    check_grads(lambda x, y, z: T.sum_all(T.exp(T.linear(T.reshape(x, (6, 4)), y, z))),
+    check_grads(lambda x, y, z: sum_all(exp(T.linear(T.reshape(x, (6, 4)), y, z))),
                 [a, w, v])
-    check_grads(lambda x, y: T.sum_all(T.exp(T.stack([x, y]))), [a, b])
-    check_grads(lambda x: T.sum_all(T.mul(T.exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
+    check_grads(lambda x, y: sum_all(exp(T.stack([x, y]))), [a, b])
+    check_grads(lambda x: sum_all(T.mul(exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
 
 
 def test_structure_errors():
@@ -237,10 +241,10 @@ def test_pointwise_grads(seed):
     rng = np.random.default_rng(300 + seed)
     x = rng.normal(size=(3, 5))
     pos = rng.uniform(0.5, 2.0, size=(3, 5))
-    check_grads(lambda t: T.sum_all(T.exp(t)), [x])
-    check_grads(lambda t: T.sum_all(T.log(t)), [pos])
-    check_grads(lambda t: T.sum_all(T.sigmoid(t)), [x])
-    check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
+    check_grads(lambda t: sum_all(exp(t)), [x])
+    check_grads(lambda t: sum_all(log(t)), [pos])
+    check_grads(lambda t: sum_all(sigmoid(t)), [x])
+    check_grads(lambda t: sum_all(T.gelu(t)), [x])
 
 
 def test_gelu_matches_cube_formula():
@@ -257,19 +261,19 @@ def test_clamp_grads_away_from_edges(seed):
     rng = np.random.default_rng(400 + seed)
     x = rng.uniform(-3, 3, size=(4, 4))
     x[np.abs(np.abs(x) - 1.0) < 1e-3] = 0.0  # keep off the clamp boundaries
-    check_grads(lambda t: T.sum_all(T.clamp(t, -1.0, 1.0)), [x])
+    check_grads(lambda t: sum_all(clamp(t, -1.0, 1.0)), [x])
 
 
 def test_clamp_values_and_errors():
-    out = T.clamp(Tensor([-5.0, 0.25, 5.0]), -1.0, 1.0)
+    out = clamp(Tensor([-5.0, 0.25, 5.0]), -1.0, 1.0)
     assert np.array_equal(out.data, [-1.0, 0.25, 1.0])
     with pytest.raises(TensorError):
-        T.clamp(Tensor([0.0]), 2.0, 1.0)
+        clamp(Tensor([0.0]), 2.0, 1.0)
 
 
 def test_log_domain_error():
     with pytest.raises(TensorError):
-        T.log(Tensor([1.0, -1.0]))
+        log(Tensor([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -280,7 +284,7 @@ def test_layer_norm_grads(seed):
     beta = rng.normal(size=6) * 0.1
     pick = Tensor(rng.normal(size=(4, 6)))
     check_grads(
-        lambda a, g, b: T.sum_all(T.mul(T.layer_norm(a, g, b), pick)),
+        lambda a, g, b: sum_all(T.mul(T.layer_norm(a, g, b), pick)),
         [x, gamma, beta])
 
 
@@ -299,27 +303,27 @@ def test_layer_norm_normalizes():
 def test_pool_constant_map():
     f = Tensor(np.full((3, 4, 5), 3.0))
     for kind in ("avg", "max"):
-        assert np.array_equal(T.pool_global(f, kind).data, [3.0, 3.0, 3.0])
+        assert np.array_equal(pool_global(f, kind).data, [3.0, 3.0, 3.0])
 
 
 def test_pool_single_pixel_identity():
     f = Tensor(np.array([[[2.0]], [[-1.5]]]))
     for kind in ("avg", "max"):
-        assert np.array_equal(T.pool_global(f, kind).data, [2.0, -1.5])
+        assert np.array_equal(pool_global(f, kind).data, [2.0, -1.5])
 
 
 def test_pool_hand_values():
     f = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    assert T.pool_global(f, "avg").data[0] == 2.5
-    assert T.pool_global(f, "max").data[0] == 4.0
+    assert pool_global(f, "avg").data[0] == 2.5
+    assert pool_global(f, "max").data[0] == 4.0
     # a stacked 2 x C x h x w pair pools to 2 x C; the leading axes stay
     pair = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]], [[0.0, -1.0], [7.0, 1.0]]],
                             [[[-2.0, -4.0], [-6.0, -8.0]], [[5.0, 5.0], [5.0, 5.0]]]]))
-    assert np.array_equal(T.pool_global(pair, "avg").data, [[2.5, 1.75], [-5.0, 5.0]])
-    assert np.array_equal(T.pool_global(pair, "max").data, [[4.0, 7.0], [-2.0, 5.0]])
+    assert np.array_equal(pool_global(pair, "avg").data, [[2.5, 1.75], [-5.0, 5.0]])
+    assert np.array_equal(pool_global(pair, "max").data, [[4.0, 7.0], [-2.0, 5.0]])
     pair = Tensor(pair.data, requires_grad=True)
     weights = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    backward(T.sum_all(T.mul(T.pool_global(pair, "max"), weights)))
+    backward(sum_all(T.mul(pool_global(pair, "max"), weights)))
     want = np.zeros((2, 2, 2, 2))
     want[0, 0, 1, 1], want[0, 1, 1, 0], want[1, 0, 0, 0], want[1, 1, 0, 0] = 1, 2, 3, 4
     assert np.array_equal(pair.grad, want)  # ties (all 5s) go to the first max
@@ -327,9 +331,9 @@ def test_pool_hand_values():
 
 def test_pool_bad_kind_and_rank():
     with pytest.raises(TensorError):
-        T.pool_global(Tensor(np.ones((3, 2, 2))), "sum")
+        pool_global(Tensor(np.ones((3, 2, 2))), "sum")
     with pytest.raises(TensorError):
-        T.pool_global(Tensor(np.ones((3, 2))), "avg")
+        pool_global(Tensor(np.ones((3, 2))), "avg")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -338,8 +342,8 @@ def test_pool_grads(seed):
     f = rng.normal(size=(3, 4, 5))
     pair = rng.normal(size=(2, 3, 4, 5))
     for arr in (f, pair):
-        check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "avg"))), [arr])
-        check_grads(lambda t: T.sum_all(T.exp(T.pool_global(t, "max"))), [arr])
+        check_grads(lambda t: sum_all(exp(pool_global(t, "avg"))), [arr])
+        check_grads(lambda t: sum_all(exp(pool_global(t, "max"))), [arr])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -350,8 +354,8 @@ def test_channel_and_spatial_scaling_grads(seed):
     pair = rng.normal(size=(2, 3, 4, 5))
     w = rng.normal(size=(2, 3, 1, 1))
     m = rng.normal(size=(2, 1, 4, 5))
-    check_grads(lambda a, b: T.sum_all(T.exp(cross_rectify(a, b))), [pair, w])
-    check_grads(lambda a, b: T.sum_all(T.exp(cross_rectify(a, b))), [pair, m])
+    check_grads(lambda a, b: sum_all(exp(cross_rectify(a, b))), [pair, w])
+    check_grads(lambda a, b: sum_all(exp(cross_rectify(a, b))), [pair, m])
 
 
 def test_scaling_shape_errors():
@@ -388,7 +392,7 @@ def test_channel_mix_bit_identical_to_composition(seed, loss):
         # a transposed input map, as the encoder hands over: not C-contiguous
         out = op(T.transpose(leaves[0], (0, 2, 1)), leaves[1], leaves[2])
         other = pick if loss == "weighted" else out
-        backward(T.sum_all(T.mul(out, other)))
+        backward(sum_all(T.mul(out, other)))
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
     assert runs[0] == runs[1]
 
@@ -466,8 +470,8 @@ def test_resample_matches_oracle_random_sizes(seed):
 def test_resample_grads(seed):
     rng = np.random.default_rng(900 + seed)
     f = rng.normal(size=(2, 3, 4))
-    check_grads(lambda t: T.sum_all(T.exp(T.resample_bilinear(t, 5, 7))), [f])
-    check_grads(lambda t: T.sum_all(T.exp(T.resample_bilinear(t, 2, 2))), [f])
+    check_grads(lambda t: sum_all(exp(T.resample_bilinear(t, 5, 7))), [f])
+    check_grads(lambda t: sum_all(exp(T.resample_bilinear(t, 2, 2))), [f])
 
 
 def test_interp_matrix_is_cached_and_read_only():
@@ -489,13 +493,13 @@ def test_resample_rejects_bad_target():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3) + 1.0, requires_grad=True)
-    backward(T.sum_all(x))
+    backward(sum_all(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_zero_scaled_loss_gives_zeros():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    backward(T.sum_all(T.mul(x, 0.0)))
+    backward(sum_all(T.mul(x, 0.0)))
     assert np.array_equal(x.grad, np.zeros(3))
 
 
@@ -509,21 +513,21 @@ def test_backward_requires_scalar_loss():
 def test_backward_rejects_detached_loss():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
-        loss = T.sum_all(T.mul(x, 2.0))
+        loss = sum_all(T.mul(x, 2.0))
     with pytest.raises(TensorError):
         backward(loss)
 
 
 def test_fanout_accumulates_sum_of_branches():
     x = Tensor([1.5, -0.5], requires_grad=True)
-    loss = T.add(T.sum_all(T.mul(x, 3.0)), T.sum_all(T.mul(x, x)))
+    loss = T.add(sum_all(T.mul(x, 3.0)), sum_all(T.mul(x, x)))
     backward(loss)
     assert np.allclose(x.grad, 3.0 + 2.0 * x.data, atol=1e-12)
 
 
 def test_tape_cleared_after_backward():
     x = Tensor([2.0], requires_grad=True)
-    backward(T.sum_all(T.sigmoid(x)))
+    backward(sum_all(sigmoid(x)))
     assert len(T.active_tape()) == 0
 
 
@@ -545,7 +549,7 @@ def test_composite_two_matmuls_softmax(seed):
     b1, b2 = rng.normal(size=4), rng.normal(size=3)
 
     def build(xv, a, b, c1, c2):
-        return T.sum_all(T.mul(T.gelu(T.linear(T.linear(xv, a, c1), b, c2)), pick))
+        return sum_all(T.mul(T.gelu(T.linear(T.linear(xv, a, c1), b, c2)), pick))
 
     check_grads(build, [x, w1, w2, b1, b2], tol=FD_TOL, eps=1e-5)
 
@@ -556,7 +560,7 @@ def test_determinism_same_seed_bit_identical():
         x = Tensor(rng.normal(size=(4, 4)))
         w = T.uniform_param(np.random.default_rng(43), (4, 4), fan_in=4)
         b = T.uniform_param(np.random.default_rng(44), (4,), fan_in=4)
-        return T.sigmoid(T.linear(x, w, b)).data.tobytes()
+        return sigmoid(T.linear(x, w, b)).data.tobytes()
 
     assert run() == run()
 
@@ -599,3 +603,37 @@ def test_detach_shares_data_without_rescanning(monkeypatch):
     assert scans == []
     assert d.data is t.data and not d.requires_grad and d.grad is None
     assert d._node_index is None
+
+
+# ---------------------------------------------------------------------------
+# engine contract
+
+
+def test_every_public_tensor_function_has_a_caller_in_src():
+    """``tensor.py`` keeps only what the package runs: every public top-level
+    function is named in ``src/modalseg`` as ``T.<name>`` on an alias of the
+    module, in ``from .tensor import <name>``, or bare inside ``tensor.py``.
+    The alias matters: ``np.exp`` is no use of an ``exp`` op."""
+    src = Path(T.__file__).parent
+    engine = ast.parse((src / "tensor.py").read_text())
+    public = {node.name for node in engine.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+                elif node.module == "tensor":
+                    used |= {a.name for a in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add(node.attr)
+            elif path.name == "tensor.py" and isinstance(node, ast.Name):
+                used.add(node.id)
+    assert "linear" in public and "record_op" in used
+    unused = sorted(public - used)
+    assert not unused, f"public tensor functions without a caller in src: {unused}"

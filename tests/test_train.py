@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import sys
 
@@ -135,6 +136,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
     path.write_text("[optimizer]\nlr = 1\n")
     with pytest.raises(ValueError):
+        load_config(path)
+    path.write_text("[model]\nepochs = 3\n")
+    with pytest.raises(ValueError, match="unknown config key 'epochs' in \\[model\\]"):
         load_config(path)
 
 
@@ -373,6 +377,29 @@ def test_checkpoint_truncation(tmp_path):
         load_checkpoint(path)
     path.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(CheckpointTruncatedError):
+        load_checkpoint(path)
+
+
+CHECKPOINT_EDITS = {
+    "wrong shape": (lambda c: c.params.update({"mim.l0.sp.w": T.Tensor(np.zeros((8, 3))),
+                                               "head.cls.b": T.Tensor(np.zeros(7))}),
+                    "do not match the stored config"),
+    "missing name": (lambda c: c.params.pop("head.fuse.b"), "do not match the stored config"),
+    "extra name": (lambda c: c.params.update({"head.extra.b": T.Tensor(np.zeros(3))}),
+                   "do not match the stored config"),
+    "config the model rejects": (lambda c: setattr(c, "num_classes", 1), "num_classes"),
+}
+
+
+@pytest.mark.parametrize("edit", list(CHECKPOINT_EDITS))
+def test_checkpoint_params_must_match_the_stored_config(tmp_path, edit):
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    ckpt = dataclasses.replace(ckpt, params=dict(ckpt.params), opt=AdamState())
+    change, message = CHECKPOINT_EDITS[edit]
+    change(ckpt)
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 
