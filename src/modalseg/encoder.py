@@ -35,25 +35,23 @@ class EncoderConfig:
             raise ValueError("blocks_per_stage must be positive")
 
 
-def init_encoder_params(cfg: EncoderConfig, rng) -> dict[str, Tensor]:
-    """Fresh trainable parameters; weights uniform in +-1/sqrt(fan_in), biases zero."""
-    params: dict[str, Tensor] = {}
+def encoder_param_specs(cfg: EncoderConfig) -> T.ParamSpecs:
+    """Name and spec of every encoder parameter, in draw order."""
     c_in = IMAGE_CHANNELS
     for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
         fan = c_in * k * k
-        params[f"enc.s{s}.patch.w"] = T.uniform_param(rng, (fan, c_out), fan)
-        params[f"enc.s{s}.patch.b"] = T.zeros_param((c_out,))
+        yield f"enc.s{s}.patch.w", T.ParamSpec((fan, c_out), fan)
+        yield f"enc.s{s}.patch.b", T.ParamSpec((c_out,))
         hidden = 2 * c_out
         for b in range(cfg.blocks_per_stage):
             p = f"enc.s{s}.b{b}"
-            params[f"{p}.ln.g"] = T.ones_param((c_out,))
-            params[f"{p}.ln.b"] = T.zeros_param((c_out,))
-            params[f"{p}.mlp.w1"] = T.uniform_param(rng, (c_out, hidden), c_out)
-            params[f"{p}.mlp.b1"] = T.zeros_param((hidden,))
-            params[f"{p}.mlp.w2"] = T.uniform_param(rng, (hidden, c_out), hidden)
-            params[f"{p}.mlp.b2"] = T.zeros_param((c_out,))
+            yield f"{p}.ln.g", T.ParamSpec((c_out,), fill=1.0)
+            yield f"{p}.ln.b", T.ParamSpec((c_out,))
+            yield f"{p}.mlp.w1", T.ParamSpec((c_out, hidden), c_out)
+            yield f"{p}.mlp.b1", T.ParamSpec((hidden,))
+            yield f"{p}.mlp.w2", T.ParamSpec((hidden, c_out), hidden)
+            yield f"{p}.mlp.b2", T.ParamSpec((c_out,))
         c_in = c_out
-    return params
 
 
 def _merge_patches(x: Tensor, k: int) -> Tensor:

@@ -18,22 +18,20 @@ from .tensor import Tensor, TensorError, accumulate_grad, record_op
 IGNORE_LABEL = 255
 
 
-def init_head_params(stage_channels, d_embed: int, num_classes: int,
-                     rng) -> dict[str, Tensor]:
+def head_param_specs(stage_channels, d_embed: int, num_classes: int) -> T.ParamSpecs:
+    """Name and spec of every head parameter, in draw order."""
     if num_classes < 2:
         raise ValueError("decode head needs at least 2 classes")
     if d_embed < 1:
         raise ValueError("embedding width must be positive")
-    params: dict[str, Tensor] = {}
     for i, c in enumerate(stage_channels):
-        params[f"head.proj{i}.w"] = T.uniform_param(rng, (c, d_embed), c)
-        params[f"head.proj{i}.b"] = T.zeros_param((d_embed,))
+        yield f"head.proj{i}.w", T.ParamSpec((c, d_embed), c)
+        yield f"head.proj{i}.b", T.ParamSpec((d_embed,))
     fan = len(stage_channels) * d_embed
-    params["head.fuse.w"] = T.uniform_param(rng, (fan, d_embed), fan)
-    params["head.fuse.b"] = T.zeros_param((d_embed,))
-    params["head.cls.w"] = T.uniform_param(rng, (d_embed, num_classes), d_embed)
-    params["head.cls.b"] = T.zeros_param((num_classes,))
-    return params
+    yield "head.fuse.w", T.ParamSpec((fan, d_embed), fan)
+    yield "head.fuse.b", T.ParamSpec((d_embed,))
+    yield "head.cls.w", T.ParamSpec((d_embed, num_classes), d_embed)
+    yield "head.cls.b", T.ParamSpec((num_classes,))
 
 
 def embed(pyramid: list[Tensor], params: dict[str, Tensor]) -> Tensor:

@@ -28,20 +28,18 @@ from .tensor import NonFiniteError, Tensor, TensorError, accumulate_grad, record
 _PARAM_NAMES = ("ch.w1", "ch.b1", "ch.w2", "ch.b2", "sp.w", "sp.b", "fuse.w", "fuse.b")
 
 
-def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
-    """Per-level attention/fusion parameters for the given pyramid widths."""
-    params: dict[str, Tensor] = {}
+def mim_param_specs(stage_channels) -> T.ParamSpecs:
+    """Name and spec of every per-level attention/fusion parameter, in draw order."""
     for lvl, c in enumerate(stage_channels):
         p = f"mim.l{lvl}"
-        params[f"{p}.ch.w1"] = T.uniform_param(rng, (4 * c, 2 * c), 4 * c)
-        params[f"{p}.ch.b1"] = T.zeros_param((2 * c,))
-        params[f"{p}.ch.w2"] = T.uniform_param(rng, (2 * c, 2 * c), 2 * c)
-        params[f"{p}.ch.b2"] = T.zeros_param((2 * c,))
-        params[f"{p}.sp.w"] = T.uniform_param(rng, (2 * c, 2), 2 * c)
-        params[f"{p}.sp.b"] = T.zeros_param((2,))
-        params[f"{p}.fuse.w"] = T.uniform_param(rng, (2 * c, c), 2 * c)
-        params[f"{p}.fuse.b"] = T.zeros_param((c,))
-    return params
+        yield f"{p}.ch.w1", T.ParamSpec((4 * c, 2 * c), 4 * c)
+        yield f"{p}.ch.b1", T.ParamSpec((2 * c,))
+        yield f"{p}.ch.w2", T.ParamSpec((2 * c, 2 * c), 2 * c)
+        yield f"{p}.ch.b2", T.ParamSpec((2 * c,))
+        yield f"{p}.sp.w", T.ParamSpec((2 * c, 2), 2 * c)
+        yield f"{p}.sp.b", T.ParamSpec((2,))
+        yield f"{p}.fuse.w", T.ParamSpec((2 * c, c), 2 * c)
+        yield f"{p}.fuse.b", T.ParamSpec((c,))
 
 
 def _level(params: dict[str, Tensor], level: int, *names: str) -> list[Tensor]:

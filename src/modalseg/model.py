@@ -17,10 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from .data import ModalityScene
-from .encoder import PYRAMID_LEVELS, EncoderConfig, encode_batch, init_encoder_params
-from .head import cross_entropy, decode, embed, init_head_params
+from .encoder import PYRAMID_LEVELS, EncoderConfig, encode_batch, encoder_param_specs
+from .head import cross_entropy, decode, embed, head_param_specs
 from .masm import RankingResult, masm_forward, mean_feature
-from .mim import init_mim_params
+from .mim import mim_param_specs
 from .tensor import Tensor, TensorError
 
 FUSION_MODES = ("masm", "mean")
@@ -50,14 +50,16 @@ class ModelConfig:
                              blocks_per_stage=self.blocks_per_stage)
 
 
+def model_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
+    """Specs of every tensor ``init_model_params`` builds, lazily; allocates nothing."""
+    yield from encoder_param_specs(cfg.encoder)
+    yield from mim_param_specs(cfg.stage_channels)
+    yield from head_param_specs(cfg.stage_channels, cfg.d_embed, cfg.num_classes)
+
+
 def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     """All trainable tensors for encoder, rectification, and head."""
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(cfg.encoder, rng)
-    params.update(init_mim_params(cfg.stage_channels, rng))
-    params.update(init_head_params(cfg.stage_channels, cfg.d_embed,
-                                   cfg.num_classes, rng))
-    return params
+    return T.init_params(model_param_specs(cfg), np.random.default_rng(seed))
 
 
 def fuse_mean(pyramids: list[list[Tensor]]) -> list[Tensor]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -515,9 +515,17 @@ def uniform_param(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -
     return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), requires_grad=True)
 
 
-def zeros_param(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.zeros(tuple(shape)), requires_grad=True)
+class ParamSpec(NamedTuple):
+    """Shape and initialization of one trainable tensor."""
+    shape: tuple[int, ...]
+    fan_in: int = 0  # > 0: uniform in +-1/sqrt(fan_in)
+    fill: float = 0.0  # every entry, when fan_in is 0
 
 
-def ones_param(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.ones(tuple(shape)), requires_grad=True)
+ParamSpecs = Iterable[tuple[str, ParamSpec]]  # (name, spec) pairs in draw order
+
+
+def init_params(specs: ParamSpecs, rng: np.random.Generator) -> dict[str, Tensor]:
+    return {name: uniform_param(rng, spec.shape, spec.fan_in) if spec.fan_in
+            else Tensor(np.full(spec.shape, spec.fill), requires_grad=True)
+            for name, spec in specs}

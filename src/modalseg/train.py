@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import json
 import math
 import struct
@@ -26,7 +27,8 @@ from . import tensor as T
 from .data import Dataset, atomic_target
 from .head import total_loss
 from .masm import consistency_loss, mean_feature
-from .model import FUSION_MODES, ModelConfig, forward_train, init_model_params
+from .model import (FUSION_MODES, ModelConfig, forward_train, init_model_params,
+                    model_param_specs)
 from .tensor import NonFiniteError, Tensor, backward
 
 CKPT_MAGIC = b"MMCK"
@@ -348,7 +350,7 @@ def _unique_names(names) -> list[str]:
 
 def _parse_header(raw: bytes) -> dict:
     """Decode and type-check the JSON header and check its parameter names and
-    shapes against the model its config builds; any flaw is a CheckpointError."""
+    shapes against those its config specifies; any flaw is a CheckpointError."""
     try:
         header = json.loads(raw.decode("utf-8"))
         for key, kind in (("num_classes", int), ("epoch", int), ("adam_step", int),
@@ -366,8 +368,9 @@ def _parse_header(raw: bytes) -> dict:
         header["modality_names"] = tuple(_unique_names(header["modality_names"]))
         model_cfg = header["config"].model_config(header["num_classes"],
                                                   header["modality_names"])
-        expected = {n: t.shape for n, t in init_model_params(model_cfg, 0).items()}
         stored = dict(header["params"])
+        expected = {n: spec.shape for n, spec in  # bounded by the header; allocates nothing
+                    itertools.islice(model_param_specs(model_cfg), len(stored) + 1)}
         if stored != expected:
             wrong = sorted(n for n in expected.keys() & stored.keys()
                            if expected[n] != stored[n])

@@ -1,12 +1,15 @@
 """Shared oracles for the test suites: finite differences, error metrics,
-generic tensor ops the model does not run, and the MIM pipeline as a chain of
-recorded tensor ops."""
+per-module parameter construction, generic tensor ops the model does not run,
+and the MIM pipeline as a chain of recorded tensor ops."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import modalseg.tensor as T
+from modalseg.encoder import encoder_param_specs
+from modalseg.head import head_param_specs
+from modalseg.mim import mim_param_specs
 from modalseg.tensor import (Tensor, TensorError, accumulate_grad, backward,
                              no_grad, record_op)
 
@@ -70,6 +73,22 @@ def check_param_grad(loss_fn, params: dict, pname: str, tol=FD_TOL, eps=FD_EPS):
         target.data = base
     err = max_rel_err(target.grad, num)
     assert err < tol, f"{pname}: gradient mismatch, rel err {err:.3g}"
+
+
+# ---------------------------------------------------------------------------
+# one module's parameters, drawn as ``model.init_model_params`` draws the model's
+
+
+def init_encoder_params(cfg, rng) -> dict[str, Tensor]:
+    return T.init_params(encoder_param_specs(cfg), rng)
+
+
+def init_mim_params(stage_channels, rng) -> dict[str, Tensor]:
+    return T.init_params(mim_param_specs(stage_channels), rng)
+
+
+def init_head_params(stage_channels, d_embed: int, num_classes: int, rng) -> dict[str, Tensor]:
+    return T.init_params(head_param_specs(stage_channels, d_embed, num_classes), rng)
 
 
 # ---------------------------------------------------------------------------

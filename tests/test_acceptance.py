@@ -27,8 +27,8 @@ import pytest
 
 import modalseg
 import modalseg.tensor as T
-from helpers import (check_grads, clamp, cross_rectify, div, exp, log, max_rel_err,
-                     pool_global, sigmoid, sum_all)
+from helpers import (check_grads, clamp, cross_rectify, div, exp, init_mim_params, log,
+                     max_rel_err, pool_global, sigmoid, sum_all)
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
 from modalseg.encoder import encode_batch
@@ -37,7 +37,7 @@ from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
 from modalseg.head import cross_entropy, total_loss
 from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
                            masm_forward, mean_feature, rank_modalities)
-from modalseg.mim import init_mim_params, mim_forward
+from modalseg.mim import mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
 from modalseg.train import (AdamState, CheckpointError, TrainConfig, load_checkpoint,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.encoder import EncoderConfig, encode_batch, init_encoder_params
+from modalseg.encoder import EncoderConfig, encode_batch
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_param_grad, sum_all
+from helpers import check_param_grad, init_encoder_params, sum_all
 
 SMALL = EncoderConfig(stage_channels=(4, 6, 8, 10))
 

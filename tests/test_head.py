@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.head import cross_entropy, decode, embed, init_head_params, total_loss
+from modalseg.head import cross_entropy, decode, embed, total_loss
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_grads, check_param_grad
+from helpers import check_grads, check_param_grad, init_head_params
 
 CHANNELS = (2, 3, 4, 5)
 

@@ -7,13 +7,13 @@ import pytest
 
 import modalseg.masm as masm
 import modalseg.tensor as T
-from modalseg.encoder import EncoderConfig, encode_batch, init_encoder_params
+from modalseg.encoder import EncoderConfig, encode_batch
 from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
                            masm_forward, mean_feature, rank_modalities)
-from modalseg.mim import init_mim_params
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_param_grad, clamp, div, log, sum_all
+from helpers import (check_param_grad, clamp, div, init_encoder_params, init_mim_params, log,
+                     sum_all)
 
 
 def feature_with_cosine(target: float, slot: int, dim: int = 6) -> Tensor:

@@ -9,11 +9,11 @@ import pytest
 import helpers
 import modalseg.mim as mim
 import modalseg.tensor as T
-from modalseg.mim import (fuse, init_mim_params, mim_forward, rectify_channel,
-                          rectify_spatial)
+from modalseg.mim import fuse, mim_forward, rectify_channel, rectify_spatial
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import check_grads, check_param_grad, cross_rectify, exp, mim_chain, sum_all
+from helpers import (check_grads, check_param_grad, cross_rectify, exp, init_mim_params,
+                     mim_chain, sum_all)
 
 
 def params_for(channels, seed=0):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,15 @@ CHECKPOINT_EDITS = {
     "extra name": (lambda c: c.params.update({"head.extra.b": T.Tensor(np.zeros(3))}),
                    "do not match the stored config"),
     "config the model rejects": (lambda c: setattr(c, "num_classes", 1), "num_classes"),
+    # a small file claiming a huge model: must fail without building it
+    "huge stage_channels": (lambda c: setattr(c, "config", dataclasses.replace(
+        c.config, stage_channels=(20000,) * 4)), "do not match the stored config"),
+    "huge blocks_per_stage": (lambda c: setattr(c, "config", dataclasses.replace(
+        c.config, blocks_per_stage=10**9)), "do not match the stored config"),
+    "huge d_embed": (lambda c: setattr(c, "config", dataclasses.replace(
+        c.config, d_embed=10**9)), "do not match the stored config"),
+    "huge num_classes": (lambda c: setattr(c, "num_classes", 10**9),
+                         "do not match the stored config"),
 }
 
 
@@ -399,8 +409,14 @@ def test_checkpoint_params_must_match_the_stored_config(tmp_path, edit):
     change(ckpt)
     path = tmp_path / "model.mmck"
     save_checkpoint(path, ckpt)
-    with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # about the file's own size; no parameter is allocated
 
 
 def test_resume_rejects_wrong_modality_count(tmp_path):
