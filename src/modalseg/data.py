@@ -194,6 +194,12 @@ def atomic_target(path):
         raise
 
 
+def _check_finite(img: np.ndarray, index: int, seed: int, name: str) -> None:
+    if not np.isfinite(img).all():
+        raise DatasetFormatError(f"scene {index} (seed {seed}): modality {name!r} "
+                                 f"image holds a non-finite value")
+
+
 def write_dataset(path, dataset: Dataset) -> None:
     """Write a ``.mmss`` file atomically. Raises ``DatasetFormatError``, before
     any file is opened, for anything ``read_dataset`` would reject."""
@@ -210,7 +216,7 @@ def write_dataset(path, dataset: Dataset) -> None:
     for name in dataset.modality_names:
         raw = name.encode("utf-8")
         blob += struct.pack("<I", len(raw)) + raw
-    for scene in scenes:
+    for index, scene in enumerate(scenes):
         labels = scene.labels
         if labels.shape != (h, w) or len(scene.modalities) != m:
             raise DatasetFormatError("inconsistent scene geometry in dataset")
@@ -221,8 +227,11 @@ def write_dataset(path, dataset: Dataset) -> None:
                 f"modality image is not {IMAGE_CHANNELS} x {h} x {w}")
         blob += struct.pack("<QB", scene.seed, 1 if scene.condition == "night" else 0)
         blob += labels.astype(np.uint8).tobytes()
-        for img in scene.modalities:
-            blob += img.astype("<f4").tobytes()
+        for name, img in zip(dataset.modality_names, scene.modalities):
+            with np.errstate(over="ignore"):  # overflow is rejected just below
+                raw = img.astype("<f4")
+            _check_finite(raw, index, scene.seed, name)
+            blob += raw.tobytes()
     with atomic_target(path) as tmp, open(tmp, "wb") as fh:
         fh.write(blob)
 
@@ -262,7 +271,7 @@ def read_dataset(path) -> Dataset:
             f"payload is {len(blob) - offset} bytes, header promises {count * record}")
 
     scenes = []
-    for _ in range(count):
+    for index in range(count):
         seed, cond = struct.unpack_from("<QB", blob, offset)
         if cond not in (0, 1):
             raise DatasetFormatError(f"invalid condition byte {cond}")
@@ -273,9 +282,10 @@ def read_dataset(path) -> Dataset:
             raise DatasetFormatError(f"label outside [0, {k}) in a scene")
         offset += h * w
         modalities = []
-        for _ in range(m):
+        for name in names:
             img = np.frombuffer(blob, dtype="<f4", count=image_values,
                                 offset=offset).reshape(IMAGE_CHANNELS, h, w)
+            _check_finite(img, index, seed, name)
             modalities.append(img.astype(np.float32).copy())
             offset += image_values * 4
         scenes.append(ModalityScene(seed=seed, condition="night" if cond else "day",

@@ -43,17 +43,18 @@ def mean_feature(features: list[Tensor]) -> Tensor:
     for f in features[1:]:
         if f.shape != shape:
             raise TensorError(f"mean_feature: shape mismatch {f.shape} vs {shape}")
-    total = features[0].data
+    total = np.array(features[0].data)  # the one fresh buffer
     for f in features[1:]:
-        total = total + f.data
+        total += f.data
     n = float(len(features))
+    total /= n
 
     def bwd(g):
         share = g / n
         for f in features:
             accumulate_grad(f, share)
 
-    return record_op("mean", total / n, tuple(features), bwd)
+    return record_op("mean", total, tuple(features), bwd)
 
 
 def _cosine_parts(a: np.ndarray, b: np.ndarray):

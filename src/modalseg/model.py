@@ -119,4 +119,20 @@ def infer(embedded: list[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
     """
     with T.no_grad():
         logits = decode(mean_feature(embedded), params, out_size)
-    return np.argmax(logits.data, axis=0).astype(np.int64)
+    return class_argmax(logits.data)
+
+
+def class_argmax(scores: np.ndarray) -> np.ndarray:
+    """``np.argmax(scores, axis=0)`` as int64 for a K x H x W stack, by a
+    running max over the K contiguous planes instead of a strided reduction.
+    A pixel moves to class k only where plane k beats every earlier plane
+    strictly, so ties resolve to the lowest class id."""
+    best = scores[0].copy()
+    pred = np.zeros(best.shape, dtype=np.int64)
+    mark = np.empty_like(pred)
+    for k in range(1, scores.shape[0]):
+        np.greater(scores[k], best, out=mark)  # 1 where k is the new argmax
+        mark *= k
+        np.maximum(pred, mark, out=pred)  # every earlier id is below k
+        np.maximum(best, scores[k], out=best)
+    return pred

@@ -10,6 +10,9 @@ fused ops elsewhere (``masm``'s cosine, mean, map similarity and consistency,
   the pipeline needs (bias add, attention weighting) live inside dedicated
   ops with hand-written backward rules
 - every op checks its output for NaN/Inf and raises instead of propagating
+- a numpy body writes in place only into arrays it allocated itself; it never
+  writes ``Tensor.data`` or its input arrays, so an identity op may return
+  its input's array as its output
 - gradients accumulate additively across fan-out; ``backward`` walks the tape
   in exact reverse recording order and clears it afterwards
 """
@@ -260,7 +263,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(x, g @ wd.T)
         _accumulate(w, xd.T @ g)
 
-    return record_op("linear", xd @ wd + b.data, (x, w, b), bwd)
+    out = xd @ wd
+    out += b.data
+    return record_op("linear", out, (x, w, b), bwd)
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -375,15 +380,39 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-approximation GELU of ``x``, and the tanh its gradient reuses."""
-    u = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would take numpy's generic pow
-    th = np.tanh(u)
-    return 0.5 * x * (1.0 + th), th
+    """tanh-approximation GELU of ``x``, and the tanh its gradient reuses:
+    ``0.5 * x * (1 + th)`` with ``th = tanh(C * (x + 0.044715 * x*x*x))``,
+    each operation in that order, computed in place in the two returned
+    arrays."""
+    th = x * x  # x**3 would take numpy's generic pow
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = x * 0.5
+    out *= th + 1.0  # the gradient keeps th, so 1 + th takes a third buffer
+    return out, th
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du)
+    """``g * (0.5 * (1 + th) + 0.5 * x * (1 - th*th) * du)`` with
+    ``du = C * (1 + 3 * 0.044715 * x*x)``, each operation in that order, over
+    two fresh buffers."""
+    out = x * 0.5
+    t = th * th
+    np.subtract(1.0, t, out=t)
+    out *= t
+    np.multiply(x, x, out=t)
+    t *= 3 * 0.044715
+    t += 1.0
+    t *= _GELU_C  # du
+    out *= t
+    np.add(th, 1.0, out=t)
+    t *= 0.5
+    out += t
+    out *= g
+    return out
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -405,7 +434,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - mu
+    xhat *= inv
 
     def bwd(g):
         _accumulate(beta, g.reshape(-1, c).sum(axis=0))
@@ -416,7 +446,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         _accumulate(x, dx)
 
-    return record_op("layer_norm", xhat * gamma.data + beta.data, (x, gamma, beta), bwd)
+    out = xhat * gamma.data
+    out += beta.data
+    return record_op("layer_norm", out, (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +487,9 @@ def _mix(f: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     token matrix its gradient reuses."""
     c, h, wd = f.shape
     tokens = f.reshape(c, h * wd).T  # one row per pixel
-    return (tokens @ w + b).T.reshape(w.shape[1], h, wd), tokens
+    out = tokens @ w
+    out += b
+    return out.T.reshape(w.shape[1], h, wd), tokens
 
 
 def _mix_grad(g: np.ndarray, tokens: np.ndarray,
@@ -493,7 +527,7 @@ def resample_bilinear(f: Tensor, h2: int, w2: int) -> Tensor:
         def bwd_id(g):
             _accumulate(f, g)
 
-        return record_op("resample_bilinear", f.data.copy(), (f,), bwd_id)
+        return record_op("resample_bilinear", f.data, (f,), bwd_id)
 
     wy = _interp_matrix(h, h2)
     wx = _interp_matrix(w, w2)

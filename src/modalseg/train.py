@@ -401,23 +401,28 @@ def load_checkpoint(path) -> Checkpoint:
 
     offset = 12 + hlen
 
-    def read(shape, truncated: str) -> np.ndarray:
+    def read(shape, truncated: str, what: str) -> np.ndarray:
         nonlocal offset
         n_bytes = math.prod(shape) * 8
         if offset + n_bytes > len(blob):
             raise CheckpointTruncatedError(truncated)
         arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
                             offset=offset).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in {what}")
         offset += n_bytes
         return arr
 
-    params = {name: Tensor(read(shape, "truncated parameter payload"), requires_grad=True)
+    params = {name: Tensor(read(shape, "truncated parameter payload", f"parameter {name!r}"),
+                           requires_grad=True)
               for name, shape in header["params"]}
     opt = AdamState(step=header["adam_step"])
     for name in header["moments"]:
         shape = params[name].shape
-        opt.m[name] = read(shape, "truncated optimizer payload")
-        opt.v[name] = read(shape, "truncated optimizer payload")
+        opt.m[name] = read(shape, "truncated optimizer payload", f"first moment of {name!r}")
+        opt.v[name] = read(shape, "truncated optimizer payload", f"second moment of {name!r}")
+        if (opt.v[name] < 0.0).any():  # AdamW takes its square root
+            raise CheckpointError(f"negative value in second moment of {name!r}")
     if offset != len(blob):
         raise CheckpointTruncatedError(
             f"{len(blob) - offset} unexpected trailing bytes")

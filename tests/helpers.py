@@ -1,6 +1,7 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
-and the MIM pipeline as a chain of recorded tensor ops."""
+the MIM pipeline as a chain of recorded tensor ops, and the plain numpy
+expressions that the in-place kernel bodies must reproduce bit for bit."""
 
 from __future__ import annotations
 
@@ -226,3 +227,49 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     pair = cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
     return T.channel_mix(T.reshape(pair, (2 * c, h, w)),
                          params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+
+
+# ---------------------------------------------------------------------------
+# references for the in-place numpy bodies: the expressions they replaced,
+# which allocate a fresh array per operation
+
+
+def gelu_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u = T._GELU_C * (x + 0.044715 * (x * x * x))
+    th = np.tanh(u)
+    return 0.5 * x * (1.0 + th), th
+
+
+def gelu_grad_reference(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    du = T._GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du)
+
+
+def layer_norm_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                         eps: float = 1e-5) -> np.ndarray:
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta
+
+
+def linear_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w + b
+
+
+def mix_reference(f: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, h, wd = f.shape
+    tokens = f.reshape(c, h * wd).T
+    return (tokens @ w + b).T.reshape(w.shape[1], h, wd)
+
+
+def mean_reference(arrays: list[np.ndarray]) -> np.ndarray:
+    total = arrays[0]
+    for a in arrays[1:]:
+        total = total + a
+    return total / float(len(arrays))
+
+
+def class_argmax_reference(scores: np.ndarray) -> np.ndarray:
+    return np.argmax(scores, axis=0).astype(np.int64)

@@ -290,19 +290,50 @@ def test_failed_dataset_write_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["scenes.mmss"]
 
 
+def header_end(blob: bytes) -> int:
+    """Offset of the first scene record: the modality name table ends the header."""
+    end = 28
+    for _ in range(int.from_bytes(blob[12:16], "little")):
+        end += 4 + int.from_bytes(blob[end:end + 4], "little")
+    return end
+
+
+def test_write_rejects_non_finite_images_naming_scene_and_modality(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf, 1e39):  # 1e39 is finite, but not as float32
+        ds = small_dataset()
+        img = ds.scenes[2].modalities[1].astype(np.float64)
+        img[1, 3, 4] = bad
+        ds.scenes[2].modalities[1] = img
+        _write_rejected(tmp_path, ds, r"scene 2 \(seed \d+\): modality 'depth' image "
+                                      r"holds a non-finite value")
+
+
+def test_non_finite_image_value_is_format_error_naming_scene_and_modality(tmp_path):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset())
+    blob = bytearray(path.read_bytes())
+    h, w, m = 32, 64, 4
+    image_bytes = 3 * h * w * 4
+    scene_bytes = 9 + h * w + m * image_bytes
+    pos = header_end(blob) + 2 * scene_bytes + 9 + h * w + 3 * image_bytes + 4 * 17
+    for bad in (np.nan, np.inf, -np.inf):
+        blob[pos:pos + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError,
+                           match=r"scene 2 \(seed \d+\): modality 'range' image"):
+            read_dataset(path)
+
+
 def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
     path = tmp_path / "scenes.mmss"
     write_dataset(path, small_dataset(count=1))
     blob = path.read_bytes()
-    m = int.from_bytes(blob[12:16], "little")
-    header_end = 28
-    for _ in range(m):  # the modality name table ends the header
-        header_end += 4 + int.from_bytes(blob[header_end:header_end + 4], "little")
+    end = header_end(blob)
     rng = np.random.default_rng(2024)
     errors = 0
     for _ in range(300):
         flipped = bytearray(blob)
-        for pos in rng.integers(0, header_end, size=rng.integers(1, 4)):
+        for pos in rng.integers(0, end, size=rng.integers(1, 4)):
             flipped[pos] ^= int(rng.integers(1, 256))
         path.write_bytes(bytes(flipped))
         try:
@@ -314,6 +345,37 @@ def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
         write_dataset(again, back)
         assert again.read_bytes() == bytes(flipped)
     assert errors > 0
+
+
+def test_payload_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    path = tmp_path / "scenes.mmss"
+    write_dataset(path, small_dataset(count=1))
+    blob = path.read_bytes()
+    start = header_end(blob)
+    pixels = start + 9 + 32 * 64  # the one scene's images follow seed, condition, labels
+    rng = np.random.default_rng(2025)
+    outcomes = {"error": 0, "loaded": 0}
+    for case in range(400):
+        flipped = bytearray(blob)
+        if case < 300:  # arbitrary bytes: seed, condition byte, labels or pixels
+            for pos in rng.integers(start, len(blob), size=rng.integers(1, 4)):
+                flipped[pos] ^= int(rng.integers(1, 256))
+        else:  # every exponent bit of one pixel set: an Inf or a NaN
+            pos = pixels + 4 * int(rng.integers((len(blob) - pixels) // 4))
+            flipped[pos + 2] |= 0x80
+            flipped[pos + 3] |= 0x7F
+        path.write_bytes(bytes(flipped))
+        try:
+            back = read_dataset(path)
+        except DatasetFormatError:
+            outcomes["error"] += 1
+            continue
+        assert case < 300, "a non-finite pixel loaded"
+        outcomes["loaded"] += 1
+        again = tmp_path / "again.mmss"
+        write_dataset(again, back)
+        assert again.read_bytes() == bytes(flipped)
+    assert outcomes["error"] > 0 and outcomes["loaded"] > 0
 
 
 def test_undecodable_modality_name_is_format_error(tmp_path):

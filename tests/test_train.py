@@ -15,6 +15,7 @@ import modalseg.tensor as T
 import modalseg.train as train_module
 from modalseg.data import generate_dataset, generate_scene
 from modalseg.encoder import encode_batch
+from modalseg.evaluate import run_mass_eval
 from modalseg.model import init_model_params
 from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             CheckpointTruncatedError, CheckpointVersionError,
@@ -214,6 +215,24 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
 
 
 MASM_STEP_OP_BUDGET = 285
+EVAL_SCENE_OP_BUDGET = 161
+
+
+def spy_op_names(monkeypatch) -> list[str]:
+    """Rebind ``record_op`` in every modalseg module that holds it to a spy;
+    returns the list the spy appends each recorded op's name to."""
+    names = []
+    record = T.record_op
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("modalseg") \
+                and getattr(mod, "record_op", None) is record:
+            monkeypatch.setattr(mod, "record_op", spy)
+    return names
 
 
 def test_masm_step_records_at_most_the_op_budget(monkeypatch):
@@ -226,21 +245,24 @@ def test_masm_step_records_at_most_the_op_budget(monkeypatch):
     ds = small_dataset(count=4)
     mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
     params = init_model_params(mcfg, 0)
-    names = []
-    record = T.record_op
-
-    def spy(name, *rest):
-        names.append(name)
-        return record(name, *rest)
-
-    for mod in list(sys.modules.values()):
-        if mod is not None and mod.__name__.startswith("modalseg") \
-                and getattr(mod, "record_op", None) is record:
-            monkeypatch.setattr(mod, "record_op", spy)
+    names = spy_op_names(monkeypatch)
     train_step(ds.scenes, params, AdamState(), cfg, mcfg, lr=1e-2)
     assert "mean" in names and "consistency" in names  # the spy saw masm's binding
     assert "mim" in names  # ... and mim's
     assert len(names) <= MASM_STEP_OP_BUDGET
+
+
+def test_evaluated_scene_records_at_most_the_op_budget(monkeypatch):
+    """Recorded ops in one scene of ``run_mass_eval`` (all 15 subsets) with
+    the CLI default model at the benchmark's evaluation size (64x64, M=4,
+    K=5): an evaluation kernel split back into a chain of ops shows up here."""
+    ds = generate_dataset(8, count=1, h=64, w=64, k=5, m=4, p_night=0.5)
+    mcfg = TrainConfig().model_config(ds.num_classes, ds.modality_names)
+    params = init_model_params(mcfg, 0)
+    names = spy_op_names(monkeypatch)
+    run_mass_eval(mcfg, params, ds)
+    assert names.count("mean") == 15  # the spy saw masm's binding, once per subset
+    assert len(names) <= EVAL_SCENE_OP_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +535,59 @@ def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
         except CheckpointError:
             outcomes["error"] += 1
             continue
+        outcomes["loaded"] += 1
+        again = tmp_path / "again.mmck"
+        save_checkpoint(again, loaded)
+        assert checkpoints_equal(load_checkpoint(again), loaded)
+    assert outcomes["error"] > 0 and outcomes["loaded"] > 0
+
+
+@pytest.mark.parametrize("where, bad, message", [
+    ("params", np.nan, "non-finite value in parameter"),
+    ("params", -np.inf, "non-finite value in parameter"),
+    ("m", np.inf, "non-finite value in first moment of"),
+    ("v", np.nan, "non-finite value in second moment of"),
+    ("v", -1e-300, "negative value in second moment of"),
+])
+def test_bad_payload_values_are_checkpoint_errors(tmp_path, where, bad, message):
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    name = "head.cls.w"
+    if where == "params":  # Tensor() refuses NaN, so the data is swapped in
+        data = ckpt.params[name].data.copy()
+        data[2, 1] = bad
+        ckpt.params[name].data = data
+    else:
+        getattr(ckpt.opt, where)[name][2, 1] = bad
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointError, match=f"{message} '{name}'"):
+        load_checkpoint(path)
+
+
+def test_payload_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    start = 12 + int.from_bytes(blob[8:12], "little")  # parameters, then moments
+    rng = np.random.default_rng(2025)
+    outcomes = {"error": 0, "loaded": 0}
+    for case in range(400):
+        flipped = bytearray(blob)
+        if case < 300:  # arbitrary bytes of parameters and moments
+            for pos in rng.integers(start, len(blob), size=rng.integers(1, 4)):
+                flipped[pos] ^= int(rng.integers(1, 256))
+        else:  # every exponent bit of one value set: an Inf or a NaN
+            pos = start + 8 * int(rng.integers((len(blob) - start) // 8))
+            flipped[pos + 6] |= 0xF0
+            flipped[pos + 7] |= 0x7F
+        path.write_bytes(bytes(flipped))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            outcomes["error"] += 1
+            continue
+        assert case < 300, "a non-finite payload value loaded"
         outcomes["loaded"] += 1
         again = tmp_path / "again.mmck"
         save_checkpoint(again, loaded)
