@@ -3,10 +3,10 @@
 At every pyramid level the M modality features are ranked by cosine
 similarity to their arithmetic mean. The most and least similar (robust and
 fragile) are cross-rectified by the interaction module; the result plus the
-mean feature is the fused level. The remaining modalities supply mapped
-similarities for a symmetric divergence penalty that pulls them toward the
-fused feature. All of this is training-time machinery; inference fuses by
-plain averaging.
+mean feature is the fused level. The first two remaining modalities, if
+any, are pulled toward the interaction output by a symmetric divergence of
+their mapped cosines to it, one recorded op per sample. All of this is
+training-time machinery; inference fuses by plain averaging.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .tensor import Tensor, TensorError, accumulate_grad, record_op
 
 SIM_EPS = 1e-6  # floor for mapped similarities before logs
 NORM_EPS = 1e-12  # below this a feature counts as zero for cosine
+
+Term = tuple[Tensor, Tensor, Tensor]  # f_mim, then the first two remaining modalities
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ def mean_feature(features: list[Tensor]) -> Tensor:
 def _cosine_parts(a: np.ndarray, b: np.ndarray):
     """``(cosine, (af, bf, na, nb))`` of two equal-size arrays: their cosine
     similarity and the flat arrays and norms it came from, or ``(0.0, None)``
-    when either norm is below NORM_EPS. The one cosine forward: ranking reads
-    the value, ``cosine`` records it as an op."""
+    when either norm is below NORM_EPS. The one cosine forward, read by the
+    ranking and by ``consistency_loss``."""
     if a.size != b.size:
         raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
     af, bf = a.reshape(-1), b.reshape(-1)
@@ -70,22 +72,6 @@ def _cosine_parts(a: np.ndarray, b: np.ndarray):
     if na < NORM_EPS or nb < NORM_EPS:
         return 0.0, None
     return float((af * bf).sum() / (na * nb)), (af, bf, na, nb)
-
-
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two equal-size features, one recorded op; 0, with
-    no gradient, when either is ~zero."""
-    c, parts = _cosine_parts(a.data, b.data)
-    if parts is None:
-        return Tensor(0.0)
-    af, bf, na, nb = parts
-
-    def bwd(g):
-        s = g / (na * nb)
-        accumulate_grad(a, (s * bf - (g * c / (na * na)) * af).reshape(a.shape))
-        accumulate_grad(b, (s * af - (g * c / (nb * nb)) * bf).reshape(b.shape))
-
-    return record_op("cosine", np.asarray(c), (a, b), bwd)
 
 
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
@@ -98,31 +84,17 @@ def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
                          fragile_idx=order[-1], remaining=tuple(order[1:-1]))
 
 
-def map_similarity(c: Tensor) -> Tensor:
-    """[-1,1] cosine -> [eps,1] so the divergence logs stay defined; one op."""
-    x = (c.data + 1.0) * 0.5
-    inside = (x >= SIM_EPS) & (x <= 1.0)
-
-    def bwd(g):
-        accumulate_grad(c, (g * inside) * 0.5)
-
-    return record_op("map_similarity", np.clip(x, SIM_EPS, 1.0), (c,), bwd)
-
-
 def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
-                 ) -> tuple[list[Tensor], list[RankingResult], list[list[Tensor]]]:
-    """Rank, rectify, and fuse every pyramid level of one sample.
-
-    Returns the fused pyramid, per-scale rankings, and per-scale mapped
-    similarities of the remaining modalities against the fused pair feature
-    (rank order), for the consistency loss.
-    """
+                 ) -> tuple[list[Tensor], list[RankingResult], list[Term]]:
+    """Rank, rectify, and fuse every pyramid level of one sample. Returns the
+    fused pyramid, per-scale rankings, and a ``consistency_loss`` term for
+    each scale with two or more remaining modalities."""
     if len(pyramids) < 2:
         raise TensorError("masm_forward: training requires at least 2 modalities")
     levels = len(pyramids[0])
     fused: list[Tensor] = []
     rankings: list[RankingResult] = []
-    terms: list[list[Tensor]] = []
+    terms: list[Term] = []
     for i in range(levels):
         features = [pyr[i] for pyr in pyramids]
         f_m = mean_feature(features)
@@ -130,44 +102,55 @@ def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
         f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
                             params, level=i)
         fused.append(T.add(f_mim, f_m))
-        terms.append([map_similarity(cosine(features[j], f_mim))
-                      for j in rank.remaining])
+        if len(rank.remaining) >= 2:
+            terms.append((f_mim, features[rank.remaining[0]], features[rank.remaining[1]]))
         rankings.append(rank)
     return fused, rankings, terms
 
 
-def consistency_loss(terms: list[list[Tensor]], class_count: int) -> Tensor:
-    """Symmetric divergence of the first two remaining similarities per scale.
+def _mapped_cosine(f: Tensor, f_mim: Tensor):
+    """Cosine of ``f`` to ``f_mim`` mapped from [-1, 1] to [SIM_EPS, 1] so the
+    divergence logs stay defined, and what its backward reads."""
+    c, parts = _cosine_parts(f.data, f_mim.data)
+    x = (np.float64(c) + 1.0) * 0.5
+    return np.clip(x, SIM_EPS, 1.0), (f, f_mim, c, parts, (x >= SIM_EPS) & (x <= 1.0))
 
-    Each contributing scale adds K * [c1*log(c1/m) + c2*log(c2/m)] with m the
-    midpoint; scales with fewer than two remaining modalities contribute
-    nothing. Returns the mean over contributing scales, or exact 0. One
-    recorded op: since m moves with both terms, dL/dc_j is K/n * log(c_j/m).
-    """
+
+def consistency_loss(terms: list[Term], class_count: int) -> Tensor:
+    """L_C from ``masm_forward``'s terms as one recorded op. In each term
+    ``(f_mim, f_1, f_2)`` the cosines of f_1 and f_2 to f_mim, mapped to c1, c2
+    in [SIM_EPS, 1], give K * [c1*log(c1/m) + c2*log(c2/m)], m their midpoint.
+    Returns the mean over terms, or exact 0 for none. dL/dc_j is
+    K/n * log(c_j/m); a clipped similarity, or a zero-norm feature's cosine
+    (mapped to 0.5), passes no gradient."""
     if class_count < 1:
         raise TensorError("consistency_loss: class_count must be positive")
-    pairs = [scale_terms[:2] for scale_terms in terms if len(scale_terms) >= 2]
-    if not pairs:
+    if not terms:
         return Tensor(0.0)
     k = float(class_count)
     total = None
-    logs = []
-    for c1, c2 in pairs:
-        a, b = c1.data, c2.data
-        if (a <= 0.0).any() or (b <= 0.0).any():
-            raise TensorError("consistency_loss: similarities must be positive")
+    sims = []  # per similarity: its inputs, cosine parts, clip mask and log ratio
+    for f_mim, f_1, f_2 in terms:
+        a, sim_a = _mapped_cosine(f_1, f_mim)
+        b, sim_b = _mapped_cosine(f_2, f_mim)
         mid = (a + b) * 0.5
         la, lb = np.log(a / mid), np.log(b / mid)
-        logs.append((la, lb))
+        sims += [(*sim_a, la), (*sim_b, lb)]
         value = (a * la + b * lb) * k
         total = value if total is None else total + value
-    n = float(len(pairs))
+    n = float(len(terms))
 
     def bwd(g):
         s = g * (k / n)
-        for (c1, c2), (la, lb) in zip(pairs, logs):
-            accumulate_grad(c1, s * la)
-            accumulate_grad(c2, s * lb)
+        # last similarity first: the order a tape of one op per step would take
+        for f, f_mim, c, parts, inside, log_ratio in reversed(sims):
+            if parts is None:
+                continue
+            af, bf, na, nb = parts
+            g_c = ((s * log_ratio) * inside) * 0.5
+            s_c = g_c / (na * nb)
+            accumulate_grad(f, (s_c * bf - (g_c * c / (na * na)) * af).reshape(f.shape))
+            accumulate_grad(f_mim,
+                            (s_c * af - (g_c * c / (nb * nb)) * bf).reshape(f_mim.shape))
 
-    return record_op("consistency", total / n, tuple(c for pair in pairs for c in pair),
-                     bwd)
+    return record_op("consistency", total / n, tuple(t for term in terms for t in term), bwd)

@@ -2,7 +2,7 @@
 
 Training forward: shared encoder on every modality of the whole batch in one
 stacked pass, then per scene similarity-ranked rectification producing the
-fused pyramid, decode head, supervision plus consistency terms. Inference
+fused pyramid, decode head, supervision and consistency losses. Inference
 forward: each modality's pyramid through the head's affine front
 (``head.embed``), the mean of the available subset's embeddings, decode,
 argmax; that mean equals embedding the per-scale mean-fused pyramid. The
@@ -17,9 +17,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import ModalityScene
-from .encoder import PYRAMID_LEVELS, EncoderConfig, encode_batch, encoder_param_specs
+from .encoder import EncoderConfig, encode_batch, encoder_param_specs
 from .head import cross_entropy, decode, embed, head_param_specs
-from .masm import RankingResult, masm_forward, mean_feature
+from .masm import RankingResult, consistency_loss, masm_forward, mean_feature
 from .mim import mim_param_specs
 from .tensor import Tensor, TensorError
 
@@ -73,8 +73,9 @@ def scene_tensors(scene: ModalityScene) -> list[Tensor]:
 
 def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
                   params: dict[str, Tensor], fusion: str = "masm"
-                  ) -> list[tuple[Tensor, list[list[Tensor]], list[RankingResult]]]:
-    """Supervision loss, consistency terms, and rankings, one triple per scene.
+                  ) -> list[tuple[Tensor, Tensor, list[RankingResult]]]:
+    """Supervision loss L_M, consistency loss L_C, and rankings, one triple
+    per scene; the mean arm's L_C is an untracked 0 and its rankings empty.
 
     All B*M images of the batch go through the encoder as one stack.
     """
@@ -90,14 +91,13 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
     out = []
     for i, scene in enumerate(batch):
         scene_pyramids = pyramids[i * m:(i + 1) * m]
-        rankings: list[RankingResult] = []
         if fusion == "masm" and m >= 2:
             fused, rankings, terms = masm_forward(scene_pyramids, params)
+            l_c = consistency_loss(terms, cfg.num_classes)
         else:
-            fused = fuse_mean(scene_pyramids)
-            terms = [[] for _ in range(PYRAMID_LEVELS)]
+            fused, rankings, l_c = fuse_mean(scene_pyramids), [], Tensor(0.0)
         logits = decode(embed(fused, params), params, scene.labels.shape)
-        out.append((cross_entropy(logits, scene.labels), terms, rankings))
+        out.append((cross_entropy(logits, scene.labels), l_c, rankings))
     return out
 
 

@@ -1,9 +1,9 @@
 """Dense float64 tensor engine with tape-based reverse-mode differentiation.
 
 The encoder and the decode head are chains of the ops in this module. The
-fused ops elsewhere (``masm``'s cosine, mean, map similarity and consistency,
-``mim.mim_forward`` and ``head.cross_entropy``) are recorded through
-``record_op`` with hand-written backwards. Ground rules:
+fused ops elsewhere (``masm``'s mean and consistency, ``mim.mim_forward`` and
+``head.cross_entropy``) are recorded through ``record_op`` with hand-written
+backwards. Ground rules:
 
 - double precision only, row-major storage, explicit shape checks on every op
 - broadcasting is limited to tensor-vs-python-scalar; the few axis broadcasts
@@ -167,8 +167,8 @@ def record_op(
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
     fused ops outside this module: ``head.cross_entropy``,
-    ``mim.mim_forward``, and in ``masm`` ``cosine``, ``mean_feature``,
-    ``map_similarity`` and ``consistency_loss``.
+    ``mim.mim_forward``, and in ``masm`` ``mean_feature`` and
+    ``consistency_loss``.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
@@ -431,10 +431,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise TensorError(f"layer_norm: scale/shift must have shape ({c},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mu
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the variance as np.var takes it: the mean of the squared deviations
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
 
     def bwd(g):

@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, atomic_target
 from .head import total_loss
-from .masm import consistency_loss, mean_feature
+from .masm import mean_feature
 from .model import (FUSION_MODES, ModelConfig, forward_train, init_model_params,
                     model_param_specs)
 from .tensor import NonFiniteError, Tensor, backward
@@ -38,6 +38,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
+LOG_FIELDS = ("epoch", "l_m", "l_c", "loss", "lr")  # a train_log.csv row, one per epoch
 
 
 class CheckpointError(ValueError):
@@ -177,13 +178,9 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 def batch_losses(batch, model_cfg: ModelConfig, params: dict[str, Tensor],
                  cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
     """(L_M, L_C, L) over a batch of scenes, each a batch-mean."""
-    l_m_parts = []
-    l_c_parts = []
-    for l_m, terms, _ in forward_train(batch, model_cfg, params, fusion=cfg.fusion):
-        l_m_parts.append(l_m)
-        l_c_parts.append(consistency_loss(terms, model_cfg.num_classes))
-    l_m = mean_feature(l_m_parts)
-    l_c = mean_feature(l_c_parts)
+    per_scene = forward_train(batch, model_cfg, params, fusion=cfg.fusion)
+    l_m = mean_feature([l_m for l_m, _, _ in per_scene])
+    l_c = mean_feature([l_c for _, l_c, _ in per_scene])
     return l_m, l_c, total_loss(l_m, l_c, cfg.beta)
 
 
@@ -274,8 +271,8 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
 
 
 def _write_log(path: Path, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "l_m", "l_c", "loss", "lr"])
+    with atomic_target(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
         writer.writeheader()
         writer.writerows(history)
 
@@ -348,9 +345,18 @@ def _unique_names(names) -> list[str]:
     return names
 
 
+def _is_log_row(row, epoch: int) -> bool:
+    """Whether ``row`` is a history row as ``train`` logs it for ``epoch``."""
+    return (isinstance(row, dict) and set(row) == set(LOG_FIELDS)
+            and type(row["epoch"]) is int and row["epoch"] == epoch
+            and all(type(row[k]) in (int, float) and math.isfinite(row[k])
+                    for k in LOG_FIELDS[1:]))
+
+
 def _parse_header(raw: bytes) -> dict:
-    """Decode and type-check the JSON header and check its parameter names and
-    shapes against those its config specifies; any flaw is a CheckpointError."""
+    """Decode and type-check the JSON header, check its counters, history and
+    shuffle state, and its parameter names and shapes against those its
+    config specifies; any flaw is a CheckpointError."""
     try:
         header = json.loads(raw.decode("utf-8"))
         for key, kind in (("num_classes", int), ("epoch", int), ("adam_step", int),
@@ -360,6 +366,14 @@ def _parse_header(raw: bytes) -> dict:
         cfg_fields = dict(header["config"])
         cfg_fields["stage_channels"] = tuple(cfg_fields["stage_channels"])
         header["config"] = TrainConfig(**cfg_fields)
+        epoch, history, rng = header["epoch"], header["history"], np.random.PCG64()
+        if not 0 <= epoch <= header["config"].epochs or header["adam_step"] < 0:
+            raise ValueError(f"epoch {epoch} or adam_step {header['adam_step']} out of range")
+        if len(history) != epoch or not all(map(_is_log_row, history, range(1, epoch + 1))):
+            raise ValueError(f"history is not the log rows of epochs 1..{epoch}")
+        rng.state = header["rng_state"]  # raises on a state PCG64 cannot take
+        if rng.state != header["rng_state"]:
+            raise ValueError("rng_state does not read back from a PCG64 generator")
         header["params"] = [(meta["name"], _positive_shape(meta["shape"]))
                             for meta in header["params"]]
         names = _unique_names([name for name, _ in header["params"]])
@@ -378,8 +392,8 @@ def _parse_header(raw: bytes) -> dict:
                 f"parameters do not match the stored config: missing "
                 f"{sorted(expected.keys() - stored.keys())}, unexpected "
                 f"{sorted(stored.keys() - expected.keys())}, wrong shape {wrong}")
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers the
-        # UTF-8 and JSON decode errors and the config classes' own checks
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:  # ValueError
+        # covers UTF-8 and JSON decoding and the config classes' own checks
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return header
 

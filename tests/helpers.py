@@ -1,12 +1,14 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
-the MIM pipeline as a chain of recorded tensor ops, and the plain numpy
-expressions that the in-place kernel bodies must reproduce bit for bit."""
+the MIM pipeline and the consistency loss as chains of recorded ops, and the
+plain numpy expressions that the in-place kernel bodies must reproduce bit for
+bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import modalseg.masm as masm
 import modalseg.tensor as T
 from modalseg.encoder import encoder_param_specs
 from modalseg.head import head_param_specs
@@ -227,6 +229,68 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     pair = cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
     return T.channel_mix(T.reshape(pair, (2 * c, h, w)),
                          params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+
+
+def cosine(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of two equal-size features, one recorded op; 0, with
+    no gradient, when either is ~zero."""
+    c, parts = masm._cosine_parts(a.data, b.data)
+    if parts is None:
+        return Tensor(0.0)
+    af, bf, na, nb = parts
+
+    def bwd(g):
+        s = g / (na * nb)
+        accumulate_grad(a, (s * bf - (g * c / (na * na)) * af).reshape(a.shape))
+        accumulate_grad(b, (s * af - (g * c / (nb * nb)) * bf).reshape(b.shape))
+
+    return record_op("cosine", np.asarray(c), (a, b), bwd)
+
+
+def map_similarity(c: Tensor) -> Tensor:
+    """[-1,1] cosine -> [eps,1] so the divergence logs stay defined; one op."""
+    x = (c.data + 1.0) * 0.5
+    inside = (x >= masm.SIM_EPS) & (x <= 1.0)
+
+    def bwd(g):
+        accumulate_grad(c, (g * inside) * 0.5)
+
+    return record_op("map_similarity", np.clip(x, masm.SIM_EPS, 1.0), (c,), bwd)
+
+
+def similarity_divergence(pairs: list[tuple[Tensor, Tensor]], class_count: int) -> Tensor:
+    """Mean over pairs of mapped similarities of K * [c1*log(c1/m) + c2*log(c2/m)],
+    m the midpoint, as one recorded op; exact 0 for no pairs."""
+    if not pairs:
+        return Tensor(0.0)
+    k = float(class_count)
+    total = None
+    logs = []
+    for c1, c2 in pairs:
+        a, b = c1.data, c2.data
+        mid = (a + b) * 0.5
+        la, lb = np.log(a / mid), np.log(b / mid)
+        logs.append((la, lb))
+        value = (a * la + b * lb) * k
+        total = value if total is None else total + value
+    n = float(len(pairs))
+
+    def bwd(g):
+        s = g * (k / n)
+        for (c1, c2), (la, lb) in zip(pairs, logs):
+            accumulate_grad(c1, s * la)
+            accumulate_grad(c2, s * lb)
+
+    return record_op("consistency", total / n, tuple(c for pair in pairs for c in pair),
+                     bwd)
+
+
+def consistency_chain(terms, class_count: int) -> Tensor:
+    """``masm.consistency_loss`` as the three recorded ops it fuses: ``cosine``
+    and ``map_similarity`` per remaining modality, then the divergence."""
+    pairs = [tuple(map_similarity(cosine(f, f_mim)) for f in (f_1, f_2))
+             for f_mim, f_1, f_2 in terms]
+    return similarity_divergence(pairs, class_count)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers
 import modalseg
 import modalseg.tensor as T
 from helpers import (check_grads, clamp, cross_rectify, div, exp, init_mim_params, log,
@@ -35,8 +36,7 @@ from modalseg.encoder import encode_batch
 from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
                                render_report, run_mass_eval)
 from modalseg.head import cross_entropy, total_loss
-from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
-                           masm_forward, mean_feature, rank_modalities)
+from modalseg.masm import consistency_loss, masm_forward, mean_feature, rank_modalities
 from modalseg.mim import mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
@@ -89,7 +89,7 @@ def _op_cases(rng):
          [n(size=(2, 3, 2))]),
         ("concat", lambda a, b: m(exp(T.concat([a, b], axis=1))),
          [n(size=(2, 3)), n(size=(2, 2))]),
-        ("sum_all", lambda t: sum_all(T.mul(t, t)), [n(size=(3, 4))]),
+        ("sum", lambda t: sum_all(T.mul(t, t)), [n(size=(3, 4))]),
         ("exp", lambda t: m(exp(t)), [n(size=(3, 4))]),
         ("log", lambda t: m(log(t)), [p(3, 4)]),
         ("sigmoid", lambda t: m(sigmoid(t)), [n(size=(3, 4))]),
@@ -112,27 +112,29 @@ def _op_cases(rng):
         ("unstack", lambda t: (lambda parts: m(T.add(exp(parts[0]),
                                                      T.mul(parts[2], 3.0))))(T.unstack(t)),
          [n(size=(3, 2, 2))]),  # part 1 unused: its slice must get zero gradient
-        ("cosine", lambda a, b: m(cosine(a, b)),
-         [n(size=(3, 2, 2)), n(size=(3, 2, 2))]),
-        ("mean", lambda a, b, c: m(exp(mean_feature([a, b, a, c]))),
-         [n(size=(3, 2)), n(size=(3, 2)), n(size=(3, 2))]),  # a twice: fan-in
-        ("map_similarity", lambda c: m(exp(map_similarity(c))),
-         [rng.uniform(-0.9, 0.9, (3, 2))]),  # inside the clip: away from its kinks
-        ("consistency", lambda a, b, c, d: consistency_loss([[a, b], [], [c, d, a]], 7),
-         [np.asarray(rng.uniform(0.05, 1.0)) for _ in range(4)]),
+    ]
+    # Draws of retired cases stay in the stream, so every other case keeps its
+    # arrays; new cases draw after the others.
+    n(size=(2, 3, 2, 2))  # the cosine op's case
+    cases.append(("mean", lambda a, b, c: m(exp(mean_feature([a, b, a, c]))),
+                  [n(size=(3, 2)), n(size=(3, 2)), n(size=(3, 2))]))  # a twice: fan-in
+    rng.random(10)  # the map_similarity op's case and the similarity-level consistency case
+    cases.append(
         ("mim", lambda a, b, *ws: m(exp(mim_forward(a, b, dict(zip(mim_params, ws)), 0))),
          [n(size=(2, 3, 3)), n(size=(2, 3, 3)),
-          *(n(scale=0.5, size=t.shape) for t in mim_params.values())]),
-    ]
-    labels = rng.integers(0, 3, size=(2, 3))  # drawn last: earlier cases keep their arrays
+          *(n(scale=0.5, size=t.shape) for t in mim_params.values())]))
+    labels = rng.integers(0, 3, size=(2, 3))
     labels[0, 0] = 255  # ignored: its logits get zero gradient
     cases.append(("cross_entropy", lambda x: cross_entropy(x, labels), [n(size=(3, 2, 3))]))
+    cases.append(("consistency",  # c and a in both terms: fan-in
+                  lambda a, b, c, d: consistency_loss([(a, b, c), (d, c, a)], 7),
+                  [n(size=(3, 2, 2)) for _ in range(4)]))
     return cases
 
 
 def _full_loss(scene, cfg, params):
-    l_m, terms, _ = forward_train([scene], cfg, params)[0]
-    return total_loss(l_m, consistency_loss(terms, cfg.num_classes), beta=1.0)
+    l_m, l_c, _ = forward_train([scene], cfg, params)[0]
+    return total_loss(l_m, l_c, beta=1.0)
 
 
 def test_criterion_2_gradients_per_op_and_end_to_end():
@@ -181,18 +183,26 @@ def test_criterion_2_gradients_per_op_and_end_to_end():
 def test_criterion_2_every_recorded_op_has_a_gradient_case(monkeypatch):
     """Every op name the model records, in a masm and a mean training step at
     the benchmark's training size and in one evaluated scene, names a
-    finite-difference case of ``_op_cases``."""
+    finite-difference case of ``_op_cases``; and every case names an op the
+    model records or one ``tests/helpers.py`` records, so a case outlives no
+    deleted op. A case's op name is its first word."""
     record = T.record_op
     recorded = set()
+    helper_ops = set()
 
     def spy(name, *rest):
         recorded.add(name)
+        return record(name, *rest)
+
+    def helper_spy(name, *rest):
+        helper_ops.add(name)
         return record(name, *rest)
 
     for info in pkgutil.iter_modules(modalseg.__path__):
         mod = importlib.import_module(f"modalseg.{info.name}")
         if getattr(mod, "record_op", None) is record:
             monkeypatch.setattr(mod, "record_op", spy)
+    monkeypatch.setattr(helpers, "record_op", helper_spy)
     ds = generate_dataset(5, count=4, h=32, w=32, k=3, m=4, p_night=0.5)
     for fusion in ("masm", "mean"):
         cfg = TrainConfig(stage_channels=(8, 12, 16, 24), d_embed=16, base_lr=1e-2,
@@ -203,8 +213,17 @@ def test_criterion_2_every_recorded_op_has_a_gradient_case(monkeypatch):
     run_mass_eval(mcfg, params, dataclasses.replace(ds, scenes=ds.scenes[:1]))
 
     assert {"mim", "consistency", "cross_entropy", "linear"} <= recorded  # every binding
-    cases = {name for name, _, _ in _op_cases(np.random.default_rng(0))}
-    assert recorded <= cases, f"ops without a gradient case: {sorted(recorded - cases)}"
+    cases = _op_cases(np.random.default_rng(0))
+    case_ops = {name.split()[0] for name, _, _ in cases}
+    assert recorded <= case_ops, f"ops without a gradient case: {sorted(recorded - case_ops)}"
+
+    model_ops = set(recorded)
+    with no_grad():
+        for _, build, arrays in cases:
+            build(*[Tensor(a) for a in arrays])
+    assert {"sum", "cross_rectify"} <= helper_ops  # the spy saw the helpers' binding
+    stale = case_ops - model_ops - helper_ops
+    assert not stale, f"gradient cases for ops nothing records: {sorted(stale)}"
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +286,21 @@ def test_criterion_3_oracles():
 
 
 def test_criterion_4_consistency_identities():
-    # equal similarities cancel exactly
-    c = Tensor(0.37)
-    assert consistency_loss([[c, c]], class_count=25).item() == 0.0
-
-    # symmetry and non-negativity over random similarity pairs
     rng = np.random.default_rng(6)
-    for _ in range(1000):
-        a, b = rng.uniform(SIM_EPS, 1.0, 2)
-        f = consistency_loss([[Tensor(a), Tensor(b)]], 7).item()
-        r = consistency_loss([[Tensor(b), Tensor(a)]], 7).item()
-        assert abs(f - r) < 1e-12
-        assert f >= -1e-12
+    f_mim, f = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
+    # equal features have equal similarities, which cancel exactly
+    assert consistency_loss([(f_mim, f, f)], class_count=25).item() == 0.0
 
-    # extreme disagreement approaches K*ln(2)
-    got = consistency_loss([[Tensor(1.0), Tensor(SIM_EPS)]], 25).item()
+    # symmetry and non-negativity over random feature pairs
+    for _ in range(1000):
+        f_mim, a, b = (Tensor(rng.normal(size=(3, 2, 2))) for _ in range(3))
+        fwd = consistency_loss([(f_mim, a, b)], 7).item()
+        rev = consistency_loss([(f_mim, b, a)], 7).item()
+        assert abs(fwd - rev) < 1e-12
+        assert fwd >= -1e-12
+
+    # extreme disagreement, similarities 1 and SIM_EPS, approaches K*ln(2)
+    got = consistency_loss([(f, f, T.mul(f, -1.0))], 25).item()
     assert abs(got - 25 * math.log(2)) < 1e-3
 
     # beta=0 collapses the total loss to the supervision term bit-for-bit

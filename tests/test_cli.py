@@ -7,6 +7,7 @@ import pytest
 
 from modalseg.cli import main
 from modalseg.data import read_dataset
+from modalseg.train import load_checkpoint, save_checkpoint
 
 CONFIG_INI = """\
 [model]
@@ -144,4 +145,22 @@ def test_eval_rejects_ranking_dump_of_one_modality_before_writing(tmp_path, caps
                "--data", data / "eval.mmss", "--report", out / "report.md",
                "--dump-rankings", out / "rankings.csv") == 1
     assert "at least 2 modalities" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, bad, message", [("history", [1], "history is not"),
+                                                 ("rng_state", {}, "PCG64")],
+                         ids=["history", "rng_state"])
+def test_train_resume_rejects_malformed_header_before_writing(workspace, tmp_path, capsys,
+                                                              field, bad, message):
+    ckpt = load_checkpoint(workspace / "run" / "model.mmck")
+    setattr(ckpt, field, bad)
+    resume = tmp_path / "bad.mmck"
+    save_checkpoint(resume, ckpt)
+    out = tmp_path / "run"
+    assert run("train", "--config", workspace / "train.ini",
+               "--data", workspace / "data" / "train.mmss", "--out", out,
+               "--resume", resume) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed checkpoint header") and message in err
     assert not out.exists()

@@ -8,12 +8,12 @@ import pytest
 import modalseg.masm as masm
 import modalseg.tensor as T
 from modalseg.encoder import EncoderConfig, encode_batch
-from modalseg.masm import (SIM_EPS, consistency_loss, cosine, map_similarity,
-                           masm_forward, mean_feature, rank_modalities)
+from modalseg.masm import (SIM_EPS, consistency_loss, masm_forward, mean_feature,
+                           rank_modalities)
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import (check_param_grad, clamp, div, init_encoder_params, init_mim_params, log,
-                     sum_all)
+from helpers import (check_param_grad, clamp, consistency_chain, cosine, div,
+                     init_encoder_params, init_mim_params, log, map_similarity, sum_all)
 
 
 def feature_with_cosine(target: float, slot: int, dim: int = 6) -> Tensor:
@@ -65,73 +65,75 @@ def test_mean_errors():
 
 
 # ---------------------------------------------------------------------------
-# cosine
+# cosine: the one forward that the ranking scores and the consistency loss read
+
+
+def cosine_to(f: Tensor, f_m: Tensor) -> float:
+    """The ranking's cosine score of ``f`` against ``f_m``."""
+    return rank_modalities([f, f_m], f_m).scores[0]
+
+
+def divergence(c1: float, c2: float, k: float) -> float:
+    """K * [c1*log(c1/m) + c2*log(c2/m)] of two mapped similarities, m the midpoint."""
+    mid = (c1 + c2) / 2.0
+    return k * (c1 * np.log(c1 / mid) + c2 * np.log(c2 / mid))
+
+
+def mapped(c: float) -> float:
+    return float(np.clip((c + 1.0) * 0.5, SIM_EPS, 1.0))
 
 
 def test_cosine_self_is_one():
     v = Tensor(np.random.default_rng(3).normal(size=(5,)))
-    with no_grad():
-        assert abs(cosine(v, v).item() - 1.0) < 1e-12
+    assert abs(cosine_to(v, v) - 1.0) < 1e-12
 
 
 def test_cosine_orthogonal_is_zero():
-    with no_grad():
-        c = cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-    assert c.item() == 0.0
+    assert cosine_to(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])) == 0.0
 
 
 def test_cosine_zero_vector_convention():
-    with no_grad():
-        assert cosine(Tensor([0.0, 0.0]), Tensor([1.0, 2.0])).item() == 0.0
-        assert cosine(Tensor([1.0, 2.0]), Tensor([0.0, 0.0])).item() == 0.0
+    assert cosine_to(Tensor([0.0, 0.0]), Tensor([1.0, 2.0])) == 0.0
+    assert cosine_to(Tensor([1.0, 2.0]), Tensor([0.0, 0.0])) == 0.0
 
 
 def test_cosine_scale_invariance():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 2))
-    with no_grad():
-        base = cosine(Tensor(a), Tensor(b)).item()
-        scaled = cosine(Tensor(137.0 * a), Tensor(b)).item()
+    base = cosine_to(Tensor(a), Tensor(b))
+    scaled = cosine_to(Tensor(137.0 * a), Tensor(b))
     assert abs(base - scaled) < 1e-12
 
 
 def test_cosine_size_mismatch():
+    short, long_ = Tensor(np.ones((2, 1, 1))), Tensor(np.ones((3, 1, 1)))
     with pytest.raises(TensorError):
-        cosine(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-
-
-def test_cosine_records_one_op(monkeypatch):
-    names = []
-    record = T.record_op
-
-    def spy(name, *rest):
-        names.append(name)
-        return record(name, *rest)
-
-    monkeypatch.setattr(T, "record_op", spy)
-    monkeypatch.setattr(masm, "record_op", spy)
-    rng = np.random.default_rng(20)
-    a = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-    c = cosine(a, b)
-    assert names == ["cosine"]
-    backward(c)
-    assert a.grad.shape == a.shape and b.grad.shape == b.shape
+        rank_modalities([short, long_], long_)
+    for term in ((long_, short, long_), (long_, long_, short), (short, long_, long_)):
+        with pytest.raises(TensorError):
+            consistency_loss([term], class_count=3)
 
 
 def test_cosine_of_zero_feature_is_zero_without_gradient():
+    """A ~zero feature's cosine is 0, so its similarity maps to 0.5, and
+    ``consistency_loss`` passes no gradient along that cosine."""
     rng = np.random.default_rng(21)
     for small in (0.0, 1e-14):  # a norm below NORM_EPS counts as zero
         zero = Tensor(np.full((3, 2, 2), small), requires_grad=True)
-        other = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-        for x, y in ((zero, other), (other, zero)):
-            zero.zero_grad()
-            other.zero_grad()
-            c = cosine(x, y)
-            assert c.item() == 0.0
-            backward(T.add(c, sum_all(T.mul(zero, 2.0))))
-            assert other.grad is None
+        f_mim, other = (Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+                        for _ in range(2))
+        c_other = mapped(cosine_to(other, f_mim))
+        for term, want, others_get_grad in (
+                ((f_mim, zero, other), divergence(0.5, c_other, 5.0), True),
+                ((f_mim, other, zero), divergence(c_other, 0.5, 5.0), True),
+                ((zero, other, f_mim), 0.0, False)):  # both cosines undefined
+            for t in (zero, f_mim, other):
+                t.zero_grad()
+            loss = consistency_loss([term], class_count=5)
+            assert abs(loss.item() - want) < 1e-12
+            backward(T.add(loss, sum_all(T.mul(zero, 2.0))))
             assert np.array_equal(zero.grad, np.full((3, 2, 2), 2.0))
+            assert all((t.grad is not None) == others_get_grad for t in (f_mim, other))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,8 @@ def test_ranking_against_brute_force_oracle():
 
 
 def test_ranking_scores_equal_tensor_cosine_bit_for_bit():
+    """The ranking scores equal the recorded ``cosine`` op of the reference
+    chain, which the consistency loss reproduces byte for byte."""
     rng = np.random.default_rng(8)
     for trial in range(20):
         # transposed views give non-contiguous data, as encoder maps have
@@ -201,24 +205,30 @@ def test_ranking_scores_equal_tensor_cosine_bit_for_bit():
 # consistency loss
 
 
+def random_features(rng, count, shape=(3, 2, 2)):
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(count)]
+
+
 def test_consistency_zero_when_terms_equal():
-    c = Tensor(0.73)
-    loss = consistency_loss([[c, c]], class_count=9)
-    assert loss.item() == 0.0
+    f_mim, f = random_features(np.random.default_rng(0), 2)
+    twin = Tensor(f.data.copy())
+    assert consistency_loss([(f_mim, f, f)], class_count=9).item() == 0.0
+    assert consistency_loss([(f_mim, f, twin)], class_count=9).item() == 0.0
 
 
 def test_consistency_symmetry():
-    c1, c2 = Tensor(0.9), Tensor(0.2)
+    f_mim, f_1, f_2 = random_features(np.random.default_rng(1), 3)
     with no_grad():
-        a = consistency_loss([[c1, c2]], class_count=7).item()
-        b = consistency_loss([[c2, c1]], class_count=7).item()
+        a = consistency_loss([(f_mim, f_1, f_2)], class_count=7).item()
+        b = consistency_loss([(f_mim, f_2, f_1)], class_count=7).item()
     assert abs(a - b) < 1e-12
 
 
 def test_consistency_extreme_value_oracle():
     eps = SIM_EPS
-    with no_grad():
-        got = consistency_loss([[Tensor(1.0), Tensor(eps)]], class_count=25).item()
+    f = Tensor(np.random.default_rng(2).normal(size=(3, 2, 2)))
+    with no_grad():  # cosines 1 and -1: the second maps below SIM_EPS and is clipped
+        got = consistency_loss([(f, f, T.mul(f, -1.0))], class_count=25).item()
     mid = (1.0 + eps) / 2.0
     exact = 25.0 * (np.log(1.0 / mid) + eps * np.log(eps / mid))
     assert abs(got - exact) < 1e-12
@@ -228,42 +238,39 @@ def test_consistency_extreme_value_oracle():
 def test_consistency_nonnegative_random():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        c1, c2 = rng.uniform(SIM_EPS, 1.0, size=2)
         with no_grad():
-            val = consistency_loss([[Tensor(c1), Tensor(c2)]], class_count=11).item()
+            val = consistency_loss([tuple(random_features(rng, 3))], class_count=11).item()
         assert val >= -1e-15
 
 
 def test_consistency_empty_scales_is_zero():
-    assert consistency_loss([[], []], class_count=5).item() == 0.0
+    assert consistency_loss([], class_count=5).item() == 0.0
     with pytest.raises(TensorError):
-        consistency_loss([[Tensor(0.5), Tensor(0.5)]], class_count=0)
+        consistency_loss([tuple(random_features(np.random.default_rng(3), 3))],
+                         class_count=0)
 
 
 def test_consistency_means_over_contributing_scales_only():
-    pair_a = [Tensor(0.9), Tensor(0.4)]
-    pair_b = [Tensor(0.8), Tensor(0.1)]
+    rng = np.random.default_rng(5)
+    term_a, term_b = tuple(random_features(rng, 3)), tuple(random_features(rng, 3))
     with no_grad():
-        la = consistency_loss([pair_a], class_count=3).item()
-        lb = consistency_loss([pair_b], class_count=3).item()
-        both = consistency_loss([pair_a, [], pair_b], class_count=3).item()
+        la = consistency_loss([term_a], class_count=3).item()
+        lb = consistency_loss([term_b], class_count=3).item()
+        both = consistency_loss([term_a, term_b], class_count=3).item()
     assert abs(both - (la + lb) / 2) < 1e-12
 
 
 def test_map_similarity_range():
-    for c in (-1.0, -0.999999, 0.0, 0.5, 1.0):
-        with no_grad():
-            v = map_similarity(Tensor(c)).item()
-        assert SIM_EPS <= v <= 1.0
-    with no_grad():
-        assert map_similarity(Tensor(-1.0)).item() == SIM_EPS
-        assert map_similarity(Tensor(1.0)).item() == 1.0
-
-
-def test_consistency_rejects_nonpositive_terms():
-    for pair in ((0.0, 0.5), (0.5, -0.2), (-0.5, 0.5)):
-        with pytest.raises(TensorError):
-            consistency_loss([[Tensor(pair[0]), Tensor(pair[1])]], class_count=3)
+    """Cosines map to (c+1)/2 clipped to [SIM_EPS, 1]; an (almost)
+    antiparallel feature clips to SIM_EPS and gets zero gradient."""
+    for c in (-1.0, -1.0 + 1e-6, -1.0 + 4e-6, -0.999999, 0.0, 0.5, 1.0):
+        f_1, f_2 = feature_with_cosine(c, slot=1), feature_with_cosine(0.3, slot=2)
+        f_1.requires_grad = True
+        loss = consistency_loss([(unit_mean(), f_1, f_2)], class_count=4)
+        assert abs(loss.item() - divergence(mapped(c), 0.65, 4.0)) < 1e-12
+        backward(loss)
+        if -1.0 < c < 1.0:  # the cosine's own gradient is zero at the ends
+            assert np.any(f_1.grad) == ((c + 1.0) * 0.5 >= SIM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +290,8 @@ def _map_similarity_by_chain(c):
 
 def _consistency_by_chain(terms, class_count):
     per_scale = []
-    for scale_terms in terms:
-        if len(scale_terms) < 2:
-            continue
-        c1, c2 = scale_terms[0], scale_terms[1]
+    for f_mim, f_1, f_2 in terms:
+        c1, c2 = (_map_similarity_by_chain(cosine(f, f_mim)) for f in (f_1, f_2))
         mid = T.mul(T.add(c1, c2), 0.5)
         contrib = T.add(T.mul(c1, log(div(c1, mid))),
                         T.mul(c2, log(div(c2, mid))))
@@ -329,23 +334,58 @@ def test_map_similarity_bit_identical_to_add_mul_clamp_chain():
 @pytest.mark.parametrize("seed", range(10))
 def test_consistency_forward_bit_identical_to_chain_and_grads_close(seed):
     rng = np.random.default_rng(40 + seed)
-    values = rng.uniform(SIM_EPS, 1.0, size=9)
-    values[3] = values[2]  # one scale with equal terms
-    shapes = [[0, 1], [], [2, 3, 4], [5], [6, 7, 8]]
+    arrays = [rng.normal(size=(3, 2, 2)) for _ in range(7)]
+    triples = [(0, 1, 2), (3, 4, 4), (5, 6, 1)]  # the second with equal similarities
     runs = []
     for op in (consistency_loss, _consistency_by_chain):
-        leaves = [Tensor(v, requires_grad=True) for v in values]
-        loss = op([[leaves[i] for i in scale] for scale in shapes], 5)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = op([tuple(leaves[i] for i in t) for t in triples], 5)
         backward(T.mul(loss, 1.7))
-        runs.append((loss.data.tobytes(),
-                     np.array([0.0 if t.grad is None else float(t.grad) for t in leaves])))
+        runs.append((loss.data.tobytes(), np.concatenate([t.grad.ravel() for t in leaves])))
     (fused_value, fused_grad), (chain_value, chain_grad) = runs
     assert fused_value == chain_value
     assert np.max(np.abs(fused_grad - chain_grad)) <= 1e-12 * np.max(np.abs(chain_grad))
-    assert fused_grad[[4, 5]].tolist() == [0.0, 0.0]  # not among a scale's first two
 
 
-@pytest.mark.parametrize("name", ["mean", "map_similarity", "consistency"])
+def _reference_case(rng):
+    """Leaves and consistency terms for one draw, with zero-norm features,
+    antiparallel pairs (similarities clipped at -1), equal similarities and
+    tensors shared between terms."""
+    arrays = [rng.normal(size=(2, 3, 2)) for _ in range(int(rng.integers(3, 7)))]
+    for i in range(1, len(arrays)):
+        kind = rng.integers(8)
+        if kind == 0:
+            arrays[i] = np.zeros_like(arrays[i]) if rng.random() < 0.5 else arrays[i] * 1e-14
+        elif kind == 1:
+            arrays[i] = -arrays[int(rng.integers(i))] * rng.uniform(0.5, 2.0)
+        elif kind == 2:
+            arrays[i] = arrays[int(rng.integers(i))].copy()
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    terms = [tuple(leaves[j] for j in rng.integers(0, len(leaves), size=3))
+             for _ in range(int(rng.integers(1, 5)))]
+    return leaves, terms
+
+
+def test_consistency_op_byte_equal_to_reference_chain():
+    """Value and every input gradient of the fused op equal those of the
+    ``cosine`` -> ``map_similarity`` -> divergence chain it replaced."""
+    rng = np.random.default_rng(50)
+    for case in range(300):
+        state = rng.bit_generator.state
+        runs = []
+        for op in (consistency_loss, consistency_chain):
+            rng.bit_generator.state = state  # the same draw for both
+            leaves, terms = _reference_case(rng)
+            pick = Tensor(rng.normal(size=leaves[0].shape))
+            loss = op(terms, int(rng.integers(1, 9)))
+            # leaf 0 feeds a second op too, so its gradients' summing order counts
+            backward(T.add(T.mul(loss, 1.7), sum_all(T.mul(leaves[0], pick))))
+            runs.append([loss.data.tobytes()]
+                        + [None if t.grad is None else t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1], f"case {case}"
+
+
+@pytest.mark.parametrize("name", ["mean", "consistency"])
 def test_fused_masm_ops_record_one_op(monkeypatch, name):
     names = []
     record = T.record_op
@@ -357,16 +397,17 @@ def test_fused_masm_ops_record_one_op(monkeypatch, name):
     monkeypatch.setattr(T, "record_op", spy)
     monkeypatch.setattr(masm, "record_op", spy)
     rng = np.random.default_rng(22)
-    leaves = [Tensor(v, requires_grad=True) for v in rng.uniform(0.1, 0.9, size=4)]
-    build = {
-        "mean": lambda: mean_feature(leaves),
-        "map_similarity": lambda: map_similarity(leaves[0]),
-        "consistency": lambda: consistency_loss([leaves[:2], [], leaves[2:]], 3),
+    scalars = [Tensor(v, requires_grad=True) for v in rng.uniform(0.1, 0.9, size=4)]
+    features = random_features(rng, 4)
+    build, leaf = {
+        "mean": (lambda: mean_feature(scalars), scalars[0]),
+        "consistency": (lambda: consistency_loss(
+            [tuple(features[:3]), (features[3], features[0], features[1])], 3), features[0]),
     }[name]
     out = build()
     assert names == [name]
     backward(out)
-    assert leaves[0].grad is not None
+    assert leaf.grad is not None
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +430,43 @@ def test_masm_forward_m2_has_empty_remaining():
         fused, rankings, terms = masm_forward(tiny_pyramids(2, 9), params)
     assert len(fused) == 2
     assert all(r.remaining == () for r in rankings)
-    assert all(t == [] for t in terms)
+    assert terms == []
     assert consistency_loss(terms, class_count=4).item() == 0.0
 
 
 def test_masm_forward_m4_has_two_remaining_per_scale():
     params = init_mim_params((2, 3), np.random.default_rng(10))
+    pyramids = tiny_pyramids(4, 11)
     with no_grad():
-        fused, rankings, terms = masm_forward(tiny_pyramids(4, 11), params)
-    for rank, scale_terms, lvl in zip(rankings, terms, fused):
+        fused, rankings, terms = masm_forward(pyramids, params)
+    assert len(terms) == 2
+    for i, (rank, (f_mim, f_1, f_2), lvl) in enumerate(zip(rankings, terms, fused)):
         assert len(rank.remaining) == 2
-        assert len(scale_terms) == 2
-        assert all(SIM_EPS <= t.item() <= 1.0 for t in scale_terms)
+        assert f_1 is pyramids[rank.remaining[0]][i]
+        assert f_2 is pyramids[rank.remaining[1]][i]
+        assert f_mim.shape == lvl.shape
         assert np.all(np.isfinite(lvl.data))
     assert [r.scale for r in rankings] == [1, 2]
+
+
+def test_masm_forward_terms_read_only_the_first_two_remaining():
+    """No term at M=3, where one modality remains; at M=5 one term per scale
+    from the first two of three remaining, and the third gets no gradient."""
+    params = init_mim_params((2, 3), np.random.default_rng(23))
+    with no_grad():
+        assert masm_forward(tiny_pyramids(3, 24), params)[2] == []
+    pyramids = tiny_pyramids(5, 24)
+    for pyr in pyramids:
+        for f in pyr:
+            f.requires_grad = True
+    _, rankings, terms = masm_forward(pyramids, params)
+    backward(consistency_loss(terms, class_count=4))
+    assert len(terms) == 2
+    for i, (rank, (_, f_1, f_2)) in enumerate(zip(rankings, terms)):
+        first, second, third = (pyramids[j][i] for j in rank.remaining)
+        assert f_1 is first and f_2 is second
+        assert first.grad is not None and second.grad is not None
+        assert third.grad is None
 
 
 def test_masm_forward_identical_modalities_tie_order():

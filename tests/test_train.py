@@ -214,7 +214,7 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
     assert encoded == [3 * 4]
 
 
-MASM_STEP_OP_BUDGET = 285
+MASM_STEP_OP_BUDGET = 221
 EVAL_SCENE_OP_BUDGET = 161
 
 
@@ -420,13 +420,40 @@ CHECKPOINT_EDITS = {
         c.config, d_embed=10**9)), "do not match the stored config"),
     "huge num_classes": (lambda c: setattr(c, "num_classes", 10**9),
                          "do not match the stored config"),
+    # epoch counters, history rows and the shuffle state as train() writes them
+    "epoch beyond config.epochs": (lambda c: (setattr(c, "epoch", 2), c.history.append(
+        dict(c.history[0], epoch=2))), "epoch 2 or adam_step 0 out of range"),
+    "negative epoch": (lambda c: (setattr(c, "epoch", -1), c.history.clear()),
+                       "epoch -1 or adam_step 0 out of range"),
+    "negative adam_step": (lambda c: setattr(c.opt, "step", -1),
+                           "epoch 1 or adam_step -1 out of range"),
+    "history row not a row": (lambda c: setattr(c, "history", [1]), "history is not"),
+    "history row missing a key": (lambda c: c.history[0].pop("lr"), "history is not"),
+    "history row with an extra key": (lambda c: c.history[0].update(step=3),
+                                      "history is not"),
+    "history row with a float epoch": (lambda c: c.history[0].update(epoch=1.0),
+                                       "history is not"),
+    "history row out of order": (lambda c: c.history[0].update(epoch=2), "history is not"),
+    "history shorter than epoch": (lambda c: c.history.clear(), "history is not"),
+    "history with a NaN loss": (lambda c: c.history[0].update(loss=float("nan")),
+                                "history is not"),
+    "history with a string lr": (lambda c: c.history[0].update(lr="0.001"), "history is not"),
+    "history with a bool l_c": (lambda c: c.history[0].update(l_c=True), "history is not"),
+    "empty rng_state": (lambda c: setattr(c, "rng_state", {}), "PCG64"),
+    "rng_state of another generator": (lambda c: c.rng_state.update(
+        bit_generator="MT19937"), "PCG64"),
+    "rng_state integer out of range": (lambda c: c.rng_state["state"].update(state=2**200),
+                                       "OverflowError"),
+    "rng_state that reads back changed": (lambda c: c.rng_state["state"].update(state=1.5),
+                                          "does not read back"),
 }
 
 
 @pytest.mark.parametrize("edit", list(CHECKPOINT_EDITS))
 def test_checkpoint_params_must_match_the_stored_config(tmp_path, edit):
     _, _, _, ckpt, _ = trained_state(steps=1)
-    ckpt = dataclasses.replace(ckpt, params=dict(ckpt.params), opt=AdamState())
+    ckpt = dataclasses.replace(ckpt, params=dict(ckpt.params), opt=AdamState(),
+                               history=[dict(row) for row in ckpt.history])
     change, message = CHECKPOINT_EDITS[edit]
     change(ckpt)
     path = tmp_path / "model.mmck"
