@@ -14,10 +14,11 @@ Every error exits nonzero with a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
-from .data import generate_dataset, read_dataset, write_dataset
+from .data import atomic_target, generate_dataset, read_dataset, write_dataset
 from .evaluate import (rankings_csv, render_report, report_from_json,
                        report_to_json, run_mass_eval)
 from .train import TrainConfig, load_checkpoint, load_config, train
@@ -62,11 +63,11 @@ def _cmd_eval(args) -> int:
     # everything that can fail runs before the first write
     rankings = rankings_csv(cfg, ckpt.params, dataset) if args.dump_rankings else None
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(rendered)
-    Path(str(report_path) + ".json").write_text(report_to_json(report))
+    texts = {report_path: rendered, Path(f"{report_path}.json"): report_to_json(report)}
     if rankings is not None:
-        Path(args.dump_rankings).write_text(rankings)
+        texts[Path(args.dump_rankings)] = rankings
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_texts(texts)
     print(rendered, end="")
     print(f"mean mIoU over {len(report.scores)} subsets: {report.mean:.2f}")
     return 0
@@ -76,9 +77,18 @@ def _cmd_report(args) -> int:
     report = report_from_json(Path(args.report_json).read_bytes())
     rendered = render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(rendered)
+        _write_texts({Path(args.out): rendered})
     print(rendered, end="")
     return 0
+
+
+def _write_texts(texts: dict[Path, str]) -> None:
+    """Write each text to its path through ``atomic_target``. No file is
+    renamed into place before every one is written, so a failed write leaves
+    all previous files whole and no temp file behind."""
+    with contextlib.ExitStack() as stack:
+        for path, text in texts.items():
+            stack.enter_context(atomic_target(path)).write_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -286,7 +286,7 @@ def read_dataset(path) -> Dataset:
             img = np.frombuffer(blob, dtype="<f4", count=image_values,
                                 offset=offset).reshape(IMAGE_CHANNELS, h, w)
             _check_finite(img, index, seed, name)
-            modalities.append(img.astype(np.float32).copy())
+            modalities.append(img.astype(np.float32))  # a copy, so it outlives blob
             offset += image_values * 4
         scenes.append(ModalityScene(seed=seed, condition="night" if cond else "day",
                                     modalities=modalities, labels=labels))

@@ -68,7 +68,7 @@ def fuse_mean(pyramids: list[list[Tensor]]) -> list[Tensor]:
 
 
 def scene_tensors(scene: ModalityScene) -> list[Tensor]:
-    return [Tensor(np.asarray(img, dtype=np.float64)) for img in scene.modalities]
+    return [Tensor(img) for img in scene.modalities]  # one float64 conversion each
 
 
 def forward_train(batch: list[ModalityScene], cfg: ModelConfig,

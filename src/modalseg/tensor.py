@@ -14,7 +14,10 @@ backwards. Ground rules:
   writes ``Tensor.data`` or its input arrays, so an identity op may return
   its input's array as its output
 - gradients accumulate additively across fan-out; ``backward`` walks the tape
-  in exact reverse recording order and clears it afterwards
+  in exact reverse recording order and releases each node as it passes it:
+  the node's closure (with the arrays it saved) and its output's ``.grad``
+  go before the next node runs, so afterwards the tape is empty and only
+  leaves (parameters and caller-made ``requires_grad`` tensors) keep ``.grad``
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class Tape:
     """Ordered record of differentiable ops for one forward pass.
 
     Recording order is a topological order by construction (an op can only
-    consume tensors that already exist), so the backward pass simply visits
-    nodes in reverse.
+    consume tensors that already exist), so the backward pass simply pops
+    nodes off the end.
     """
 
     def __init__(self) -> None:
@@ -57,10 +60,15 @@ class Tape:
         out._node_index = len(self._nodes)
         self._nodes.append((out, backward))
 
-    def clear(self) -> None:
-        for out, _ in self._nodes:
+    def _truncate(self, length: int) -> None:
+        """Drop the nodes from index ``length`` on, detaching their outputs."""
+        for out, _ in self._nodes[length:]:
             out._node_index = None
-        self._nodes.clear()
+            out.grad = None
+        del self._nodes[length:]
+
+    def clear(self) -> None:
+        self._truncate(0)
 
 
 _TAPE_STACK: list[Tape | None] = [Tape()]
@@ -188,7 +196,14 @@ accumulate_grad = _accumulate
 
 
 def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss; clears the tape."""
+    """Run reverse-mode accumulation from a scalar loss, emptying the tape.
+
+    Nodes recorded after the loss are dropped first. Then each node is popped
+    off the end, its backward runs, and the node's closure (with the arrays it
+    saved) and its output's ``.grad`` are released before the next node runs.
+    Afterwards only leaves keep ``.grad``. If a backward raises, the tape is
+    still emptied and every recorded output detached.
+    """
     tape = active_tape()
     if tape is None:
         raise TensorError("backward called with gradients disabled")
@@ -196,11 +211,17 @@ def backward(loss: Tensor) -> None:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
     if loss._node_index is None:
         raise TensorError("detached loss: not recorded on the tape")
-    loss.grad = np.ones_like(loss.data)
+    nodes = tape._nodes
     try:
-        for out, bwd in reversed(tape._nodes[: loss._node_index + 1]):
-            if out.grad is not None:
-                bwd(out.grad)
+        tape._truncate(loss._node_index + 1)
+        loss.grad = np.ones_like(loss.data)
+        while nodes:
+            out, bwd = nodes.pop()
+            out._node_index = None
+            g, out.grad = out.grad, None
+            if g is not None:
+                bwd(g)
+            del out, bwd, g  # the node's arrays go before the next node runs
     finally:
         tape.clear()
 

@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -325,10 +326,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
         fh.write(raw_header)
         for n in names:
-            fh.write(ckpt.params[n].data.astype("<f8").tobytes())
+            _write_f8(fh, ckpt.params[n].data)
         for n in header["moments"]:
-            fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
-            fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
+            _write_f8(fh, ckpt.opt.m[n])
+            _write_f8(fh, ckpt.opt.v[n])
+
+
+def _write_f8(fh, arr: np.ndarray) -> None:
+    """Write ``arr`` as little-endian float64 in C order from its own buffer;
+    only an array of another dtype, byte order or layout is converted first."""
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
 
 
 def _positive_shape(shape) -> tuple[int, ...]:
@@ -399,47 +406,52 @@ def _parse_header(raw: bytes) -> dict:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a ``.mmck`` file. Each payload array is read straight into one
+    fresh float64 array, checked, and kept, so loading holds the payload once
+    plus the header."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise CheckpointTruncatedError("file shorter than fixed header")
-    if blob[:4] != CKPT_MAGIC:
-        raise CheckpointError(f"bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
-    version, hlen = struct.unpack_from("<II", blob, 4)
-    if version != CKPT_VERSION:
-        raise CheckpointVersionError(f"checkpoint version {version}, "
-                                     f"reader supports {CKPT_VERSION}")
-    if len(blob) < 12 + hlen:
-        raise CheckpointTruncatedError("truncated checkpoint header")
-    header = _parse_header(blob[12:12 + hlen])
+        size = os.fstat(fh.fileno()).st_size
+        fixed = fh.read(12)
+        if len(fixed) < 12:
+            raise CheckpointTruncatedError("file shorter than fixed header")
+        if fixed[:4] != CKPT_MAGIC:
+            raise CheckpointError(f"bad magic {fixed[:4]!r}, expected {CKPT_MAGIC!r}")
+        version, hlen = struct.unpack_from("<II", fixed, 4)
+        if version != CKPT_VERSION:
+            raise CheckpointVersionError(f"checkpoint version {version}, "
+                                         f"reader supports {CKPT_VERSION}")
+        if size < 12 + hlen:
+            raise CheckpointTruncatedError("truncated checkpoint header")
+        header = _parse_header(fh.read(hlen))
+        offset = 12 + hlen
 
-    offset = 12 + hlen
+        def read(shape, truncated: str, what: str) -> np.ndarray:
+            nonlocal offset
+            n_bytes = math.prod(shape) * 8
+            if offset + n_bytes > size:  # checked before anything is allocated
+                raise CheckpointTruncatedError(truncated)
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != n_bytes:  # the file shrank since fstat
+                raise CheckpointTruncatedError(truncated)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite value in {what}")
+            offset += n_bytes
+            return arr.astype(np.float64, copy=False)  # no copy on a little-endian host
 
-    def read(shape, truncated: str, what: str) -> np.ndarray:
-        nonlocal offset
-        n_bytes = math.prod(shape) * 8
-        if offset + n_bytes > len(blob):
-            raise CheckpointTruncatedError(truncated)
-        arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8,
-                            offset=offset).reshape(shape).copy()
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"non-finite value in {what}")
-        offset += n_bytes
-        return arr
-
-    params = {name: Tensor(read(shape, "truncated parameter payload", f"parameter {name!r}"),
-                           requires_grad=True)
-              for name, shape in header["params"]}
-    opt = AdamState(step=header["adam_step"])
-    for name in header["moments"]:
-        shape = params[name].shape
-        opt.m[name] = read(shape, "truncated optimizer payload", f"first moment of {name!r}")
-        opt.v[name] = read(shape, "truncated optimizer payload", f"second moment of {name!r}")
-        if (opt.v[name] < 0.0).any():  # AdamW takes its square root
-            raise CheckpointError(f"negative value in second moment of {name!r}")
-    if offset != len(blob):
-        raise CheckpointTruncatedError(
-            f"{len(blob) - offset} unexpected trailing bytes")
+        params = {name: T._unchecked(read(shape, "truncated parameter payload",
+                                          f"parameter {name!r}"), requires_grad=True)
+                  for name, shape in header["params"]}
+        opt = AdamState(step=header["adam_step"])
+        for name in header["moments"]:
+            shape = params[name].shape
+            opt.m[name] = read(shape, "truncated optimizer payload",
+                               f"first moment of {name!r}")
+            opt.v[name] = read(shape, "truncated optimizer payload",
+                               f"second moment of {name!r}")
+            if (opt.v[name] < 0.0).any():  # AdamW takes its square root
+                raise CheckpointError(f"negative value in second moment of {name!r}")
+        if offset != size:
+            raise CheckpointTruncatedError(f"{size - offset} unexpected trailing bytes")
 
     return Checkpoint(config=header["config"], num_classes=header["num_classes"],
                       modality_names=header["modality_names"],

@@ -2,9 +2,14 @@
 per-module parameter construction, generic tensor ops the model does not run,
 the MIM pipeline and the consistency loss as chains of recorded ops, and the
 plain numpy expressions that the in-place kernel bodies must reproduce bit for
-bit."""
+bit, and the checkpoint writer whose bytes ``train.save_checkpoint`` must
+reproduce."""
 
 from __future__ import annotations
+
+import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -15,6 +20,7 @@ from modalseg.head import head_param_specs
 from modalseg.mim import mim_param_specs
 from modalseg.tensor import (Tensor, TensorError, accumulate_grad, backward,
                              no_grad, record_op)
+from modalseg.train import CKPT_MAGIC, CKPT_VERSION
 
 FD_EPS = 1e-6
 FD_TOL = 1e-4
@@ -337,3 +343,34 @@ def mean_reference(arrays: list[np.ndarray]) -> np.ndarray:
 
 def class_argmax_reference(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=0).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# reference for the ``.mmck`` writer
+
+
+def save_checkpoint_reference(path, ckpt) -> None:
+    """``train.save_checkpoint`` as it was before it wrote each array's own
+    buffer: every payload array goes through ``astype("<f8").tobytes()``."""
+    names = list(ckpt.params)
+    header = {
+        "config": asdict(ckpt.config),
+        "num_classes": ckpt.num_classes,
+        "modality_names": list(ckpt.modality_names),
+        "epoch": ckpt.epoch,
+        "adam_step": ckpt.opt.step,
+        "rng_state": ckpt.rng_state,
+        "history": ckpt.history,
+        "params": [{"name": n, "shape": list(ckpt.params[n].shape)} for n in names],
+        "moments": sorted(ckpt.opt.m),
+    }
+    raw_header = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
+        fh.write(raw_header)
+        for n in names:
+            fh.write(ckpt.params[n].data.astype("<f8").tobytes())
+        for n in header["moments"]:
+            fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
+            fh.write(ckpt.opt.v[n].astype("<f8").tobytes())

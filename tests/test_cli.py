@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,54 @@ def test_eval_writes_report_sidecar_and_rankings(workspace, capsys):
     lines = rankings.read_text().splitlines()
     assert lines[0] == "sample,scale,modality,cosine,robust,fragile"
     assert len(lines) == 1 + 2 * 4 * 4
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["report", "sidecar", "rankings"])
+def test_failed_eval_write_keeps_previous_files(workspace, tmp_path, capsys, monkeypatch,
+                                                failing):
+    """A write that fails halfway leaves every earlier output whole and no
+    temp file behind, whichever of the three files it hits."""
+    outputs = [tmp_path / "report.md", tmp_path / "report.md.json", tmp_path / "rankings.csv"]
+    for path in outputs:
+        path.write_text(f"previous {path.name}\n")
+    writes = []
+    real_write_text = Path.write_text
+
+    def write_text(self, text, *args, **kwargs):
+        writes.append(self)
+        if len(writes) == failing + 1:
+            real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert run("eval", "--model", workspace / "run" / "model.mmck",
+               "--data", workspace / "data" / "eval.mmss",
+               "--report", outputs[0], "--dump-rankings", outputs[2]) == 1
+    assert "no space left" in capsys.readouterr().err
+    assert len(writes) == failing + 1 and all(p not in outputs for p in writes)
+    assert sorted(tmp_path.iterdir()) == sorted(outputs)
+    assert all(p.read_text() == f"previous {p.name}\n" for p in outputs)
+
+
+def test_failed_report_write_keeps_previous_file(workspace, tmp_path, capsys, monkeypatch):
+    assert run("eval", "--model", workspace / "run" / "model.mmck",
+               "--data", workspace / "data" / "eval.mmss",
+               "--report", tmp_path / "eval" / "report.md") == 0
+    out = tmp_path / "report.csv"
+    out.write_text("previous\n")
+
+    def write_text(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert run("report", "--report-json", tmp_path / "eval" / "report.md.json",
+               "--format", "csv", "--out", out) == 1
+    assert "no space left" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "eval", out]
+    assert out.read_text() == "previous\n"
 
 
 def test_report_rerenders_sidecar_as_csv(workspace, capsys):

@@ -8,6 +8,7 @@ are kept away from the sample points so the oracle stays valid.
 from __future__ import annotations
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,67 @@ def test_tape_cleared_after_backward():
     x = Tensor([2.0], requires_grad=True)
     backward(sum_all(sigmoid(x)))
     assert len(T.active_tape()) == 0
+
+
+def test_backward_releases_each_node_before_the_next_runs():
+    """Inside an earlier op's backward, the later op's saved array is already
+    freed, its output holds no gradient and its node is off the tape."""
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    seen = {}
+
+    def earlier_bwd(g):
+        tape = T.active_tape()
+        seen["saved alive"] = saved_ref() is not None
+        seen["later grad"] = later.grad
+        seen["later on tape"] = any(out is later for out, _ in tape._nodes)
+        seen["later index"] = later._node_index
+        T.accumulate_grad(x, 2.0 * g)
+
+    earlier = T.record_op("earlier", 2.0 * x.data, (x,), earlier_bwd)
+
+    def record_later(t: Tensor) -> tuple[Tensor, weakref.ref]:
+        saved = t.data * t.data  # only the closure keeps this array
+
+        def bwd(g):
+            T.accumulate_grad(t, g * 2.0 * t.data + 0.0 * saved)
+
+        return T.record_op("later", np.sum(saved), (t,), bwd), weakref.ref(saved)
+
+    later, saved_ref = record_later(earlier)
+    assert saved_ref() is not None
+    backward(later)
+    assert seen == {"saved alive": False, "later grad": None, "later on tape": False,
+                    "later index": None}
+    assert np.array_equal(x.grad, 8.0 * x.data)  # d(sum (2x)^2)/dx
+
+
+def test_after_backward_only_leaves_keep_grads():
+    x = Tensor([0.5, -1.5], requires_grad=True)
+    y = T.mul(x, x)
+    z = T.add(y, x)
+    loss = sum_all(T.mul(z, 3.0))
+    unused = T.mul(y, 2.0)  # recorded after the loss: dropped, never run
+    backward(loss)
+    assert x.grad is not None
+    assert all(t.grad is None and t._node_index is None for t in (y, z, loss, unused))
+    assert len(T.active_tape()) == 0
+
+
+def test_backward_that_raises_still_empties_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    a = T.mul(x, 2.0)
+
+    def failing(g):
+        raise RuntimeError("backward failed")
+
+    b = T.record_op("failing", a.data + 1.0, (a,), failing)
+    c = T.mul(b, 3.0)
+    loss = sum_all(c)
+    with pytest.raises(RuntimeError, match="backward failed"):
+        backward(loss)
+    assert len(T.active_tape()) == 0
+    assert all(t._node_index is None for t in (a, b, c, loss))
+    assert all(t.grad is None for t in (a, b, c, loss))
 
 
 def test_no_grad_records_nothing():

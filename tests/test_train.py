@@ -23,6 +23,8 @@ from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             load_config, lr_at, save_checkpoint, train,
                             train_step)
 
+from helpers import save_checkpoint_reference
+
 MODALITIES = ("camera", "depth", "event", "range")
 
 TINY = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8, beta=1.0,
@@ -216,17 +218,23 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
 
 MASM_STEP_OP_BUDGET = 221
 EVAL_SCENE_OP_BUDGET = 161
+BACKWARD_MEMORY_BUDGET = 2 * 2**20  # bytes backward may add over what the forward holds
+CHECKPOINT_LOAD_MEMORY_BUDGET = 2**20  # bytes a load's peak may add over its payload
 
 
-def spy_op_names(monkeypatch) -> list[str]:
+def spy_op_names(monkeypatch, outputs: list | None = None) -> list[str]:
     """Rebind ``record_op`` in every modalseg module that holds it to a spy;
-    returns the list the spy appends each recorded op's name to."""
+    returns the list the spy appends each recorded op's name to, and appends
+    each op's output to ``outputs`` when given."""
     names = []
     record = T.record_op
 
     def spy(name, *rest):
         names.append(name)
-        return record(name, *rest)
+        out = record(name, *rest)
+        if outputs is not None:
+            outputs.append(out)
+        return out
 
     for mod in list(sys.modules.values()):
         if mod is not None and mod.__name__.startswith("modalseg") \
@@ -263,6 +271,69 @@ def test_evaluated_scene_records_at_most_the_op_budget(monkeypatch):
     run_mass_eval(mcfg, params, ds)
     assert names.count("mean") == 15  # the spy saw masm's binding, once per subset
     assert len(names) <= EVAL_SCENE_OP_BUDGET
+
+
+def test_masm_step_leaves_gradients_only_on_parameters(monkeypatch):
+    """After one masm ``train_step`` every parameter holds a gradient and no
+    recorded op output does: the walk releases each node's gradient."""
+    ds = small_dataset(count=2)
+    mcfg = TINY.model_config(ds.num_classes, ds.modality_names)
+    params = init_model_params(mcfg, 0)
+    outputs = []
+    spy_op_names(monkeypatch, outputs)
+    train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
+    assert {o.requires_grad for o in outputs} == {True, False}  # the spy saw the tape
+    assert all(p.grad is not None for p in params.values())
+    assert all(o.grad is None and o._node_index is None for o in outputs)
+    assert len(T.active_tape()) == 0
+
+
+def test_backward_adds_at_most_the_memory_budget():
+    """tracemalloc peak of ``backward`` over what the forward's tape holds,
+    for the CLI default model on 4 scenes of 64x64 (M=4, K=5, masm). The tape
+    holds about 24 MiB here; a walk that kept each node's saved arrays and
+    gradient until its end added about as much again."""
+    cfg = TrainConfig()
+    ds = generate_dataset(8, count=4, h=64, w=64, k=5, m=4, p_night=0.5)
+    mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
+    params = init_model_params(mcfg, 0)
+    tracemalloc.start()
+    try:
+        _, _, total = train_module.batch_losses(ds.scenes, mcfg, params, cfg)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        T.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 16 * 2**20  # the forward did hold its tape while traced
+    assert all(p.grad is not None for p in params.values())
+    assert peak - held <= BACKWARD_MEMORY_BUDGET
+
+
+def test_checkpoint_load_holds_its_payload_once(tmp_path):
+    """tracemalloc peak of ``load_checkpoint`` for the CLI default model with
+    both moments (a 7.6 MiB file) over the arrays it returns: reading the
+    whole file and copying each slice held about twice the file."""
+    cfg = TrainConfig()
+    mcfg = cfg.model_config(5, MODALITIES)
+    params = init_model_params(mcfg, 0)
+    opt = AdamState(step=1, m={n: 0.1 * p.data for n, p in params.items()},
+                    v={n: p.data * p.data for n, p in params.items()})
+    ckpt = Checkpoint(config=cfg, num_classes=5, modality_names=MODALITIES, epoch=0,
+                      params=params, opt=opt,
+                      rng_state=np.random.default_rng(0).bit_generator.state, history=[])
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    payload = 3 * sum(p.data.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checkpoints_equal(back, ckpt)
+    assert peak - payload <= CHECKPOINT_LOAD_MEMORY_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +424,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     restored = np.random.Generator(np.random.PCG64())
     restored.bit_generator.state = back.rng_state
     assert np.array_equal(restored.permutation(1000), rng.permutation(1000))
+
+
+def test_save_checkpoint_writes_the_reference_writers_bytes(tmp_path):
+    _, _, _, ckpt, _ = trained_state()
+    save_checkpoint(tmp_path / "new.mmck", ckpt)
+    save_checkpoint_reference(tmp_path / "ref.mmck", ckpt)
+    assert (tmp_path / "new.mmck").read_bytes() == (tmp_path / "ref.mmck").read_bytes()
+    # arrays a caller built in another layout, byte order or dtype
+    name = "head.cls.w"
+    ckpt.params[name].data = np.asfortranarray(ckpt.params[name].data)
+    assert not ckpt.params[name].data.flags.c_contiguous
+    ckpt.opt.m[name] = ckpt.opt.m[name].astype(">f8")
+    ckpt.opt.v[name] = ckpt.opt.v[name].astype(np.float32)
+    save_checkpoint(tmp_path / "new.mmck", ckpt)
+    save_checkpoint_reference(tmp_path / "ref.mmck", ckpt)
+    assert (tmp_path / "new.mmck").read_bytes() == (tmp_path / "ref.mmck").read_bytes()
 
 
 def test_resume_step_matches_uninterrupted_step(tmp_path):
