@@ -99,8 +99,9 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
 
     ``predictor(images, scene) -> label map`` can replace model inference
     (used by oracle tests); by default the model predicts, encoding each
-    modality of a scene once, passing it once through the head's affine front
-    (``head.embed``) and averaging those embeddings for every subset.
+    modality of a scene once, passing the scene's pyramids through the head's
+    affine front (``head.embed``) in one call and averaging those embeddings
+    for every subset.
     """
     if tuple(dataset.modality_names) != tuple(cfg.modality_names):
         raise ValueError(
@@ -115,8 +116,8 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
         images = scene_tensors(scene)
         if predictor is None:
             with T.no_grad():
-                embedded = [embed(p, params)
-                            for p in encode_batch(images, cfg.encoder, params)]
+                embedded = T.unstack(embed(encode_batch(images, cfg.encoder, params),
+                                           params))
             preds = [infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
                      for subset in subsets]
         else:

@@ -1,10 +1,12 @@
 """All-MLP decode head and the training objective.
 
-``embed`` projects every pyramid level linearly to a common width,
-resamples it to the quarter-resolution grid, concatenates and mixes: the
-affine front. ``decode`` activates that map, classifies it and resamples the
-logits to the label grid. Supervision is mean softmax cross-entropy over
-non-ignored pixels; pixels labeled 255 never contribute.
+``embed`` is the affine front, one recorded op over a batch of pyramids: it
+maps every pyramid level linearly to the common width D, resamples it to the
+quarter-resolution grid and sums, which equals SegFormer's per-level
+projection, concat and fuse mix with each projection folded into its slice
+of the fuse weight. ``decode`` activates that map, classifies it and
+resamples the logits to the label grid. Supervision is mean softmax
+cross-entropy over non-ignored pixels; pixels labeled 255 never contribute.
 """
 
 from __future__ import annotations
@@ -34,24 +36,75 @@ def head_param_specs(stage_channels, d_embed: int, num_classes: int) -> T.ParamS
     yield "head.cls.b", T.ParamSpec((num_classes,))
 
 
-def embed(pyramid: list[Tensor], params: dict[str, Tensor]) -> Tensor:
-    """Pyramid to the D x h1 x w1 map that enters the GELU.
+def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
+    """N pyramids to the N x D x h1 x w1 maps that enter the GELU, as one
+    recorded op; callers split the result with ``T.unstack``.
 
-    Projection, resampling, concat and the fuse mix are all affine, so the
-    embedding of a mean-fused pyramid is the mean of its modalities' embeddings.
+    Each level's projection is folded into its D x D slice of the fuse weight
+    (``proj_i.w @ fuse.w[iD:(i+1)D]``, C_i x D), so every level goes straight
+    to D channels at its own resolution, is resampled to the level-0 grid and
+    summed, and one folded bias is added; there is no concat and no 4D-wide
+    mix. The front is still affine, so the mean of the embeddings of N
+    pyramids equals the embedding of their mean-fused pyramid.
     """
+    if not pyramids:
+        raise TensorError("embed: no pyramids")
     widths = tuple(params[f"head.proj{i}.w"].shape[0] for i in range(PYRAMID_LEVELS))
-    got = tuple(level.shape[0] for level in pyramid)
-    if got != widths:
-        raise TensorError(f"embed: expected a {PYRAMID_LEVELS}-level pyramid with "
-                          f"stage channels {widths}, got widths {got}")
-    h1, w1 = pyramid[0].shape[1], pyramid[0].shape[2]
-    projected = []
-    for i, level in enumerate(pyramid):
-        p = T.channel_mix(level, params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
-        projected.append(T.resample_bilinear(p, h1, w1))
-    stack = T.concat(projected, axis=0)
-    return T.channel_mix(stack, params["head.fuse.w"], params["head.fuse.b"])
+    for pyramid in pyramids:
+        if (any(level.ndim != 3 for level in pyramid)
+                or tuple(level.shape[0] for level in pyramid) != widths):
+            raise TensorError(f"embed: expected {PYRAMID_LEVELS}-level pyramids of "
+                              f"C x h x w maps with stage channels {widths}, got "
+                              f"{[level.shape for level in pyramid]}")
+    for i in range(PYRAMID_LEVELS):
+        shapes = {pyramid[i].shape for pyramid in pyramids}
+        if len(shapes) != 1:
+            raise TensorError(f"embed: level {i} shapes differ: {sorted(shapes)}")
+    n = len(pyramids)
+    h1, w1 = pyramids[0][0].shape[1:]
+    fuse_w = params["head.fuse.w"]
+    d = fuse_w.shape[1]
+    proj = [(params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
+            for i in range(PYRAMID_LEVELS)]
+    slices = [fuse_w.data[i * d:(i + 1) * d] for i in range(PYRAMID_LEVELS)]
+    folded = [w.data @ f for (w, _), f in zip(proj, slices)]  # C_i x D each
+    bias = params["head.fuse.b"].data.copy()
+    for (_, b), f in zip(proj, slices):
+        bias += b.data @ f
+    # level i of every pyramid as N x C_i x (h_i w_i) pixel columns
+    levels = [np.stack([pyramid[i].data for pyramid in pyramids]).reshape(n, c, -1)
+              for i, c in enumerate(widths)]
+    grids = [pyramids[0][i].shape[1:] for i in range(PYRAMID_LEVELS)]
+
+    out = np.matmul(folded[0].T, levels[0]).reshape(n, d, h1, w1)  # level 0 is the grid
+    for x, wf, (h, w) in zip(levels[1:], folded[1:], grids[1:]):
+        y = np.matmul(wf.T, x).reshape(n, d, h, w)
+        out += np.matmul(np.matmul(T._interp_matrix(h, h1), y), T._interp_matrix(w, w1).T)
+    out += bias[:, None, None]
+
+    def bwd(g):
+        g_bias = g.sum(axis=(0, 2, 3))
+        accumulate_grad(params["head.fuse.b"], g_bias)
+        g_fuse = np.empty(fuse_w.shape)
+        for i, (x, wf, (h, w)) in enumerate(zip(levels, folded, grids)):
+            gi = g
+            if i:  # level 0 is the grid
+                gi = np.matmul(np.matmul(T._interp_matrix(h, h1).T, g),
+                               T._interp_matrix(w, w1))
+            gi = gi.reshape(n, d, h * w)
+            g_x = np.matmul(wf, gi)
+            for pyramid, gx in zip(pyramids, g_x):
+                accumulate_grad(pyramid[i], gx.reshape(pyramid[i].shape))
+            g_fold = np.matmul(x, gi.transpose(0, 2, 1)).sum(axis=0)  # C_i x D
+            (pw, pb), f = proj[i], slices[i]
+            accumulate_grad(pw, g_fold @ f.T)
+            accumulate_grad(pb, f @ g_bias)
+            g_fuse[i * d:(i + 1) * d] = pw.data.T @ g_fold + np.outer(pb.data, g_bias)
+        accumulate_grad(fuse_w, g_fuse)
+
+    inputs = (*(level for pyramid in pyramids for level in pyramid),
+              *(t for pair in proj for t in pair), fuse_w, params["head.fuse.b"])
+    return record_op("embed", out, inputs, bwd)
 
 
 def decode(embedded: Tensor, params: dict[str, Tensor],

@@ -2,11 +2,12 @@
 
 Training forward: shared encoder on every modality of the whole batch in one
 stacked pass, then per scene similarity-ranked rectification producing the
-fused pyramid, decode head, supervision and consistency losses. Inference
-forward: each modality's pyramid through the head's affine front
-(``head.embed``), the mean of the available subset's embeddings, decode,
-argmax; that mean equals embedding the per-scale mean-fused pyramid. The
-rectification and ranking machinery never runs at inference.
+fused pyramid, the head's affine front (``head.embed``) over the batch's
+fused pyramids in one call, and per scene decode, supervision and consistency
+losses. Inference forward: the modality pyramids through ``head.embed`` in
+one call, the mean of the available subset's embeddings, decode, argmax; the
+front is affine, so that mean equals embedding the per-scale mean-fused
+pyramid. The rectification and ranking machinery never runs at inference.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
     """Supervision loss L_M, consistency loss L_C, and rankings, one triple
     per scene; the mean arm's L_C is an untracked 0 and its rankings empty.
 
-    All B*M images of the batch go through the encoder as one stack.
+    All B*M images of the batch go through the encoder as one stack, and the
+    B fused pyramids through ``head.embed`` as one batch.
     """
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
@@ -88,30 +90,32 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
                               f"model expects {m}")
     images = [t for scene in batch for t in scene_tensors(scene)]
     pyramids = encode_batch(images, cfg.encoder, params)
-    out = []
-    for i, scene in enumerate(batch):
+    fused, selection = [], []
+    for i in range(len(batch)):
         scene_pyramids = pyramids[i * m:(i + 1) * m]
         if fusion == "masm" and m >= 2:
-            fused, rankings, terms = masm_forward(scene_pyramids, params)
+            pyramid, rankings, terms = masm_forward(scene_pyramids, params)
             l_c = consistency_loss(terms, cfg.num_classes)
         else:
-            fused, rankings, l_c = fuse_mean(scene_pyramids), [], Tensor(0.0)
-        logits = decode(embed(fused, params), params, scene.labels.shape)
-        out.append((cross_entropy(logits, scene.labels), l_c, rankings))
-    return out
+            pyramid, rankings, l_c = fuse_mean(scene_pyramids), [], Tensor(0.0)
+        fused.append(pyramid)
+        selection.append((l_c, rankings))
+    embedded = T.unstack(embed(fused, params))
+    return [(cross_entropy(decode(e, params, scene.labels.shape), scene.labels), l_c, rankings)
+            for e, scene, (l_c, rankings) in zip(embedded, batch, selection)]
 
 
 def infer_logits(images: list[Tensor], cfg: ModelConfig,
                  params: dict[str, Tensor], out_size: tuple[int, int]) -> Tensor:
     """Mean-fused backbone inference for an arbitrary modality subset."""
-    embedded = [embed(p, params) for p in encode_batch(images, cfg.encoder, params)]
+    embedded = T.unstack(embed(encode_batch(images, cfg.encoder, params), params))
     return decode(mean_feature(embedded), params, out_size)
 
 
 def infer(embedded: list[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
           out_size: tuple[int, int]) -> np.ndarray:
-    """Predicted label map from the head embeddings (``head.embed``) of one
-    modality subset: their mean, decoded. ``cfg`` is not read; the call shape
+    """Predicted label map from the head embeddings (``head.embed``, split by
+    ``T.unstack``) of one modality subset: their mean, decoded. ``cfg`` is not read; the call shape
     matches ``infer_logits``.
 
     Raises ``TensorError`` for an empty subset or embeddings of unequal shape.

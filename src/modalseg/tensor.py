@@ -1,9 +1,9 @@
 """Dense float64 tensor engine with tape-based reverse-mode differentiation.
 
-The encoder and the decode head are chains of the ops in this module. The
-fused ops elsewhere (``masm``'s mean and consistency, ``mim.mim_forward`` and
-``head.cross_entropy``) are recorded through ``record_op`` with hand-written
-backwards. Ground rules:
+The encoder and the decode head's back end are chains of the ops in this
+module. The fused ops elsewhere (``masm``'s mean and consistency,
+``mim.mim_forward``, ``head.embed`` and ``head.cross_entropy``) are recorded
+through ``record_op`` with hand-written backwards. Ground rules:
 
 - double precision only, row-major storage, explicit shape checks on every op
 - broadcasting is limited to tensor-vs-python-scalar; the few axis broadcasts
@@ -23,7 +23,6 @@ backwards. Ground rules:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -174,7 +173,7 @@ def record_op(
 
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
-    fused ops outside this module: ``head.cross_entropy``,
+    fused ops outside this module: ``head.embed``, ``head.cross_entropy``,
     ``mim.mim_forward``, and in ``masm`` ``mean_feature`` and
     ``consistency_loss``.
     """
@@ -315,30 +314,6 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
         _accumulate(t, np.transpose(g, inverse))
 
     return record_op("transpose", np.transpose(t.data, axes), (t,), bwd)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise TensorError("concat: empty input list")
-    first = tensors[0]
-    if not 0 <= axis < first.ndim:
-        raise TensorError(f"concat: axis {axis} out of range for ndim {first.ndim}")
-    for t in tensors[1:]:
-        if t.ndim != first.ndim:
-            raise TensorError("concat: rank mismatch")
-        for ax in range(first.ndim):
-            if ax != axis and t.shape[ax] != first.shape[ax]:
-                raise TensorError(f"concat: shape mismatch {t.shape} vs {first.shape}")
-    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
-
-    def bwd(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, stop)
-            _accumulate(t, g[tuple(sl)])
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return record_op("concat", data, tuple(tensors), bwd)
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:

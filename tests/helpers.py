@@ -1,12 +1,14 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
-the MIM pipeline and the consistency loss as chains of recorded ops, and the
+the MIM pipeline, the head's affine front and the consistency loss as chains
+of recorded ops, and the
 plain numpy expressions that the in-place kernel bodies must reproduce bit for
 bit, and the checkpoint writer whose bytes ``train.save_checkpoint`` must
 reproduce."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict
@@ -102,7 +104,8 @@ def init_head_params(stage_channels, d_embed: int, num_classes: int, rng) -> dic
 
 # ---------------------------------------------------------------------------
 # generic ops the model does not run: the loss reducers of the gradient checks,
-# and the pooling and sigmoid of ``mim_chain``
+# the concat of ``mim_chain`` and ``embed_chain``, and the pooling and sigmoid
+# of ``mim_chain``
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -169,6 +172,30 @@ def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
     return record_op("clamp", np.clip(t.data, lo, hi), (t,), bwd)
 
 
+def concat(tensors, axis: int = 0) -> Tensor:
+    if not tensors:
+        raise TensorError("concat: empty input list")
+    first = tensors[0]
+    if not 0 <= axis < first.ndim:
+        raise TensorError(f"concat: axis {axis} out of range for ndim {first.ndim}")
+    for t in tensors[1:]:
+        if t.ndim != first.ndim:
+            raise TensorError("concat: rank mismatch")
+        for ax in range(first.ndim):
+            if ax != axis and t.shape[ax] != first.shape[ax]:
+                raise TensorError(f"concat: shape mismatch {t.shape} vs {first.shape}")
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
+
+    def bwd(g):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(start, stop)
+            accumulate_grad(t, g[tuple(sl)])
+
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return record_op("concat", data, tuple(tensors), bwd)
+
+
 def pool_global(f: Tensor, kind: str) -> Tensor:
     """Collapse the spatial extent of a ... x h x w map (at least 3 axes),
     keeping the leading axes: a C x h x w map gives a length-C vector."""
@@ -225,7 +252,7 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     pair = T.stack([f_robust, f_fragile])
     _, c, h, w = pair.shape
     p = f"mim.l{level}"
-    z = T.concat([pool_global(pair, "avg"), pool_global(pair, "max")], axis=1)
+    z = concat([pool_global(pair, "avg"), pool_global(pair, "max")], axis=1)
     z = T.reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
     hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
     att = sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
@@ -297,6 +324,26 @@ def consistency_chain(terms, class_count: int) -> Tensor:
     pairs = [tuple(map_similarity(cosine(f, f_mim)) for f in (f_1, f_2))
              for f_mim, f_1, f_2 in terms]
     return similarity_divergence(pairs, class_count)
+
+
+# ---------------------------------------------------------------------------
+# reference for the fused ``head.embed``
+
+
+def embed_chain(pyramids, params: dict) -> Tensor:
+    """``head.embed`` as SegFormer's unfolded chain of recorded ops, pyramid
+    by pyramid: per-level ``channel_mix`` to D channels, resampling to the
+    level-0 grid, concat and the 4D -> D fuse ``channel_mix``; the N results
+    stacked."""
+    embedded = []
+    for pyramid in pyramids:
+        h1, w1 = pyramid[0].shape[1:]
+        projected = [T.resample_bilinear(T.channel_mix(level, params[f"head.proj{i}.w"],
+                                                       params[f"head.proj{i}.b"]), h1, w1)
+                     for i, level in enumerate(pyramid)]
+        embedded.append(T.channel_mix(concat(projected, axis=0),
+                                      params["head.fuse.w"], params["head.fuse.b"]))
+    return T.stack(embedded)
 
 
 # ---------------------------------------------------------------------------

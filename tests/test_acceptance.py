@@ -28,14 +28,14 @@ import pytest
 import helpers
 import modalseg
 import modalseg.tensor as T
-from helpers import (check_grads, clamp, cross_rectify, div, exp, init_mim_params, log,
-                     max_rel_err, pool_global, sigmoid, sum_all)
+from helpers import (check_grads, clamp, concat, cross_rectify, div, exp, init_head_params,
+                     init_mim_params, log, max_rel_err, pool_global, sigmoid, sum_all)
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
 from modalseg.encoder import encode_batch
 from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
                                render_report, run_mass_eval)
-from modalseg.head import cross_entropy, total_loss
+from modalseg.head import cross_entropy, embed, total_loss
 from modalseg.masm import consistency_loss, masm_forward, mean_feature, rank_modalities
 from modalseg.mim import mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
@@ -87,7 +87,7 @@ def _op_cases(rng):
          [n(size=(2, 6))]),
         ("transpose", lambda t: m(exp(T.transpose(t, (1, 0, 2)))),
          [n(size=(2, 3, 2))]),
-        ("concat", lambda a, b: m(exp(T.concat([a, b], axis=1))),
+        ("concat", lambda a, b: m(exp(concat([a, b], axis=1))),
          [n(size=(2, 3)), n(size=(2, 2))]),
         ("sum", lambda t: sum_all(T.mul(t, t)), [n(size=(3, 4))]),
         ("exp", lambda t: m(exp(t)), [n(size=(3, 4))]),
@@ -132,6 +132,17 @@ def _op_cases(rng):
     weights = Tensor(n(size=(2, 3, 3)))
     cases.append(("mim", lambda a, b, *ws: m(T.mul(mim_forward(a, b, dict(zip(mim_params, ws)),
                                                                0), weights)), mim_arrays))
+    # the head's affine front over two pyramids and its ten parameters; the
+    # levels' grids are uneven so every resampling path has real weights
+    front = {k: t.shape for k, t in init_head_params(
+        (2, 3, 2, 2), 3, 2, np.random.default_rng(0)).items() if not k.startswith("head.cls")}
+    grids = [(2, 4, 6), (3, 2, 3), (2, 1, 2), (2, 1, 1)]
+    embed_arrays = [n(size=g) for _ in range(2) for g in grids]
+    embed_arrays += [n(scale=0.5, size=shape) for shape in front.values()]
+    embed_weights = Tensor(n(size=(2, 3, 4, 6)))
+    cases.append(("embed", lambda *ts: m(T.mul(embed([list(ts[:4]), list(ts[4:8])],
+                                                     dict(zip(front, ts[8:]))),
+                                               embed_weights)), embed_arrays))
     return cases
 
 

@@ -173,13 +173,12 @@ def test_singleton_subset_equals_bare_pipeline():
     scene = eval_dataset(count=1).scenes[0]
     images = scene_tensors(scene)
     with no_grad():
-        pyramids = encode_batch([images[1]], cfg.encoder, params)
-        embedded = [embed(p, params) for p in pyramids]
+        embedded = T.unstack(embed(encode_batch([images[1]], cfg.encoder, params), params))
     got = infer(embedded, cfg, params, scene.labels.shape)
 
     with no_grad():  # backbone + head only, no selection/rectification code
-        pyramid = encode_batch([images[1]], cfg.encoder, params)[0]
-        logits = decode(embed(pyramid, params), params, scene.labels.shape)
+        pyramids = encode_batch([images[1]], cfg.encoder, params)
+        logits = decode(T.unstack(embed(pyramids, params))[0], params, scene.labels.shape)
     manual = np.argmax(logits.data, axis=0)
     assert np.array_equal(got, manual)
 
@@ -189,9 +188,8 @@ def test_duplicated_modality_equals_singleton():
     scene = eval_dataset(count=1).scenes[0]
     img = scene_tensors(scene)[0]
     with no_grad():
-        once = [embed(p, params) for p in encode_batch([img], cfg.encoder, params)]
-        twice = [embed(p, params)
-                 for p in encode_batch([img, img], cfg.encoder, params)]
+        once = T.unstack(embed(encode_batch([img], cfg.encoder, params), params))
+        twice = T.unstack(embed(encode_batch([img, img], cfg.encoder, params), params))
     single = infer(once, cfg, params, scene.labels.shape)
     doubled = infer(twice, cfg, params, scene.labels.shape)
     assert np.array_equal(single, doubled)
@@ -206,7 +204,7 @@ def test_full_subset_matches_mean_fusion_oracle():
         pyramids = [encode_batch([img], cfg.encoder, params)[0] for img in images]
         fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0))
                  for i in range(4)]
-        expect = decode(embed(fused, params), params, scene.labels.shape)
+        expect = decode(T.unstack(embed([fused], params))[0], params, scene.labels.shape)
     assert np.max(np.abs(got.data - expect.data)) < 1e-12
 
 
@@ -227,7 +225,7 @@ def test_infer_rejects_pyramids_that_do_not_match_config():
     for bad in ([pyramid[:3]], [other], [pyramid, other]):
         with pytest.raises(T.TensorError, match="stage channels"):
             with no_grad():  # pyramids enter inference through head.embed
-                embedded = [embed(p, params) for p in bad]
+                embedded = T.unstack(embed(bad, params))
             infer(embedded, cfg, params, (32, 32))
 
 
@@ -245,11 +243,12 @@ def test_infer_matches_unfolded_decode_on_every_subset():
     scene = eval_dataset(count=1).scenes[0]
     with no_grad():
         pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
-        embedded = [embed(p, params) for p in pyramids]
+        embedded = T.unstack(embed(pyramids, params))
         for subset in enumerate_subsets(4):
             folded = decode(mean_feature([embedded[i] for i in subset]), params,
                             scene.labels.shape).data
-            unfolded = decode(embed(fuse_mean([pyramids[i] for i in subset]), params),
+            unfolded = decode(T.unstack(embed([fuse_mean([pyramids[i] for i in subset])],
+                                              params))[0],
                               params, scene.labels.shape).data
             assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
             pred = infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
@@ -305,6 +304,7 @@ def test_mass_eval_embeds_each_modality_once_and_decodes_each_subset(monkeypatch
     cfg, params = small_model()
     ds = eval_dataset(count=3)
     calls = {"embed": 0, "decode": 0, "infer": 0}
+    embedded = []  # pyramids per embed call
 
     def counted(key, fn):
         def wrapper(*args):
@@ -312,12 +312,19 @@ def test_mass_eval_embeds_each_modality_once_and_decodes_each_subset(monkeypatch
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(evaluate, "embed", counted("embed", evaluate.embed))
+    def embed_spy(fn):
+        def wrapper(pyramids, prm):
+            embedded.append(len(pyramids))
+            return fn(pyramids, prm)
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "embed", counted("embed", embed_spy(evaluate.embed)))
     monkeypatch.setattr(model, "decode", counted("decode", model.decode))
     monkeypatch.setattr(evaluate, "infer", counted("infer", evaluate.infer))
     run_mass_eval(cfg, params, ds)
     n = len(ds.scenes)
-    assert calls == {"embed": 4 * n, "decode": 15 * n, "infer": 15 * n}
+    assert calls == {"embed": n, "decode": 15 * n, "infer": 15 * n}
+    assert embedded == [4] * n  # one call per scene carries all its modalities
 
 
 def test_mass_eval_perfect_oracle_scores_100():

@@ -1,15 +1,17 @@
-"""Decode head and losses: shapes, CE oracle, shift invariance, gradients."""
+"""Decode head and losses: shapes, the fused front against its unfolded chain,
+CE oracle, shift invariance, gradients."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import modalseg.head as head
 import modalseg.tensor as T
 from modalseg.head import cross_entropy, decode, embed, total_loss
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import check_grads, check_param_grad, init_head_params
+from helpers import check_grads, check_param_grad, embed_chain, init_head_params, sum_all
 
 CHANNELS = (2, 3, 4, 5)
 
@@ -24,6 +26,11 @@ def pyramid_for(size=32, seed=1, channels=CHANNELS):
             for i, c in enumerate(channels)]
 
 
+def embed_one(pyramid, params):
+    """The D x h1 x w1 embedding of one pyramid."""
+    return T.unstack(embed([pyramid], params))[0]
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -32,7 +39,7 @@ def test_decode_shape_contract():
     params = init_head_params((16, 32, 64, 96), 64, 5, np.random.default_rng(2))
     pyr = pyramid_for(size=64, seed=3, channels=(16, 32, 64, 96))
     with no_grad():
-        logits = decode(embed(pyr, params), params, (64, 64))
+        logits = decode(embed_one(pyr, params), params, (64, 64))
     assert logits.shape == (5, 64, 64)
 
 
@@ -41,20 +48,20 @@ def test_decode_zero_pyramid_zero_biases_gives_zero_logits():
     zero_pyr = [Tensor(np.zeros((c, 8 // 2 ** i, 8 // 2 ** i)))
                 for i, c in enumerate(CHANNELS)]
     with no_grad():
-        logits = decode(embed(zero_pyr, params), params, (32, 32))
+        logits = decode(embed_one(zero_pyr, params), params, (32, 32))
     assert np.array_equal(logits.data, np.zeros((3, 32, 32)))
 
 
 def test_decode_rejects_wrong_level_count():
     params = head_params()
     with pytest.raises(TensorError):
-        decode(embed(pyramid_for()[:3], params), params, (32, 32))
+        decode(embed_one(pyramid_for()[:3], params), params, (32, 32))
 
 
 def test_decode_output_finite():
     params = head_params(seed=5)
     with no_grad():
-        logits = decode(embed(pyramid_for(seed=6), params), params, (32, 32))
+        logits = decode(embed_one(pyramid_for(seed=6), params), params, (32, 32))
     assert np.all(np.isfinite(logits.data))
 
 
@@ -66,7 +73,7 @@ def test_decode_classifier_grads_match_finite_differences():
     labels[0, :] = 255
 
     def loss_fn(p):
-        return cross_entropy(decode(embed(pyr, p), p, (32, 32)), labels)
+        return cross_entropy(decode(embed_one(pyr, p), p, (32, 32)), labels)
 
     backward(loss_fn(params))
     check_param_grad(loss_fn, params, "head.cls.w")
@@ -76,13 +83,86 @@ def test_decode_classifier_grads_match_finite_differences():
 def test_decode_projects_without_transposes(monkeypatch):
     names = []
     record = T.record_op
-    monkeypatch.setattr(T, "record_op",
-                        lambda name, *rest: names.append(name) or record(name, *rest))
+
+    def spy(name, *rest):
+        names.append(name)
+        return record(name, *rest)
+
+    monkeypatch.setattr(T, "record_op", spy)
+    monkeypatch.setattr(head, "record_op", spy)  # the front's own binding
     with no_grad():
         params = head_params(seed=10)
-        decode(embed(pyramid_for(seed=10), params), params, (32, 32))
-    assert names.count("channel_mix") == 6
-    assert "transpose" not in names
+        decode(embed_one(pyramid_for(seed=10), params), params, (32, 32))
+    assert names.count("embed") == 1
+    assert names.count("channel_mix") == 1  # the classifier
+    assert "transpose" not in names and "concat" not in names
+
+
+# ---------------------------------------------------------------------------
+# the affine front: one folded op against the unfolded chain
+
+
+FRONT_SHAPES = [  # (widths, d_embed, image size): eval-subsets, then train-masm
+    ((16, 32, 64, 96), 64, 64),
+    ((8, 12, 16, 24), 16, 32),
+]
+
+
+def _front_run(front, pyramids, params, weights):
+    """Output and every input gradient of ``sum(front(pyramids) * weights)``."""
+    leaves = [[Tensor(level.data, requires_grad=True) for level in p] for p in pyramids]
+    for t in params.values():
+        t.grad = None
+    out = front(leaves, params)
+    backward(sum_all(T.mul(out, Tensor(weights))))
+    grads = {name: t.grad for name, t in params.items() if not name.startswith("head.cls")}
+    grads.update({f"pyramid {n} level {i}": level.grad
+                  for n, p in enumerate(leaves) for i, level in enumerate(p)})
+    return out.data, grads
+
+
+@pytest.mark.parametrize("widths, d_embed, size", FRONT_SHAPES)
+def test_embed_matches_the_unfolded_chain(widths, d_embed, size):
+    params = init_head_params(widths, d_embed, 5, np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    for name, t in params.items():  # nonzero biases, so the folded bias is exercised
+        if name.endswith(".b"):
+            t.data = rng.normal(size=t.shape)
+    pyramids = [pyramid_for(size, seed, widths) for seed in range(4)]
+    weights = rng.normal(size=(4, d_embed, size // 4, size // 4))
+    got, got_grads = _front_run(embed, pyramids, params, weights)
+    want, want_grads = _front_run(embed_chain, pyramids, params, weights)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert got.shape == want.shape == (4, d_embed, size // 4, size // 4)
+    assert rel(got, want) <= 1e-12
+    assert got_grads.keys() == want_grads.keys() and len(got_grads) == 10 + 16
+    for name, g in want_grads.items():
+        assert got_grads[name].shape == g.shape
+        assert rel(got_grads[name], g) <= 1e-12, name
+
+
+def test_embed_zero_pyramid_zero_biases_gives_exact_zero():
+    params = head_params(seed=22)
+    for name, t in params.items():
+        if name.endswith(".b"):
+            t.data = np.zeros_like(t.data)
+    zero = [Tensor(np.zeros(level.shape)) for level in pyramid_for(seed=23)]
+    with no_grad():
+        out = embed([zero, pyramid_for(seed=24)], params).data
+    assert np.array_equal(out[0], np.zeros(out[0].shape))
+    assert np.any(out[1] != 0.0)
+
+
+def test_embed_rejects_malformed_pyramids():
+    params = head_params()
+    pyr = pyramid_for()
+    for bad in ([], [pyr[:3]], [pyr, pyramid_for(size=64)],
+                [[Tensor(np.ones((2, 8))), *pyr[1:]]]):
+        with pytest.raises(TensorError):
+            embed(bad, params)
 
 
 def test_head_param_validation():
