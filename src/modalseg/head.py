@@ -38,7 +38,7 @@ def head_param_specs(stage_channels, d_embed: int, num_classes: int) -> T.ParamS
 
 def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
     """N pyramids to the N x D x h1 x w1 maps that enter the GELU, as one
-    recorded op; callers split the result with ``T.unstack``.
+    recorded op; callers split the result into ``T.unstack`` views.
 
     Each level's projection is folded into its D x D slice of the fuse weight
     (``proj_i.w @ fuse.w[iD:(i+1)D]``, C_i x D), so every level goes straight

@@ -5,13 +5,15 @@ similarity to their arithmetic mean. The most and least similar (robust and
 fragile) are cross-rectified by the interaction module; the result plus the
 mean feature is the fused level. The first two remaining modalities, if
 any, are pulled toward the interaction output by a symmetric divergence of
-their mapped cosines to it, one recorded op per sample. All of this is
-training-time machinery; inference fuses by plain averaging.
+their mapped cosines to it, one recorded op per sample. Both read one
+cosine kernel that takes every dot product and norm as a row sum. All of
+this is training-time machinery; inference fuses by plain averaging.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +61,31 @@ def mean_feature(features: list[Tensor]) -> Tensor:
     return record_op("mean", total, tuple(features), bwd)
 
 
-def _cosine_parts(a: np.ndarray, b: np.ndarray):
-    """``(cosine, (af, bf, na, nb))`` of two equal-size arrays: their cosine
-    similarity and the flat arrays and norms it came from, or ``(0.0, None)``
-    when either norm is below NORM_EPS. The one cosine forward, read by the
-    ranking and by ``consistency_loss``."""
-    if a.size != b.size:
-        raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
-    af, bf = a.reshape(-1), b.reshape(-1)
-    na = np.sqrt((af * af).sum())
-    nb = np.sqrt((bf * bf).sum())
-    if na < NORM_EPS or nb < NORM_EPS:
-        return 0.0, None
-    return float((af * bf).sum() / (na * nb)), (af, bf, na, nb)
+def _cosines(features, ref: Tensor):
+    """Cosines of the features to ``ref`` as Python floats, and what their
+    gradients read: ``(rows, norms, ref_norm)``, the features and then ``ref``
+    as C-order rows. Each dot product and squared norm is a row sum, ``ref``'s
+    norm is taken once, and a cosine is 0 where either norm is below NORM_EPS."""
+    m, n = len(features), ref.size
+    rows = np.empty((m + 1, n))
+    for row, f in zip(rows, (*features, ref)):
+        if f.size != n:
+            raise TensorError(f"cosine: size mismatch {f.shape} vs {ref.shape}")
+        row.reshape(f.shape)[...] = f.data
+    dots = (rows * rows[m]).sum(axis=1)  # the last is ref's squared norm
+    norms = np.sqrt((rows[:m] * rows[:m]).sum(axis=1))
+    ref_norm = math.sqrt(dots[m])
+    cos = np.zeros(m)
+    if ref_norm >= NORM_EPS:
+        np.divide(dots[:m], norms * ref_norm, out=cos, where=norms >= NORM_EPS)
+    return cos.tolist(), (rows, norms.tolist(), ref_norm)
 
 
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
     """Stable descending sort of cosine scores; first is robust, last fragile."""
     if len(features) < 2:
         raise TensorError("rank_modalities: need at least 2 modalities")
-    scores = tuple(_cosine_parts(f.data, f_m.data)[0] for f in features)
+    scores = tuple(_cosines(features, f_m)[0])
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return RankingResult(scale=0, scores=scores, robust_idx=order[0],
                          fragile_idx=order[-1], remaining=tuple(order[1:-1]))
@@ -98,7 +105,8 @@ def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
     for i in range(levels):
         features = [pyr[i] for pyr in pyramids]
         f_m = mean_feature(features)
-        rank = replace(rank_modalities(features, f_m), scale=i + 1)
+        r = rank_modalities(features, f_m)
+        rank = RankingResult(i + 1, r.scores, r.robust_idx, r.fragile_idx, r.remaining)
         f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
                             params, level=i)
         fused.append(T.add(f_mim, f_m))
@@ -106,14 +114,6 @@ def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
             terms.append((f_mim, features[rank.remaining[0]], features[rank.remaining[1]]))
         rankings.append(rank)
     return fused, rankings, terms
-
-
-def _mapped_cosine(f: Tensor, f_mim: Tensor):
-    """Cosine of ``f`` to ``f_mim`` mapped from [-1, 1] to [SIM_EPS, 1] so the
-    divergence logs stay defined, and what its backward reads."""
-    c, parts = _cosine_parts(f.data, f_mim.data)
-    x = (np.float64(c) + 1.0) * 0.5
-    return np.clip(x, SIM_EPS, 1.0), (f, f_mim, c, parts, (x >= SIM_EPS) & (x <= 1.0))
 
 
 def consistency_loss(terms: list[Term], class_count: int) -> Tensor:
@@ -129,24 +129,25 @@ def consistency_loss(terms: list[Term], class_count: int) -> Tensor:
         return Tensor(0.0)
     k = float(class_count)
     total = None
-    sims = []  # per similarity: its inputs, cosine parts, clip mask and log ratio
+    sims = []  # per similarity with a gradient: what its backward reads
     for f_mim, f_1, f_2 in terms:
-        a, sim_a = _mapped_cosine(f_1, f_mim)
-        b, sim_b = _mapped_cosine(f_2, f_mim)
+        cos, (rows, norms, ref_norm) = _cosines((f_1, f_2), f_mim)
+        xs = [(c + 1.0) * 0.5 for c in cos]  # [-1, 1] to [0, 1], then clipped
+        a, b = (min(max(x, SIM_EPS), 1.0) for x in xs)
         mid = (a + b) * 0.5
         la, lb = np.log(a / mid), np.log(b / mid)
-        sims += [(*sim_a, la), (*sim_b, lb)]
+        for f, row, na, c, x, log_ratio in zip((f_1, f_2), rows, norms, cos, xs, (la, lb)):
+            inside = SIM_EPS <= x <= 1.0  # a clipped similarity passes no gradient
+            if na >= NORM_EPS and ref_norm >= NORM_EPS:
+                sims.append((f, f_mim, row, rows[2], na, ref_norm, c, inside, log_ratio))
         value = (a * la + b * lb) * k
         total = value if total is None else total + value
     n = float(len(terms))
 
     def bwd(g):
-        s = g * (k / n)
+        s = float(g) * (k / n)  # the output is a scalar
         # last similarity first: the order a tape of one op per step would take
-        for f, f_mim, c, parts, inside, log_ratio in reversed(sims):
-            if parts is None:
-                continue
-            af, bf, na, nb = parts
+        for f, f_mim, af, bf, na, nb, c, inside, log_ratio in reversed(sims):
             g_c = ((s * log_ratio) * inside) * 0.5
             s_c = g_c / (na * nb)
             accumulate_grad(f, (s_c * bf - (g_c * c / (na * na)) * af).reshape(f.shape))

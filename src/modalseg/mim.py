@@ -15,10 +15,14 @@ gradients on the way:
 Both rectify stages cross-rectify, ``pair + (pair * att)[::-1]``: each map
 gains the other map weighted by the other's attention. Rectification is
 additive (f + W (.) other), so zero attention degenerates to the identity.
-Each pyramid level owns an independent parameter set.
+Each pyramid level owns an independent parameter set. The pair keeps the
+layout ``np.stack`` gives the maps (channel-last for encoder views): its
+pooling and attention gradients sum in memory order.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,78 +46,76 @@ def mim_param_specs(stage_channels) -> T.ParamSpecs:
         yield f"{p}.fuse.b", T.ParamSpec((c,))
 
 
-def _level(params: dict[str, Tensor], level: int, *names: str) -> list[Tensor]:
-    return [params[f"mim.l{level}.{n}"] for n in names]
+@functools.lru_cache(maxsize=None)
+def _names(level: int) -> tuple[str, ...]:
+    """The level's parameter names, in ``_PARAM_NAMES`` order."""
+    return tuple(f"mim.l{level}.{n}" for n in _PARAM_NAMES)
 
 
-def _check_logits(logits: np.ndarray, stage: str) -> None:
-    """The sigmoid maps an Inf logit to a finite 0 or 1, so logits are
-    checked before it."""
+def _cross_rectify(pair: np.ndarray, logits: np.ndarray, shape, axes, stage: str):
+    """``pair + (pair * att)[::-1]``: each map plus the other map scaled by the
+    other's attention ``att``, the sigmoid of ``logits`` viewed as ``shape``.
+    Returns it, ``att`` and its backward, which gives the pair's gradient and
+    the logits' (the attention's, summed over ``axes``, through the sigmoid).
+    The sigmoid maps an Inf logit to a finite 0 or 1, so logits are checked."""
     if not np.isfinite(logits).all():
         raise NonFiniteError(f"mim: non-finite {stage} attention logits")
+    sig = T._sigmoid(logits)
+    att = sig.reshape(shape)
 
-
-def _cross_rectify(pair: np.ndarray, att: np.ndarray, axes):
-    """``pair + (pair * att)[::-1]``: each map plus the other map scaled by the
-    other's attention. Returns it and its backward, which gives the pair's
-    gradient and the attention's, summed over ``axes`` where it broadcasts."""
     def grad(g):
         swapped = g[::-1]
-        return g + swapped * att, (swapped * pair).sum(axis=axes)
+        g_att = np.add.reduce(swapped * pair, axis=axes).reshape(sig.shape)
+        return g + swapped * att, T._sigmoid_grad(g_att, sig)
 
-    return pair + (pair * att)[::-1], grad
+    return pair + (pair * att)[::-1], att, grad
 
 
 def rectify_channel(pair: np.ndarray, params: dict[str, Tensor], level: int):
     """Cross-calibrate per channel. Returns the rectified pair, the
     2 x C x 1 x 1 attention and the stage's backward."""
     _, c, h, w = pair.shape
-    w1, b1, w2, b2 = _level(params, level, "ch.w1", "ch.b1", "ch.w2", "ch.b2")
+    w1, b1, w2, b2 = (params[n] for n in _names(level)[:4])
     w1d, w2d = w1.data, w2.data
-    flat = pair.reshape(2, c, h * w)
-    idx = flat.argmax(axis=-1)[..., None]  # first max wins; deterministic
-    z = np.concatenate([pair.mean(axis=(-2, -1)), flat.max(axis=-1)], axis=1)
-    z = z.reshape(1, 4 * c)  # [avg_a, max_a, avg_b, max_b]
+    # each map and channel's max pixel, first max in row-major order winning
+    peaks = (np.arange(2)[:, None], np.arange(c),
+             *np.unravel_index(pair.reshape(2, c, h * w).argmax(axis=-1), (h, w)))
+    # [avg_a, max_a, avg_b, max_b]; the avg as np.mean takes it
+    z = np.concatenate([np.add.reduce(pair, axis=(2, 3)) / (h * w), pair[peaks]],
+                       axis=1).reshape(1, 4 * c)
     pre = z @ w1d + b1.data
     hidden, th = T._gelu(pre)
     logits = hidden @ w2d + b2.data
-    _check_logits(logits, "channel")
-    att = T._sigmoid(logits)
-    att4 = att.reshape(2, c, 1, 1)
-    out, rectify_grad = _cross_rectify(pair, att4, (2, 3))
+    out, att, rectify_grad = _cross_rectify(pair, logits, (2, c, 1, 1), (2, 3), "channel")
 
     def grad(g):
-        g_pair, g_att = rectify_grad(g)
-        g_logits = T._sigmoid_grad(g_att.reshape(1, 2 * c), att)
+        g_pair, g_logits = rectify_grad(g)
         accumulate_grad(b2, g_logits.sum(axis=0))
         accumulate_grad(w2, hidden.T @ g_logits)
         g_pre = T._gelu_grad(g_logits @ w2d.T, pre, th)
         accumulate_grad(b1, g_pre.sum(axis=0))
         accumulate_grad(w1, z.T @ g_pre)
-        g_z = (g_pre @ w1d.T).reshape(2, 2 * c)
-        g_max = np.zeros_like(flat)
-        np.put_along_axis(g_max, idx, g_z[:, c:, None], axis=-1)
-        g_pair += g_max.reshape(pair.shape)
-        g_pair += (g_z[:, :c] / (h * w))[..., None, None]
+        g_z = (g_pre @ w1d.T).reshape(2, 2, c)
+        g_pair[peaks] += g_z[:, 1]  # each max to its pixel
+        g_pair += (g_z[:, 0] / (h * w))[..., None, None]
         return g_pair
 
-    return out, att4, grad
+    return out, att, grad
 
 
 def rectify_spatial(pair: np.ndarray, params: dict[str, Tensor], level: int):
     """Cross-calibrate per pixel. Returns the rectified pair and the stage's
     backward."""
     _, c, h, w = pair.shape
-    sw, sb = _level(params, level, "sp.w", "sp.b")
+    sw, sb = (params[n] for n in _names(level)[4:6])
     swd = sw.data
-    logits, tokens = T._mix(pair.reshape(2 * c, h, w), swd, sb.data)
-    _check_logits(logits, "spatial")
-    att = T._sigmoid(logits)
-    out, rectify_grad = _cross_rectify(pair, att.reshape(2, 1, h, w), 1)
+    logits, _ = T._mix(pair.reshape(2 * c, h, w), swd, sb.data)
+    out, _, rectify_grad = _cross_rectify(pair, logits, (2, 1, h, w), 1, "spatial")
 
     def grad(g):
-        g_pair, g_att = rectify_grad(g)
-        g_f, g_w, g_b = T._mix_grad(T._sigmoid_grad(g_att, att), tokens, swd)
+        g_pair, g_logits = rectify_grad(g)
+        tokens = pair.reshape(2 * c, h * w).T  # _mix's copy again, rather than kept on the tape
+        g_f, g_w, g_b = T._mix_grad(g_logits, tokens, swd)
         accumulate_grad(sb, g_b)
         accumulate_grad(sw, g_w)
         g_pair += g_f.reshape(pair.shape)
@@ -126,7 +128,7 @@ def fuse(pair: np.ndarray, params: dict[str, Tensor], level: int):
     """Mix the rectified pair down to one C x h x w map. Returns the map and
     the stage's backward."""
     _, c, h, w = pair.shape
-    fw, fb = _level(params, level, "fuse.w", "fuse.b")
+    fw, fb = (params[n] for n in _names(level)[6:])
     fwd = fw.data
     out, tokens = T._mix(pair.reshape(2 * c, h, w), fwd, fb.data)
 
@@ -146,7 +148,7 @@ def mim_forward(f_robust: Tensor, f_fragile: Tensor, params: dict[str, Tensor],
     if f_robust.ndim != 3 or f_fragile.shape != f_robust.shape:
         raise TensorError(f"mim_forward: need two equal C x h x w maps, got "
                           f"{f_robust.shape} and {f_fragile.shape}")
-    pair = np.stack([f_robust.data, f_fragile.data])
+    pair = np.concatenate((f_robust.data[None], f_fragile.data[None]))  # as np.stack lays it out
     pair, _, channel_grad = rectify_channel(pair, params, level)
     pair, spatial_grad = rectify_spatial(pair, params, level)
     out, fuse_grad = fuse(pair, params, level)
@@ -156,5 +158,5 @@ def mim_forward(f_robust: Tensor, f_fragile: Tensor, params: dict[str, Tensor],
         accumulate_grad(f_robust, g_pair[0])
         accumulate_grad(f_fragile, g_pair[1])
 
-    inputs = (f_robust, f_fragile, *_level(params, level, *_PARAM_NAMES))
+    inputs = (f_robust, f_fragile, *(params[n] for n in _names(level)))
     return record_op("mim", out, inputs, bwd)

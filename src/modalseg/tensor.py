@@ -18,6 +18,9 @@ through ``record_op`` with hand-written backwards. Ground rules:
   the node's closure (with the arrays it saved) and its output's ``.grad``
   go before the next node runs, so afterwards the tape is empty and only
   leaves (parameters and caller-made ``requires_grad`` tensors) keep ``.grad``
+- ``unstack`` records nothing: a gradient accumulated into one of its views
+  goes straight into the view's slice of the parent's ``.grad``, and the
+  parent's node runs after every consumer of its views
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class Tensor:
     only ``.grad`` is written in place, by gradient accumulation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node_index")
+    __slots__ = ("data", "grad", "requires_grad", "_node_index", "_base")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -111,6 +114,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node_index: int | None = None
+        self._base: tuple[Tensor, tuple[int, ...]] | None = None  # set on unstack views
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,9 +136,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def detach(self) -> "Tensor":
-        return _unchecked(self.data, requires_grad=False)  # data was checked on entry
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -145,6 +146,13 @@ class Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
+        return
+    if t._base is not None:  # an unstack view: its slice of the parent's gradient
+        parent, index = t._base
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+        target = parent.grad[index]
+        target += g  # in place: ``grad[index] += g`` would copy the slice onto itself
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a shared buffer
@@ -160,6 +168,7 @@ def _unchecked(data: np.ndarray, requires_grad: bool) -> Tensor:
     out.grad = None
     out.requires_grad = requires_grad
     out._node_index = None
+    out._base = None
     return out
 
 
@@ -334,25 +343,18 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def unstack(t: Tensor) -> list[Tensor]:
-    """Split the leading axis: one tensor per index, one recorded op each.
-
-    Each part's backward adds into its own slice of ``t.grad``, so the N
-    parts never build N full-size gradient buffers.
-    """
+    """Split the leading axis into views of ``t.data[i]`` that record nothing:
+    a gradient accumulated into view ``i`` goes straight into ``t.grad[i]``
+    (for a view of a view, into its first parent's slice)."""
     if t.ndim < 2:
         raise TensorError(f"unstack: need at least 2 axes, got shape {t.shape}")
-
-    def part(i: int) -> Tensor:
-        def bwd(g):
-            if not t.requires_grad:
-                return
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[i] += g
-
-        return record_op("unstack", t.data[i], (t,), bwd)
-
-    return [part(i) for i in range(t.shape[0])]
+    needs_grad = t.requires_grad and active_tape() is not None
+    views = [_unchecked(part, needs_grad) for part in t.data]  # t's data was checked
+    if needs_grad:
+        parent, index = t._base or (t, ())
+        for i, view in enumerate(views):
+            view._base = (parent, index + (i,))
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,8 @@ def unstack(t: Tensor) -> list[Tensor]:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -518,12 +521,6 @@ def resample_bilinear(f: Tensor, h2: int, w2: int) -> Tensor:
     c, h, w = _check_chw("resample_bilinear", f)
     if h2 < 1 or w2 < 1:
         raise TensorError(f"resample_bilinear: target {h2}x{w2} must be positive")
-    if (h2, w2) == (h, w):
-        def bwd_id(g):
-            _accumulate(f, g)
-
-        return record_op("resample_bilinear", f.data, (f,), bwd_id)
-
     wy = _interp_matrix(h, h2)
     wx = _interp_matrix(w, w2)
     data = np.matmul(np.matmul(wy, f.data), wx.T)

@@ -1,10 +1,10 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
 the MIM pipeline, the head's affine front and the consistency loss as chains
-of recorded ops, and the
-plain numpy expressions that the in-place kernel bodies must reproduce bit for
-bit, and the checkpoint writer whose bytes ``train.save_checkpoint`` must
-reproduce."""
+of recorded ops, the earlier bodies of the ranking, the consistency loss and
+MIM that the current ones must reproduce bit for bit, the plain numpy
+expressions that the in-place kernel bodies must reproduce bit for bit, and
+the checkpoint writer whose bytes ``train.save_checkpoint`` must reproduce."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import modalseg.tensor as T
 from modalseg.encoder import encoder_param_specs
 from modalseg.head import head_param_specs
 from modalseg.mim import mim_param_specs
-from modalseg.tensor import (Tensor, TensorError, accumulate_grad, backward,
-                             no_grad, record_op)
+from modalseg.tensor import (NonFiniteError, Tensor, TensorError, accumulate_grad,
+                             backward, no_grad, record_op)
 from modalseg.train import CKPT_MAGIC, CKPT_VERSION
 
 FD_EPS = 1e-6
@@ -84,6 +84,14 @@ def check_param_grad(loss_fn, params: dict, pname: str, tol=FD_TOL, eps=FD_EPS):
         target.data = base
     err = max_rel_err(target.grad, num)
     assert err < tol, f"{pname}: gradient mismatch, rel err {err:.3g}"
+
+
+def channel_last_maps(array: np.ndarray):
+    """An N x h x w x C leaf and its N C x h x w maps as ``encode_batch`` lays
+    them out: ``T.unstack`` views of the leaf transposed channels-first, so
+    each map is a strided view with the channel axis innermost in memory."""
+    leaf = Tensor(array, requires_grad=True)
+    return leaf, T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +272,25 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
                          params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
 
 
+def cosine_parts(a: np.ndarray, b: np.ndarray):
+    """``(cosine, (af, bf, na, nb))`` of two equal-size arrays: their cosine
+    similarity and the flat arrays and norms it came from, or ``(0.0, None)``
+    when either norm is below NORM_EPS. Every sum is a 1-d sum over a flat
+    copy; ``masm._cosines`` must reproduce it bit for bit with row sums."""
+    if a.size != b.size:
+        raise TensorError(f"cosine: size mismatch {a.shape} vs {b.shape}")
+    af, bf = a.reshape(-1), b.reshape(-1)
+    na = np.sqrt((af * af).sum())
+    nb = np.sqrt((bf * bf).sum())
+    if na < masm.NORM_EPS or nb < masm.NORM_EPS:
+        return 0.0, None
+    return float((af * bf).sum() / (na * nb)), (af, bf, na, nb)
+
+
 def cosine(a: Tensor, b: Tensor) -> Tensor:
     """Cosine similarity of two equal-size features, one recorded op; 0, with
     no gradient, when either is ~zero."""
-    c, parts = masm._cosine_parts(a.data, b.data)
+    c, parts = cosine_parts(a.data, b.data)
     if parts is None:
         return Tensor(0.0)
     af, bf, na, nb = parts
@@ -326,6 +349,171 @@ def consistency_chain(terms, class_count: int) -> Tensor:
     return similarity_divergence(pairs, class_count)
 
 
+def rank_modalities_reference(features, f_m) -> masm.RankingResult:
+    """``masm.rank_modalities`` with one ``cosine_parts`` call per feature."""
+    if len(features) < 2:
+        raise TensorError("rank_modalities: need at least 2 modalities")
+    scores = tuple(cosine_parts(f.data, f_m.data)[0] for f in features)
+    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+    return masm.RankingResult(scale=0, scores=scores, robust_idx=order[0],
+                              fragile_idx=order[-1], remaining=tuple(order[1:-1]))
+
+
+def consistency_loss_reference(terms, class_count: int) -> Tensor:
+    """``masm.consistency_loss`` as one recorded op with one ``cosine_parts``
+    call per similarity: two per term, each flattening f_mim again."""
+    if class_count < 1:
+        raise TensorError("consistency_loss: class_count must be positive")
+    if not terms:
+        return Tensor(0.0)
+
+    def mapped_cosine(f, f_mim):
+        c, parts = cosine_parts(f.data, f_mim.data)
+        x = (np.float64(c) + 1.0) * 0.5
+        return (np.clip(x, masm.SIM_EPS, 1.0),
+                (f, f_mim, c, parts, (x >= masm.SIM_EPS) & (x <= 1.0)))
+
+    k = float(class_count)
+    total = None
+    sims = []
+    for f_mim, f_1, f_2 in terms:
+        a, sim_a = mapped_cosine(f_1, f_mim)
+        b, sim_b = mapped_cosine(f_2, f_mim)
+        mid = (a + b) * 0.5
+        la, lb = np.log(a / mid), np.log(b / mid)
+        sims += [(*sim_a, la), (*sim_b, lb)]
+        value = (a * la + b * lb) * k
+        total = value if total is None else total + value
+    n = float(len(terms))
+
+    def bwd(g):
+        s = g * (k / n)
+        for f, f_mim, c, parts, inside, log_ratio in reversed(sims):
+            if parts is None:
+                continue
+            af, bf, na, nb = parts
+            g_c = ((s * log_ratio) * inside) * 0.5
+            s_c = g_c / (na * nb)
+            accumulate_grad(f, (s_c * bf - (g_c * c / (na * na)) * af).reshape(f.shape))
+            accumulate_grad(f_mim,
+                            (s_c * af - (g_c * c / (nb * nb)) * bf).reshape(f_mim.shape))
+
+    return record_op("consistency", total / n, tuple(t for term in terms for t in term), bwd)
+
+
+# ---------------------------------------------------------------------------
+# reference body of the fused ``mim.mim_forward``: the same three stages in
+# plain numpy, written with more calls (``np.mean``, ``np.concatenate``,
+# ``np.put_along_axis``, a reduction per bias gradient)
+
+
+def _mim_level(params, level, *names):
+    return [params[f"mim.l{level}.{n}"] for n in names]
+
+
+def _cross_rectify_reference(pair, att, axes):
+    def grad(g):
+        swapped = g[::-1]
+        return g + swapped * att, (swapped * pair).sum(axis=axes)
+
+    return pair + (pair * att)[::-1], grad
+
+
+def _check_logits_reference(logits, stage):
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(f"mim: non-finite {stage} attention logits")
+
+
+def rectify_channel_reference(pair, params, level):
+    _, c, h, w = pair.shape
+    w1, b1, w2, b2 = _mim_level(params, level, "ch.w1", "ch.b1", "ch.w2", "ch.b2")
+    w1d, w2d = w1.data, w2.data
+    flat = pair.reshape(2, c, h * w)
+    idx = flat.argmax(axis=-1)[..., None]
+    z = np.concatenate([pair.mean(axis=(-2, -1)), flat.max(axis=-1)], axis=1)
+    z = z.reshape(1, 4 * c)
+    pre = z @ w1d + b1.data
+    hidden, th = T._gelu(pre)
+    logits = hidden @ w2d + b2.data
+    _check_logits_reference(logits, "channel")
+    att = T._sigmoid(logits)
+    att4 = att.reshape(2, c, 1, 1)
+    out, rectify_grad = _cross_rectify_reference(pair, att4, (2, 3))
+
+    def grad(g):
+        g_pair, g_att = rectify_grad(g)
+        g_logits = T._sigmoid_grad(g_att.reshape(1, 2 * c), att)
+        accumulate_grad(b2, g_logits.sum(axis=0))
+        accumulate_grad(w2, hidden.T @ g_logits)
+        g_pre = T._gelu_grad(g_logits @ w2d.T, pre, th)
+        accumulate_grad(b1, g_pre.sum(axis=0))
+        accumulate_grad(w1, z.T @ g_pre)
+        g_z = (g_pre @ w1d.T).reshape(2, 2 * c)
+        g_max = np.zeros_like(flat)
+        np.put_along_axis(g_max, idx, g_z[:, c:, None], axis=-1)
+        g_pair += g_max.reshape(pair.shape)
+        g_pair += (g_z[:, :c] / (h * w))[..., None, None]
+        return g_pair
+
+    return out, att4, grad
+
+
+def rectify_spatial_reference(pair, params, level):
+    _, c, h, w = pair.shape
+    sw, sb = _mim_level(params, level, "sp.w", "sp.b")
+    swd = sw.data
+    logits, tokens = T._mix(pair.reshape(2 * c, h, w), swd, sb.data)
+    _check_logits_reference(logits, "spatial")
+    att = T._sigmoid(logits)
+    out, rectify_grad = _cross_rectify_reference(pair, att.reshape(2, 1, h, w), 1)
+
+    def grad(g):
+        g_pair, g_att = rectify_grad(g)
+        g_f, g_w, g_b = T._mix_grad(T._sigmoid_grad(g_att, att), tokens, swd)
+        accumulate_grad(sb, g_b)
+        accumulate_grad(sw, g_w)
+        g_pair += g_f.reshape(pair.shape)
+        return g_pair
+
+    return out, grad
+
+
+def fuse_reference(pair, params, level):
+    _, c, h, w = pair.shape
+    fw, fb = _mim_level(params, level, "fuse.w", "fuse.b")
+    fwd = fw.data
+    out, tokens = T._mix(pair.reshape(2 * c, h, w), fwd, fb.data)
+
+    def grad(g):
+        g_f, g_w, g_b = T._mix_grad(g, tokens, fwd)
+        accumulate_grad(fb, g_b)
+        accumulate_grad(fw, g_w)
+        return g_f.reshape(pair.shape)
+
+    return out, grad
+
+
+def mim_forward_reference(f_robust: Tensor, f_fragile: Tensor, params: dict,
+                          level: int) -> Tensor:
+    """``mim.mim_forward`` with the reference stage bodies above."""
+    if f_robust.ndim != 3 or f_fragile.shape != f_robust.shape:
+        raise TensorError(f"mim_forward: need two equal C x h x w maps, got "
+                          f"{f_robust.shape} and {f_fragile.shape}")
+    pair = np.stack([f_robust.data, f_fragile.data])
+    pair, _, channel_grad = rectify_channel_reference(pair, params, level)
+    pair, spatial_grad = rectify_spatial_reference(pair, params, level)
+    out, fuse_grad = fuse_reference(pair, params, level)
+
+    def bwd(g):
+        g_pair = channel_grad(spatial_grad(fuse_grad(g)))
+        accumulate_grad(f_robust, g_pair[0])
+        accumulate_grad(f_fragile, g_pair[1])
+
+    names = ("ch.w1", "ch.b1", "ch.w2", "ch.b2", "sp.w", "sp.b", "fuse.w", "fuse.b")
+    return record_op("mim", out, (f_robust, f_fragile, *_mim_level(params, level, *names)),
+                     bwd)
+
+
 # ---------------------------------------------------------------------------
 # reference for the fused ``head.embed``
 
@@ -360,6 +548,11 @@ def gelu_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gelu_grad_reference(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
     du = T._GELU_C * (1.0 + 3 * 0.044715 * x**2)
     return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du)
+
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def layer_norm_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -184,7 +184,6 @@ def test_batch_adds_only_one_unstack_per_image_per_stage(monkeypatch):
         with no_grad():
             encode_batch([Tensor(np.ones((3, 32, 32)))] * n, SMALL, small_params())
         counts[n] = {name: names.count(name) for name in set(names)}
-    assert counts[16].pop("unstack") == 4 * 16
-    assert counts[1].pop("unstack") == 4
+    assert "unstack" not in counts[1] and "unstack" not in counts[16]  # views record nothing
     assert counts[16] == counts[1]
     assert counts[1]["stack"] == 1 and counts[1]["transpose"] == 2 * 4

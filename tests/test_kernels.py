@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from helpers import (class_argmax_reference, gelu_grad_reference, gelu_reference,
+from helpers import (check_grads, class_argmax_reference, gelu_grad_reference, gelu_reference,
                      layer_norm_reference, linear_reference, mean_reference,
-                     mix_reference)
+                     mix_reference, sigmoid_reference, sum_all)
 from modalseg.data import generate_scene
 from modalseg.encoder import encode_batch
 from modalseg.head import embed
@@ -74,6 +74,19 @@ def test_gelu_matches_reference_bitwise(shape):
         assert check()
 
 
+# the MIM attention logits: channel (1 x 2C) and spatial (2 x h x w), train-masm
+SIGMOID_SHAPES = [(1, 16), (1, 24), (1, 32), (1, 48),
+                  (2, 8, 8), (2, 4, 4), (2, 2, 2), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", SIGMOID_SHAPES)
+def test_sigmoid_matches_reference_bitwise(shape):
+    for x in draws(shape, 12):  # the uniform draws saturate
+        check = unchanged(x)
+        assert same(T._sigmoid(x), sigmoid_reference(x))
+        assert check()
+
+
 @pytest.mark.parametrize("shape", NORM_SHAPES)
 def test_layer_norm_matches_reference_bitwise(shape):
     rng = np.random.default_rng(3)
@@ -121,16 +134,21 @@ def test_mean_feature_matches_reference_bitwise(shape, count):
 
 
 def test_same_size_resample_returns_the_input_array():
+    """``_interp_matrix(n, n)`` is the identity, so a same-size resample gives
+    the input's values, and its gradient passes through unchanged."""
     rng = np.random.default_rng(10)
     f = Tensor(rng.standard_normal((16, 16, 16)), requires_grad=True)
     check = unchanged(f.data)
     out = T.resample_bilinear(f, 16, 16)
-    assert out.data is f.data
+    assert same(out.data, f.data)
     g = rng.standard_normal(f.shape)
     T.backward(T.linear(T.reshape(out, (1, f.size)),
                         Tensor(g.reshape(-1, 1)), Tensor(np.zeros(1))))
-    assert np.array_equal(f.grad, g)
+    assert same(f.grad, g)
     assert check()
+    pick = Tensor(rng.standard_normal((2, 3, 4)))
+    check_grads(lambda x: sum_all(T.mul(T.resample_bilinear(x, 3, 4), pick)),
+                [rng.standard_normal((2, 3, 4))])
 
 
 @pytest.mark.parametrize("shape", [(5, 64, 64), (3, 32, 32), (2, 8, 8), (16, 4, 4)])

@@ -12,7 +12,8 @@ from modalseg.masm import (SIM_EPS, consistency_loss, masm_forward, mean_feature
                            rank_modalities)
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 
-from helpers import (check_param_grad, clamp, consistency_chain, cosine, div,
+import helpers
+from helpers import (check_grads, check_param_grad, clamp, consistency_chain, cosine, div,
                      init_encoder_params, init_mim_params, log, map_similarity, sum_all)
 
 
@@ -383,6 +384,71 @@ def test_consistency_op_byte_equal_to_reference_chain():
             runs.append([loss.data.tobytes()]
                         + [None if t.grad is None else t.grad.tobytes() for t in leaves])
         assert runs[0] == runs[1], f"case {case}"
+
+
+def _channel_last_case(rng, count):
+    """One N x h x w x C leaf and its channel-last views (``encode_batch``'s
+    layout), with zero, ~zero, antiparallel and repeated maps mixed in."""
+    c, h, w = (int(v) for v in rng.integers(1, 9, size=3))
+    arrays = rng.normal(size=(count, h, w, c)) * rng.choice([1e-3, 1.0, 30.0])
+    for i in range(1, count):
+        kind = rng.integers(8)
+        if kind == 0:
+            arrays[i] = 0.0 if rng.random() < 0.5 else arrays[i] * 1e-14
+        elif kind == 1:
+            arrays[i] = -arrays[int(rng.integers(i))] * rng.uniform(0.5, 2.0)
+        elif kind == 2:
+            arrays[i] = arrays[int(rng.integers(i))]
+    return helpers.channel_last_maps(arrays)
+
+
+def test_ranking_bit_identical_to_reference():
+    """``rank_modalities`` takes every cosine as a row sum over C-order rows;
+    its scores and order equal ``helpers.rank_modalities_reference``'s, which
+    takes one flat 1-d sum per feature, in 300 cases of channel-last maps."""
+    rng = np.random.default_rng(60)
+    for case in range(300):
+        _, maps = _channel_last_case(rng, int(rng.integers(2, 6)))
+        f_m = mean_feature(maps)
+        for ref in (f_m, maps[0]):
+            got = rank_modalities(maps, ref)
+            want = helpers.rank_modalities_reference(maps, ref)
+            assert np.array(got.scores).tobytes() == np.array(want.scores).tobytes(), case
+            assert got == want, case
+
+
+def test_consistency_bit_identical_to_reference():
+    """Value and every gradient of ``consistency_loss`` equal those of
+    ``helpers.consistency_loss_reference``, the body with one flat cosine per
+    similarity, byte for byte, in 300 cases of channel-last maps shared
+    between terms, with an f_mim that is a recorded op's output."""
+    rng = np.random.default_rng(61)
+    for case in range(300):
+        state = rng.bit_generator.state
+        runs = []
+        for op in (consistency_loss, helpers.consistency_loss_reference):
+            rng.bit_generator.state = state  # the same draw for both
+            leaf, maps = _channel_last_case(rng, int(rng.integers(3, 7)))
+            maps.append(T.mul(maps[-1], 1.3))
+            terms = [tuple(maps[j] for j in rng.integers(0, len(maps), size=3))
+                     for _ in range(int(rng.integers(1, 5)))]
+            loss = op(terms, int(rng.integers(1, 9)))
+            pick = Tensor(rng.normal(size=maps[0].shape))
+            # map 0 feeds a second op too, so its gradients' summing order counts
+            backward(T.add(T.mul(loss, 1.7), sum_all(T.mul(maps[0], pick))))
+            runs.append((loss.data.tobytes(), leaf.grad.tobytes()))
+        assert runs[0] == runs[1], f"case {case}"
+
+
+def test_consistency_gradients_through_channel_last_views():
+    rng = np.random.default_rng(62)
+
+    def build(leaf):
+        f = T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
+        return consistency_loss([(f[0], f[1], f[2]), (f[3], f[2], f[0])], 5)
+
+    for _ in range(5):
+        check_grads(build, [rng.normal(size=(4, 2, 3, 2))])
 
 
 @pytest.mark.parametrize("name", ["mean", "consistency"])

@@ -214,6 +214,56 @@ def test_stacked_pair_matches_two_map_chain(seed):
         assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
 
 
+# (C, grid side) of each level of the benchmark's training pyramid
+TRAIN_LEVELS = [(8, 8), (12, 4), (16, 2), (24, 1)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("layout", ["channel-last", "C"])
+def test_mim_body_bit_identical_to_reference_body(seed, layout):
+    """``mim_forward`` against ``helpers.mim_forward_reference``, the body it
+    replaced: the output, the maps' gradients and all eight parameter
+    gradients equal byte for byte. The maps are the channel-last strided
+    views ``encode_batch`` produces, where the pooling order depends on the
+    layout, or C-order maps; scale 30 saturates the sigmoids, so some
+    attention gradients are exact zeros."""
+    rng = np.random.default_rng(900 + seed)
+    shapes = [(c, s, s) for c, s in TRAIN_LEVELS]
+    shapes.append(tuple(int(v) for v in rng.integers(1, 7, size=3)))
+    for c, h, w in shapes:
+        arrays = rng.normal(size=(2, h, w, c)) * rng.choice([1e-3, 1.0, 30.0])
+        pick = Tensor(rng.normal(size=(c, h, w)))
+        runs = []
+        for forward in (mim_forward, helpers.mim_forward_reference):
+            params = params_for((c,), seed)
+            if layout == "C":
+                leaf = Tensor(arrays.transpose(0, 3, 1, 2).copy(), requires_grad=True)
+                maps = T.unstack(leaf)
+            else:
+                leaf, maps = helpers.channel_last_maps(arrays)
+            out = forward(maps[0], maps[1], params, 0)
+            backward(sum_all(T.mul(out, pick)))
+            runs.append([out.data.tobytes(), leaf.grad.tobytes()]
+                        + [t.grad.tobytes() for t in params.values()])
+        assert runs[0] == runs[1], (c, h, w)
+
+
+def test_mim_gradients_through_channel_last_views():
+    """Finite differences of every input of ``mim_forward`` fed the two
+    channel-last views of one leaf, as ``masm_forward`` feeds it."""
+    rng = np.random.default_rng(910)
+    params = params_for((3,), seed=910)
+    names = list(params)
+    weights = Tensor(rng.normal(size=(3, 2, 3)))
+
+    def build(leaf, *ws):
+        maps = T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
+        return sum_all(T.mul(mim_forward(maps[1], maps[0], dict(zip(names, ws)), 0), weights))
+
+    check_grads(build, [rng.normal(size=(2, 2, 3, 3)),
+                        *(rng.normal(scale=0.5, size=t.shape) for t in params.values())])
+
+
 @pytest.mark.parametrize("pname", ["ch.w2", "sp.w"])
 def test_huge_attention_weights_raise_nonfinite(pname):
     """An overflowing attention logit raises, though its sigmoid would be a

@@ -639,7 +639,7 @@ def test_uniform_param_bounds():
 
 def test_stack_unstack_round_trip_and_ops(monkeypatch):
     rng = np.random.default_rng(40)
-    parts = [Tensor(rng.normal(size=(2, 3, 4))) for _ in range(5)]
+    parts = [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(5)]
     names = []
     real = T.record_op
 
@@ -650,21 +650,58 @@ def test_stack_unstack_round_trip_and_ops(monkeypatch):
     monkeypatch.setattr(T, "record_op", counting)
     stacked = T.stack(parts)
     back = T.unstack(stacked)
-    assert names == ["stack"] + ["unstack"] * 5
+    assert names == ["stack"]  # the views record nothing
+    assert len(T.active_tape()) == 1
     assert stacked.shape == (5, 2, 3, 4)
     for a, b in zip(parts, back):
         assert a.data.tobytes() == b.data.tobytes()
+        assert np.shares_memory(b.data, stacked.data) and b.requires_grad
+    T.active_tape().clear()
 
 
-def test_detach_shares_data_without_rescanning(monkeypatch):
-    t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    scans = []
-    real = np.isfinite
-    monkeypatch.setattr(np, "isfinite", lambda x: scans.append(x) or real(x))
-    d = t.detach()
-    assert scans == []
-    assert d.data is t.data and not d.requires_grad and d.grad is None
-    assert d._node_index is None
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unstack_view_gradients(seed):
+    """Finite differences through unstack views: of a recorded op's output
+    whose view 0 is consumed twice while the base is consumed directly too
+    (view 1 unused: its slice gets only the direct gradient), of a leaf, and
+    of a view of a view."""
+    rng = np.random.default_rng(700 + seed)
+    a = rng.normal(size=(3, 2, 2))
+    pick = Tensor(rng.normal(size=(3, 2, 2)))
+
+    def twice_and_direct(t):
+        x = T.mul(t, 1.5)
+        v = T.unstack(x)
+        return T.add(T.add(sum_all(exp(v[0])), sum_all(T.mul(v[0], v[2]))),
+                     sum_all(T.mul(T.gelu(x), pick)))
+
+    check_grads(twice_and_direct, [a])
+    check_grads(lambda t: sum_all(T.mul(exp(T.unstack(t)[2]), T.unstack(t)[0])), [a])
+    check_grads(lambda t: sum_all(exp(T.unstack(T.unstack(T.mul(t, 2.0))[1])[0])), [a])
+
+
+def test_unstack_views_route_into_the_parent_gradient():
+    """A view holds no gradient and sits on no tape: its consumers add into
+    their slice of the parent's ``.grad``, and the parent's node runs after
+    all of them."""
+    t = Tensor(np.arange(12.0).reshape(3, 2, 2), requires_grad=True)
+    seen = []
+
+    def parent_bwd(g):
+        seen.append(g.copy())
+        T.accumulate_grad(t, g)
+
+    x = T.record_op("parent", t.data * 1.0, (t,), parent_bwd)
+    v = T.unstack(x)
+    loss = T.add(sum_all(T.mul(v[0], 3.0)), sum_all(T.mul(v[2], 5.0)))
+    assert all(view._node_index is None for view in v)
+    backward(loss)
+    want = np.stack([np.full((2, 2), 3.0), np.zeros((2, 2)), np.full((2, 2), 5.0)])
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    assert np.array_equal(t.grad, want)
+    assert all(view.grad is None for view in v) and x.grad is None
+    with no_grad():
+        assert not any(view.requires_grad for view in T.unstack(x))
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
     assert encoded == [3 * 4]
 
 
-MASM_STEP_OP_BUDGET = 186
-EVAL_SCENE_OP_BUDGET = 126
+MASM_STEP_OP_BUDGET = 118
+EVAL_SCENE_OP_BUDGET = 106
 BACKWARD_MEMORY_BUDGET = 2 * 2**20  # bytes backward may add over what the forward holds
 CHECKPOINT_LOAD_MEMORY_BUDGET = 2**20  # bytes a load's peak may add over its payload
 
