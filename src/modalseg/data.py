@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import IMAGE_CHANNELS
+from .encoder import IMAGE_CHANNELS, TOTAL_DOWNSAMPLE
 from .head import IGNORE_LABEL
 from .tensor import _interp_matrix
 
@@ -39,6 +39,7 @@ MAX_CLASSES = 16
 NIGHT_DIM = 0.15
 NIGHT_NOISE_SIGMA = 0.2
 RANGE_DROPOUT = 0.9
+ILLUM_GRID = 4  # side of the coarse grid the illumination field is upsampled from
 
 
 class DatasetFormatError(ValueError):
@@ -93,10 +94,10 @@ def _paint_label_map(rng: np.random.Generator, h: int, w: int, k: int) -> np.nda
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int,
-                  lo: float, hi: float, grid: int = 4) -> np.ndarray:
+                  lo: float, hi: float) -> np.ndarray:
     """Bilinear upsample of a coarse uniform grid: a gentle illumination field."""
-    coarse = rng.uniform(lo, hi, size=(grid, grid))
-    return _interp_matrix(grid, h) @ coarse @ _interp_matrix(grid, w).T
+    coarse = rng.uniform(lo, hi, size=(ILLUM_GRID, ILLUM_GRID))
+    return _interp_matrix(ILLUM_GRID, h) @ coarse @ _interp_matrix(ILLUM_GRID, w).T
 
 
 def _render_camera(class_map, k, rng_cam, rng_noise, night: bool) -> np.ndarray:
@@ -133,8 +134,8 @@ def _render_range(depth: np.ndarray, rng_range) -> np.ndarray:
 def generate_scene(seed: int, h: int, w: int, k: int, m: int = 4,
                    p_night: float = 0.5) -> ModalityScene:
     """Render one scene; identical seeds give bit-identical scenes."""
-    if h % 32 or w % 32:
-        raise ValueError(f"scene size {h}x{w} must be divisible by 32")
+    if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
+        raise ValueError(f"scene size {h}x{w} must be divisible by {TOTAL_DOWNSAMPLE}")
     if not 1 <= k <= MAX_CLASSES:
         raise ValueError(f"class count must be in [1, {MAX_CLASSES}]")
     if not 1 <= m <= len(MODALITY_NAMES):
@@ -149,14 +150,10 @@ def generate_scene(seed: int, h: int, w: int, k: int, m: int = 4,
     class_map = _paint_label_map(rng_label, h, w, k)
     night = bool(rng_cond.random() < p_night)
 
+    # in MODALITY_NAMES order; each sensor has its own streams, so m changes no image
     depth = _render_depth(class_map, k, rng_depth)
-    renders = {
-        "camera": lambda: _render_camera(class_map, k, rng_cam, rng_noise, night),
-        "depth": lambda: depth,
-        "event": lambda: _render_event(class_map),
-        "range": lambda: _render_range(depth, rng_range),
-    }
-    modalities = [renders[name]() for name in MODALITY_NAMES[:m]]
+    sensors = [_render_camera(class_map, k, rng_cam, rng_noise, night), depth,
+               _render_event(class_map), _render_range(depth, rng_range)]
 
     labels = class_map.astype(np.uint8)
     labels[:BORDER, :] = IGNORE_LABEL
@@ -164,7 +161,7 @@ def generate_scene(seed: int, h: int, w: int, k: int, m: int = 4,
     labels[:, :BORDER] = IGNORE_LABEL
     labels[:, -BORDER:] = IGNORE_LABEL
     return ModalityScene(seed=int(seed), condition="night" if night else "day",
-                         modalities=modalities, labels=labels)
+                         modalities=sensors[:m], labels=labels)
 
 
 def generate_dataset(seed: int, count: int, h: int, w: int, k: int,

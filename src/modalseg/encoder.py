@@ -10,7 +10,7 @@ The output pyramid has 4 levels at 1/4, 1/8, 1/16, 1/32 of the input size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import tensor as T
 from .tensor import Tensor, TensorError
@@ -20,23 +20,13 @@ PYRAMID_LEVELS = len(STAGE_DOWNSAMPLE)
 TOTAL_DOWNSAMPLE = 32
 IMAGE_CHANNELS = 3  # every modality image is 3 x H x W, here and in .mmss files
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    stage_channels: tuple[int, ...] = (16, 32, 64, 96)
-    blocks_per_stage: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.stage_channels) != PYRAMID_LEVELS:
-            raise ValueError(f"need {PYRAMID_LEVELS} stage channel counts")
-        if any(c < 1 for c in self.stage_channels):
-            raise ValueError("stage channels must be positive")
-        if self.blocks_per_stage < 1:
-            raise ValueError("blocks_per_stage must be positive")
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
-def encoder_param_specs(cfg: EncoderConfig) -> T.ParamSpecs:
-    """Name and spec of every encoder parameter, in draw order."""
+def encoder_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
+    """Name and spec of every encoder parameter, in draw order; reads the
+    config's ``stage_channels`` and ``blocks_per_stage``."""
     c_in = IMAGE_CHANNELS
     for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
         fan = c_in * k * k
@@ -70,7 +60,7 @@ def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return T.add(x, h)
 
 
-def encode_batch(images: list[Tensor], cfg: EncoderConfig,
+def encode_batch(images: list[Tensor], cfg: ModelConfig,
                  params: dict[str, Tensor]) -> list[list[Tensor]]:
     """Encode N equal-size images as one N x C x H x W stack with the same
     weights; one pyramid per image, in input order."""

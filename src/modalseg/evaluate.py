@@ -93,15 +93,12 @@ class MassReport:
 # evaluation
 
 
-def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
-                  predictor=None) -> MassReport:
+def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset) -> MassReport:
     """Score every modality subset across the split.
 
-    ``predictor(images, scene) -> label map`` can replace model inference
-    (used by oracle tests); by default the model predicts, encoding each
-    modality of a scene once, passing the scene's pyramids through the head's
-    affine front (``head.embed``) in one call and averaging those embeddings
-    for every subset.
+    Each modality of a scene is encoded once, the scene's pyramids pass
+    through the head's affine front (``head.embed``) in one call, and every
+    subset is predicted by ``infer`` from the mean of its embeddings.
     """
     if tuple(dataset.modality_names) != tuple(cfg.modality_names):
         raise ValueError(
@@ -113,15 +110,11 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset,
     k = dataset.num_classes
     cms = np.zeros((len(subsets), k, k), dtype=np.int64)
     for scene in dataset.scenes:
-        images = scene_tensors(scene)
-        if predictor is None:
-            with T.no_grad():
-                embedded = T.unstack(embed(encode_batch(images, cfg.encoder, params),
-                                           params))
-            preds = [infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
-                     for subset in subsets]
-        else:
-            preds = [predictor([images[i] for i in subset], scene) for subset in subsets]
+        with T.no_grad():
+            embedded = T.unstack(embed(encode_batch(scene_tensors(scene), cfg, params),
+                                       params))
+        preds = [infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
+                 for subset in subsets]
         cms += confusion_matrix(scene.labels, np.stack(preds), k)
     scores = tuple(miou(cm) for cm in cms)
     names = tuple(subset_name(s, dataset.modality_names) for s in subsets)
@@ -219,7 +212,7 @@ def rankings_csv(cfg: ModelConfig, params, dataset: Dataset) -> str:
     lines = ["sample,scale,modality,cosine,robust,fragile"]
     with T.no_grad():
         for sample_idx, scene in enumerate(dataset.scenes):
-            pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
+            pyramids = encode_batch(scene_tensors(scene), cfg, params)
             for level, f_m in enumerate(fuse_mean(pyramids)):
                 features = [pyr[level] for pyr in pyramids]
                 rank = rank_modalities(features, f_m)

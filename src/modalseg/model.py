@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import ModalityScene
-from .encoder import EncoderConfig, encode_batch, encoder_param_specs
+from .encoder import encode_batch, encoder_param_specs
 from .head import cross_entropy, decode, embed, head_param_specs
 from .masm import RankingResult, consistency_loss, masm_forward, mean_feature
 from .mim import mim_param_specs
@@ -29,11 +29,14 @@ FUSION_MODES = ("masm", "mean")
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A dataset's classes and modalities plus the architecture that
+    ``TrainConfig.model_config`` copies in, after ``TrainConfig`` checked it."""
+
     num_classes: int
     modality_names: tuple[str, ...]
-    stage_channels: tuple[int, ...] = (16, 32, 64, 96)
-    blocks_per_stage: int = 1
-    d_embed: int = 64
+    stage_channels: tuple[int, ...]
+    blocks_per_stage: int
+    d_embed: int
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
@@ -42,18 +45,11 @@ class ModelConfig:
             raise ValueError("need at least one modality name")
         if len(set(self.modality_names)) != len(self.modality_names):
             raise ValueError("modality names must be unique")
-        EncoderConfig(stage_channels=self.stage_channels,
-                      blocks_per_stage=self.blocks_per_stage)
-
-    @property
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(stage_channels=self.stage_channels,
-                             blocks_per_stage=self.blocks_per_stage)
 
 
 def model_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
     """Specs of every tensor ``init_model_params`` builds, lazily; allocates nothing."""
-    yield from encoder_param_specs(cfg.encoder)
+    yield from encoder_param_specs(cfg)
     yield from mim_param_specs(cfg.stage_channels)
     yield from head_param_specs(cfg.stage_channels, cfg.d_embed, cfg.num_classes)
 
@@ -73,7 +69,7 @@ def scene_tensors(scene: ModalityScene) -> list[Tensor]:
 
 
 def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
-                  params: dict[str, Tensor], fusion: str = "masm"
+                  params: dict[str, Tensor], fusion: str
                   ) -> list[tuple[Tensor, Tensor, list[RankingResult]]]:
     """Supervision loss L_M, consistency loss L_C, and rankings, one triple
     per scene; the mean arm's L_C is an untracked 0 and its rankings empty.
@@ -89,7 +85,7 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
             raise TensorError(f"scene has {len(scene.modalities)} modalities, "
                               f"model expects {m}")
     images = [t for scene in batch for t in scene_tensors(scene)]
-    pyramids = encode_batch(images, cfg.encoder, params)
+    pyramids = encode_batch(images, cfg, params)
     fused, selection = [], []
     for i in range(len(batch)):
         scene_pyramids = pyramids[i * m:(i + 1) * m]
@@ -108,7 +104,7 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
 def infer_logits(images: list[Tensor], cfg: ModelConfig,
                  params: dict[str, Tensor], out_size: tuple[int, int]) -> Tensor:
     """Mean-fused backbone inference for an arbitrary modality subset."""
-    embedded = T.unstack(embed(encode_batch(images, cfg.encoder, params), params))
+    embedded = T.unstack(embed(encode_batch(images, cfg, params), params))
     return decode(mean_feature(embedded), params, out_size)
 
 

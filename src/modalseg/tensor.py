@@ -425,14 +425,17 @@ def gelu(t: Tensor) -> Tensor:
     return record_op("gelu", out_data, (t,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift per channel."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise TensorError(f"layer_norm: scale/shift must have shape ({c},)")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     # the variance as np.var takes it: the mean of the squared deviations
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
 
     def bwd(g):

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, atomic_target
+from .encoder import PYRAMID_LEVELS
 from .head import total_loss
 from .masm import mean_feature
 from .model import (FUSION_MODES, ModelConfig, forward_train, init_model_params,
@@ -64,6 +65,8 @@ class TrainingAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings; the architecture's only defaults and only checks."""
+
     stage_channels: tuple[int, ...] = (16, 32, 64, 96)
     blocks_per_stage: int = 1
     d_embed: int = 64
@@ -77,6 +80,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.stage_channels) != PYRAMID_LEVELS:
+            raise ValueError(f"need {PYRAMID_LEVELS} stage channel counts")
+        if any(c < 1 for c in self.stage_channels):
+            raise ValueError("stage channels must be positive")
+        if self.blocks_per_stage < 1:
+            raise ValueError("blocks_per_stage must be positive")
+        if self.d_embed < 1:
+            raise ValueError("d_embed must be positive")
+        for name in ("beta", "base_lr", "poly_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.base_lr <= 0:
@@ -93,6 +107,8 @@ class TrainConfig:
             raise ValueError(f"fusion must be one of {FUSION_MODES}")
 
     def model_config(self, num_classes: int, modality_names) -> ModelConfig:
+        """The model this config trains on a dataset of these classes and
+        modalities; the one place a ``ModelConfig`` is built."""
         return ModelConfig(num_classes=num_classes,
                            modality_names=tuple(modality_names),
                            stage_channels=self.stage_channels,
@@ -101,28 +117,35 @@ class TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """Read a [model]/[train] INI file; unknown keys are an error. [model] takes
-    the fields ``ModelConfig`` shares with ``TrainConfig``, [train] the rest; a
-    value parses as its default's type, ``stage_channels`` as a comma list."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
+    """Read a UTF-8 [model]/[train] INI file; unknown keys are an error. [model]
+    takes the fields ``ModelConfig`` shares with ``TrainConfig``, [train] the
+    rest; a value parses as its default's type, ``stage_channels`` as a comma
+    list. Any flaw, down to a value ``TrainConfig`` rejects, raises a
+    ``ValueError`` that names the file; a missing file ``FileNotFoundError``."""
     model_keys = {f.name for f in fields(ModelConfig)}
     handlers: dict[str, dict] = {"model": {}, "train": {}}
     for f in fields(TrainConfig):
         kind = type(f.default)
         parse = (lambda v: tuple(int(x) for x in v.split(","))) if kind is tuple else kind
         handlers["model" if f.name in model_keys else "train"][f.name] = parse
-    kwargs: dict = {}
-    for section in parser.sections():
-        if section not in handlers:
-            raise ValueError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in handlers[section]:
-                raise ValueError(f"unknown config key {key!r} in [{section}]")
-            kwargs[key] = handlers[section][key](raw)
-    return TrainConfig(**kwargs)
+    parser = configparser.ConfigParser(interpolation=None)  # no key interpolates
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        if parser.defaults():  # its keys would pass into every section unchecked
+            raise ValueError(f"unknown config section [{parser.default_section}]")
+        kwargs: dict = {}
+        for section in parser.sections():
+            if section not in handlers:
+                raise ValueError(f"unknown config section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in handlers[section]:
+                    raise ValueError(f"unknown config key {key!r} in [{section}]")
+                kwargs[key] = handlers[section][key](raw)
+        return TrainConfig(**kwargs)
+    except (ValueError, configparser.Error) as exc:  # ValueError covers UTF-8 decoding
+        message = " ".join(str(exc).split())  # some parser errors span lines
+        raise ValueError(f"config file {path}: {message}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +234,7 @@ def train_step(batch, params: dict[str, Tensor], opt: AdamState,
 
 def train(cfg: TrainConfig, dataset: Dataset, out_dir,
           resume: "Checkpoint | None" = None) -> tuple[dict[str, Tensor], list[dict]]:
-    """Full run: shuffle per epoch, log per epoch, checkpoint at the end.
+    """Full run: shuffle per epoch; log and checkpoint after every epoch.
 
     Returns the trained parameters and the per-epoch log rows.
     """

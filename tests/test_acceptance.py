@@ -145,7 +145,7 @@ def _op_cases(rng):
 
 
 def _full_loss(scene, cfg, params):
-    l_m, l_c, _ = forward_train([scene], cfg, params)[0]
+    l_m, l_c, _ = forward_train([scene], cfg, params, "masm")[0]
     return total_loss(l_m, l_c, beta=1.0)
 
 
@@ -360,7 +360,7 @@ def test_criterion_6_night_camera_ranks_fragile():
     totals = {"day": 0, "night": 0}
     for scene in eval_ds.scenes:
         with no_grad():
-            pyramids = encode_batch(scene_tensors(scene), mcfg.encoder, params)
+            pyramids = encode_batch(scene_tensors(scene), mcfg, params)
             _, rankings, _ = masm_forward(pyramids, params)
         totals[scene.condition] += 1
         hits[scene.condition] += rankings[0].fragile_idx == 0  # scale 1, camera

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from modalseg.encoder import EncoderConfig, encode_batch
+from modalseg.encoder import encode_batch
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
+from modalseg.train import TrainConfig
 
 from helpers import check_param_grad, init_encoder_params, sum_all
 
-SMALL = EncoderConfig(stage_channels=(4, 6, 8, 10))
+SMALL = TrainConfig(stage_channels=(4, 6, 8, 10)).model_config(2, ("camera",))
 
 
 def small_params(seed=0):
@@ -19,7 +20,7 @@ def small_params(seed=0):
 
 
 def test_pyramid_shapes_64():
-    cfg = EncoderConfig()  # default channels 16/32/64/96
+    cfg = TrainConfig().model_config(2, ("camera",))  # default channels 16/32/64/96
     params = init_encoder_params(cfg, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     with no_grad():
@@ -95,12 +96,13 @@ def test_batch_rejects_mixed_sizes():
 
 
 def test_config_validation():
+    """The encoder's architecture is checked where it is stated, in ``TrainConfig``."""
     with pytest.raises(ValueError):
-        EncoderConfig(stage_channels=(4, 6, 8))
+        TrainConfig(stage_channels=(4, 6, 8))
     with pytest.raises(ValueError):
-        EncoderConfig(stage_channels=(4, 6, 8, 0))
+        TrainConfig(stage_channels=(4, 6, 8, 0))
     with pytest.raises(ValueError):
-        EncoderConfig(blocks_per_stage=0)
+        TrainConfig(blocks_per_stage=0)
 
 
 def pyramid_loss(image: Tensor, params) -> Tensor:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import modalseg.evaluate as evaluate
 import modalseg.tensor as T
 from modalseg.data import generate_dataset
 from modalseg.encoder import encode_batch
@@ -16,16 +18,16 @@ from modalseg.evaluate import (MassReport, ReportFormatError, confusion_matrix,
                                render_report, report_from_json, report_to_json,
                                run_mass_eval, subset_name)
 from modalseg.head import decode, embed
-from modalseg.model import (ModelConfig, fuse_mean, infer, infer_logits,
-                            init_model_params, scene_tensors)
+from modalseg.model import fuse_mean, infer, infer_logits, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, no_grad
+from modalseg.train import TrainConfig
 
 MODALITIES = ("camera", "depth", "event", "range")
-SMALL_MODEL = dict(stage_channels=(4, 6, 8, 10), d_embed=8)
+SMALL_MODEL = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8)
 
 
 def small_model(k=3, m=4, seed=0):
-    cfg = ModelConfig(num_classes=k, modality_names=MODALITIES[:m], **SMALL_MODEL)
+    cfg = SMALL_MODEL.model_config(k, MODALITIES[:m])
     return cfg, init_model_params(cfg, seed)
 
 
@@ -173,11 +175,11 @@ def test_singleton_subset_equals_bare_pipeline():
     scene = eval_dataset(count=1).scenes[0]
     images = scene_tensors(scene)
     with no_grad():
-        embedded = T.unstack(embed(encode_batch([images[1]], cfg.encoder, params), params))
+        embedded = T.unstack(embed(encode_batch([images[1]], cfg, params), params))
     got = infer(embedded, cfg, params, scene.labels.shape)
 
     with no_grad():  # backbone + head only, no selection/rectification code
-        pyramids = encode_batch([images[1]], cfg.encoder, params)
+        pyramids = encode_batch([images[1]], cfg, params)
         logits = decode(T.unstack(embed(pyramids, params))[0], params, scene.labels.shape)
     manual = np.argmax(logits.data, axis=0)
     assert np.array_equal(got, manual)
@@ -188,8 +190,8 @@ def test_duplicated_modality_equals_singleton():
     scene = eval_dataset(count=1).scenes[0]
     img = scene_tensors(scene)[0]
     with no_grad():
-        once = T.unstack(embed(encode_batch([img], cfg.encoder, params), params))
-        twice = T.unstack(embed(encode_batch([img, img], cfg.encoder, params), params))
+        once = T.unstack(embed(encode_batch([img], cfg, params), params))
+        twice = T.unstack(embed(encode_batch([img, img], cfg, params), params))
     single = infer(once, cfg, params, scene.labels.shape)
     doubled = infer(twice, cfg, params, scene.labels.shape)
     assert np.array_equal(single, doubled)
@@ -201,7 +203,7 @@ def test_full_subset_matches_mean_fusion_oracle():
     images = scene_tensors(scene)
     with no_grad():
         got = infer_logits(images, cfg, params, scene.labels.shape)
-        pyramids = [encode_batch([img], cfg.encoder, params)[0] for img in images]
+        pyramids = [encode_batch([img], cfg, params)[0] for img in images]
         fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0))
                  for i in range(4)]
         expect = decode(T.unstack(embed([fused], params))[0], params, scene.labels.shape)
@@ -217,11 +219,10 @@ def test_infer_rejects_empty_subset():
 def test_infer_rejects_pyramids_that_do_not_match_config():
     cfg, params = small_model()
     img = scene_tensors(eval_dataset(count=1).scenes[0])[0]
-    wider = ModelConfig(num_classes=3, modality_names=MODALITIES,
-                        stage_channels=(4, 6, 8, 12), d_embed=8)
+    wider = TrainConfig(stage_channels=(4, 6, 8, 12), d_embed=8).model_config(3, MODALITIES)
     with no_grad():
-        pyramid = encode_batch([img], cfg.encoder, params)[0]
-        other = encode_batch([img], wider.encoder, init_model_params(wider, 0))[0]
+        pyramid = encode_batch([img], cfg, params)[0]
+        other = encode_batch([img], wider, init_model_params(wider, 0))[0]
     for bad in ([pyramid[:3]], [other], [pyramid, other]):
         with pytest.raises(T.TensorError, match="stage channels"):
             with no_grad():  # pyramids enter inference through head.embed
@@ -242,7 +243,7 @@ def test_infer_matches_unfolded_decode_on_every_subset():
     cfg, params = small_model()
     scene = eval_dataset(count=1).scenes[0]
     with no_grad():
-        pyramids = encode_batch(scene_tensors(scene), cfg.encoder, params)
+        pyramids = encode_batch(scene_tensors(scene), cfg, params)
         embedded = T.unstack(embed(pyramids, params))
         for subset in enumerate_subsets(4):
             folded = decode(mean_feature([embedded[i] for i in subset]), params,
@@ -268,29 +269,33 @@ def test_mass_eval_random_model_scores_in_range():
     assert abs(report.mean - np.mean(report.scores)) < 1e-9
 
 
-def test_mass_eval_matches_reencode_per_subset():
+def test_mass_eval_matches_reencode_per_subset(monkeypatch):
     cfg, params = small_model()
     ds = eval_dataset()
+    expected = run_mass_eval(cfg, params, ds)
+    calls = itertools.product(ds.scenes, enumerate_subsets(4))  # the order of prediction
 
-    def reencode(images, scene):
+    def reencode(embedded, mcfg, prm, out_size):
+        scene, subset = next(calls)
+        assert len(embedded) == len(subset) and out_size == scene.labels.shape
+        images = scene_tensors(scene)
         with no_grad():
-            logits = infer_logits(images, cfg, params, scene.labels.shape)
+            logits = infer_logits([images[i] for i in subset], mcfg, prm, out_size)
         return np.argmax(logits.data, axis=0)
 
-    assert run_mass_eval(cfg, params, ds) == run_mass_eval(cfg, params, ds,
-                                                           predictor=reencode)
+    monkeypatch.setattr(evaluate, "infer", reencode)
+    assert run_mass_eval(cfg, params, ds) == expected
+    assert next(calls, None) is None
 
 
 def test_mass_eval_encodes_each_modality_once_per_scene(monkeypatch):
-    import modalseg.evaluate as evaluate
-
     cfg, params = small_model()
     ds = eval_dataset(count=3)
     encoded = []
 
-    def counting(images, enc_cfg, prm):
+    def counting(images, mcfg, prm):
         encoded.append(len(images))
-        return encode_batch(images, enc_cfg, prm)
+        return encode_batch(images, mcfg, prm)
 
     monkeypatch.setattr(evaluate, "encode_batch", counting)
     run_mass_eval(cfg, params, ds)
@@ -298,7 +303,6 @@ def test_mass_eval_encodes_each_modality_once_per_scene(monkeypatch):
 
 
 def test_mass_eval_embeds_each_modality_once_and_decodes_each_subset(monkeypatch):
-    import modalseg.evaluate as evaluate
     import modalseg.model as model
 
     cfg, params = small_model()
@@ -327,14 +331,13 @@ def test_mass_eval_embeds_each_modality_once_and_decodes_each_subset(monkeypatch
     assert embedded == [4] * n  # one call per scene carries all its modalities
 
 
-def test_mass_eval_perfect_oracle_scores_100():
+def test_mass_eval_perfect_oracle_scores_100(monkeypatch):
     cfg, params = small_model()
     ds = eval_dataset(count=1)
-
-    def oracle(images, scene):
-        return np.where(scene.labels == 255, 0, scene.labels).astype(np.int64)
-
-    report = run_mass_eval(cfg, params, ds, predictor=oracle)
+    labels = ds.scenes[0].labels
+    oracle = np.where(labels == 255, 0, labels).astype(np.int64)
+    monkeypatch.setattr(evaluate, "infer", lambda embedded, mcfg, prm, out_size: oracle)
+    report = run_mass_eval(cfg, params, ds)
     assert all(s == 100.0 for s in report.scores)
     assert report.mean == 100.0
 

@@ -22,8 +22,9 @@ from modalseg.data import generate_scene
 from modalseg.encoder import encode_batch
 from modalseg.head import embed
 from modalseg.masm import mean_feature
-from modalseg.model import ModelConfig, class_argmax, infer, init_model_params, scene_tensors
+from modalseg.model import class_argmax, infer, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, no_grad
+from modalseg.train import TrainConfig
 
 SCALES = (1e-3, 1.0, 1e3)
 
@@ -164,12 +165,12 @@ def test_class_argmax_matches_numpy_argmax(shape):
 
 
 def test_infer_breaks_exact_ties_toward_the_lowest_class():
-    cfg = ModelConfig(num_classes=3, modality_names=("camera", "depth"),
-                      stage_channels=(4, 6, 8, 10), d_embed=8)
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8).model_config(
+        3, ("camera", "depth"))
     params = init_model_params(cfg, 0)
     scene = generate_scene(4, 32, 32, 3, m=2)
     with no_grad():
-        embedded = T.unstack(embed(encode_batch(scene_tensors(scene), cfg.encoder, params),
+        embedded = T.unstack(embed(encode_batch(scene_tensors(scene), cfg, params),
                                    params))
     params["head.cls.w"].data = np.zeros_like(params["head.cls.w"].data)
     params["head.cls.b"].data = np.full(3, 0.25)  # every class plane equal

@@ -7,10 +7,11 @@ import pytest
 
 import modalseg.masm as masm
 import modalseg.tensor as T
-from modalseg.encoder import EncoderConfig, encode_batch
+from modalseg.encoder import encode_batch
 from modalseg.masm import (SIM_EPS, consistency_loss, masm_forward, mean_feature,
                            rank_modalities)
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
+from modalseg.train import TrainConfig
 
 import helpers
 from helpers import (check_grads, check_param_grad, clamp, consistency_chain, cosine, div,
@@ -567,7 +568,7 @@ def test_masm_permutation_equivariance():
 
 
 def test_consistency_grads_reach_encoder_weights():
-    cfg = EncoderConfig(stage_channels=(4, 6, 8, 10))
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10)).model_config(5, ("a", "b", "c", "d"))
     rng = np.random.default_rng(18)
     enc_params = init_encoder_params(cfg, rng)
     mim_params = init_mim_params(cfg.stage_channels, rng)

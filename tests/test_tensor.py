@@ -709,10 +709,13 @@ def test_unstack_views_route_into_the_parent_gradient():
 
 
 def test_every_public_tensor_function_has_a_caller_in_src():
-    """``tensor.py`` keeps only what the package runs: every public top-level
-    function is named in ``src/modalseg`` as ``T.<name>`` on an alias of the
-    module, in ``from .tensor import <name>``, or bare inside ``tensor.py``.
-    The alias matters: ``np.exp`` is no use of an ``exp`` op."""
+    """The package keeps only what the program runs, so code that only tests
+    use does not come back. Every public top-level function or class of every
+    ``src/modalseg`` module is named in ``src/modalseg`` or ``bench/`` outside
+    its own definition (an import alone is no use). ``tensor.py``'s functions
+    meet a stricter rule: each is named in ``src/modalseg`` as ``T.<name>`` on
+    an alias of the module, in ``from .tensor import <name>``, or bare inside
+    ``tensor.py``. The alias matters: ``np.exp`` is no use of an ``exp`` op."""
     src = Path(T.__file__).parent
     engine = ast.parse((src / "tensor.py").read_text())
     public = {node.name for node in engine.body
@@ -736,3 +739,19 @@ def test_every_public_tensor_function_has_a_caller_in_src():
     assert "linear" in public and "record_op" in used
     unused = sorted(public - used)
     assert not unused, f"public tensor functions without a caller in src: {unused}"
+
+    definitions, named = {}, set()
+    for path in [*src.glob("*.py"), *(src.parents[1] / "bench").glob("*.py")]:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and path.parent == src and not own.startswith("_"):
+                definitions[own] = path.name
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:  # a recursive call is no caller
+                    named.add(name)
+    assert {"run_mass_eval", "TrainConfig", "encode_batch"} <= definitions.keys()
+    uncalled = sorted(f"{definitions[n]}:{n}" for n in definitions.keys() - named)
+    assert not uncalled, f"public names no program code uses: {uncalled}"

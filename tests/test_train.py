@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import math
+import re
 import sys
 import tracemalloc
 
@@ -87,21 +89,42 @@ def test_lr_step_out_of_range():
 # config
 
 
+# (section, key, value) that TrainConfig rejects: the architecture's shape,
+# then out-of-range and non-finite training floats (NaN fails no comparison)
+BAD_CONFIG_VALUES = [
+    ("model", "stage_channels", (4, 6, 8)), ("model", "stage_channels", (4, 6, 8, 0)),
+    ("model", "blocks_per_stage", 0), ("model", "d_embed", 0),
+    ("train", "beta", -0.5), ("train", "base_lr", 0.0), ("train", "epochs", 0),
+    ("train", "batch_size", 0), ("train", "warmup_frac", 1.0),
+    ("train", "poly_power", 0.0), ("train", "fusion", "concat"),
+    *(("train", key, value) for key in ("beta", "base_lr", "poly_power")
+      for value in (math.nan, math.inf)),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(beta=-0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(base_lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(warmup_frac=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(poly_power=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(fusion="concat")
+    for _, key, value in BAD_CONFIG_VALUES:
+        with pytest.raises(ValueError):
+            TrainConfig(**{key: value})
+
+
+def test_load_config_rejects_bad_values_and_malformed_files(tmp_path):
+    """Every flaw is a plain ValueError naming the file, never a parser error
+    or a ``UnicodeDecodeError`` (itself a ValueError subclass)."""
+    path = tmp_path / "bad.ini"
+    texts = [f"[{section}]\n{key} = "
+             f"{','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+             for section, key, value in BAD_CONFIG_VALUES]
+    texts += ["epochs = 3\n",  # no section header
+              "[train]\nepochs = 3\nepochs = 4\n", "[train]\n[train]\n",
+              "[train]\nfusion = mean%\n", "[train]\nseed = %(epochs)s\n",
+              "[DEFAULT]\nepochs = 9\n", "[DEFAULT]\nepochs = 9\n[train]\nseed = 2\n"]
+    raws = [text.encode() for text in texts] + [b"[train]\nfusion = m\xe9an\n"]
+    for raw in raws:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: ") as exc:
+            load_config(path)
+        assert type(exc.value) is ValueError, raw
 
 
 def test_load_config_round_trip(tmp_path):
@@ -207,9 +230,9 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
     params = init_model_params(mcfg, 0)
     encoded = []
 
-    def counting(images, enc_cfg, prm):
+    def counting(images, cfg, prm):
         encoded.append(len(images))
-        return encode_batch(images, enc_cfg, prm)
+        return encode_batch(images, cfg, prm)
 
     monkeypatch.setattr(model, "encode_batch", counting)
     train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
