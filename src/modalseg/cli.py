@@ -31,11 +31,11 @@ def _cmd_synth(args) -> int:
     for fname, count, _ in specs:
         if count < 1:
             raise ValueError(f"scene count for {fname} must be positive")
-    out.mkdir(parents=True, exist_ok=True)
     for fname, count, seed in specs:
         ds = generate_dataset(seed, count=count, h=args.size, w=args.size,
                               k=args.classes, m=args.modalities,
                               p_night=args.p_night)
+        out.mkdir(parents=True, exist_ok=True)  # the generator has checked its arguments
         write_dataset(out / fname, ds)
         print(f"wrote {out / fname}: {count} scenes, {args.size}x{args.size}, "
               f"K={args.classes}, M={args.modalities}")

@@ -134,8 +134,9 @@ def _render_range(depth: np.ndarray, rng_range) -> np.ndarray:
 def generate_scene(seed: int, h: int, w: int, k: int, m: int = 4,
                    p_night: float = 0.5) -> ModalityScene:
     """Render one scene; identical seeds give bit-identical scenes."""
-    if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
-        raise ValueError(f"scene size {h}x{w} must be divisible by {TOTAL_DOWNSAMPLE}")
+    if h < 1 or w < 1 or h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
+        raise ValueError(f"scene size {h}x{w} must be positive multiples of "
+                         f"{TOTAL_DOWNSAMPLE}")
     if not 1 <= k <= MAX_CLASSES:
         raise ValueError(f"class count must be in [1, {MAX_CLASSES}]")
     if not 1 <= m <= len(MODALITY_NAMES):

@@ -104,6 +104,9 @@ def run_mass_eval(cfg: ModelConfig, params, dataset: Dataset) -> MassReport:
         raise ValueError(
             f"dataset modalities {tuple(dataset.modality_names)} do not match "
             f"model {tuple(cfg.modality_names)}")
+    if dataset.num_classes != cfg.num_classes:
+        raise ValueError(f"dataset has {dataset.num_classes} classes, model "
+                         f"{cfg.num_classes}")
     if not dataset.scenes:
         raise ValueError("evaluation split is empty")
     subsets = enumerate_subsets(len(cfg.modality_names))

@@ -31,7 +31,6 @@ Term = tuple[Tensor, Tensor, Tensor]  # f_mim, then the first two remaining moda
 class RankingResult:
     """Per-scale outcome of the similarity ranking."""
 
-    scale: int
     scores: tuple[float, ...]
     robust_idx: int
     fragile_idx: int
@@ -87,15 +86,15 @@ def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
         raise TensorError("rank_modalities: need at least 2 modalities")
     scores = tuple(_cosines(features, f_m)[0])
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-    return RankingResult(scale=0, scores=scores, robust_idx=order[0],
-                         fragile_idx=order[-1], remaining=tuple(order[1:-1]))
+    return RankingResult(scores=scores, robust_idx=order[0], fragile_idx=order[-1],
+                         remaining=tuple(order[1:-1]))
 
 
 def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
                  ) -> tuple[list[Tensor], list[RankingResult], list[Term]]:
     """Rank, rectify, and fuse every pyramid level of one sample. Returns the
-    fused pyramid, per-scale rankings, and a ``consistency_loss`` term for
-    each scale with two or more remaining modalities."""
+    fused pyramid, the rankings in level order, and a ``consistency_loss``
+    term for each scale with two or more remaining modalities."""
     if len(pyramids) < 2:
         raise TensorError("masm_forward: training requires at least 2 modalities")
     levels = len(pyramids[0])
@@ -105,8 +104,7 @@ def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
     for i in range(levels):
         features = [pyr[i] for pyr in pyramids]
         f_m = mean_feature(features)
-        r = rank_modalities(features, f_m)
-        rank = RankingResult(i + 1, r.scores, r.robust_idx, r.fragile_idx, r.remaining)
+        rank = rank_modalities(features, f_m)
         f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
                             params, level=i)
         fused.append(T.add(f_mim, f_m))

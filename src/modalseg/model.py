@@ -43,8 +43,10 @@ class ModelConfig:
             raise ValueError("num_classes must be at least 2")
         if len(self.modality_names) < 1:
             raise ValueError("need at least one modality name")
-        if len(set(self.modality_names)) != len(self.modality_names):
-            raise ValueError("modality names must be unique")
+        initials = [name[:1].upper() for name in self.modality_names]
+        if "" in initials or len(set(initials)) != len(initials):  # report names use them
+            raise ValueError(f"modality names {self.modality_names} must be non-empty "
+                             f"with distinct upper-cased initials")
 
 
 def model_param_specs(cfg: ModelConfig) -> T.ParamSpecs:

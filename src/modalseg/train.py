@@ -19,7 +19,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
+WARMUP_FRAC = 0.1  # share of all steps spent warming up from 0.1 * base_lr
+POLY_POWER = 0.9  # power of the polynomial decay after the warmup
 LOG_FIELDS = ("epoch", "l_m", "l_c", "loss", "lr")  # a train_log.csv row, one per epoch
 
 
@@ -73,8 +75,6 @@ class TrainConfig:
     fusion: str = "masm"
     beta: float = 1.0
     base_lr: float = 6e-5
-    poly_power: float = 0.9
-    warmup_frac: float = 0.1
     epochs: int = 4
     batch_size: int = 4
     seed: int = 0
@@ -88,7 +88,7 @@ class TrainConfig:
             raise ValueError("blocks_per_stage must be positive")
         if self.d_embed < 1:
             raise ValueError("d_embed must be positive")
-        for name in ("beta", "base_lr", "poly_power"):
+        for name in ("beta", "base_lr"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.beta < 0:
@@ -99,10 +99,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
-        if self.poly_power <= 0:
-            raise ValueError("poly_power must be positive")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}")
 
@@ -156,13 +152,13 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     """Linear warmup from 0.1*base, then polynomial decay to 0."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warmup = round(cfg.warmup_frac * total_steps)
+    warmup = round(WARMUP_FRAC * total_steps)
     if step < warmup:
         return cfg.base_lr * (0.1 + 0.9 * step / warmup)
     if step == total_steps:
         return 0.0
     progress = (step - warmup) / (total_steps - warmup)
-    return cfg.base_lr * (1.0 - progress) ** cfg.poly_power
+    return cfg.base_lr * (1.0 - progress) ** POLY_POWER
 
 
 @dataclass
@@ -236,39 +232,34 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
           resume: "Checkpoint | None" = None) -> tuple[dict[str, Tensor], list[dict]]:
     """Full run: shuffle per epoch; log and checkpoint after every epoch.
 
+    A fresh run starts from its epoch-0 checkpoint, so fresh and resumed runs
+    take the same path. Every check runs before ``out_dir`` is created.
     Returns the trained parameters and the per-epoch log rows.
     """
     if not dataset.scenes:
         raise ValueError("training dataset is empty")
+    model_cfg = cfg.model_config(dataset.num_classes, dataset.modality_names)
+    ckpt = resume or Checkpoint(
+        config=cfg, num_classes=model_cfg.num_classes,
+        modality_names=model_cfg.modality_names, epoch=0,
+        params=init_model_params(model_cfg, cfg.seed), opt=AdamState(),
+        rng_state=np.random.default_rng(cfg.seed).bit_generator.state, history=[])
+    _check_compat(ckpt, cfg, model_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model_cfg = cfg.model_config(dataset.num_classes, dataset.modality_names)
 
-    if resume is not None:
-        _check_compat(resume, cfg, model_cfg)
-        params = resume.params
-        opt = resume.opt
-        shuffle_rng = np.random.Generator(np.random.PCG64())
-        shuffle_rng.bit_generator.state = resume.rng_state
-        start_epoch = resume.epoch
-        history = list(resume.history)
-    else:
-        params = init_model_params(model_cfg, cfg.seed)
-        opt = AdamState()
-        shuffle_rng = np.random.default_rng(cfg.seed)
-        start_epoch = 0
-        history = []
-
+    params, opt = ckpt.params, ckpt.opt
+    shuffle_rng = np.random.Generator(np.random.PCG64())
+    shuffle_rng.bit_generator.state = ckpt.rng_state
     scenes = dataset.scenes
     steps_per_epoch = (len(scenes) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
     try:
-        for epoch in range(start_epoch, cfg.epochs):
+        for epoch in range(ckpt.epoch, cfg.epochs):
             order = shuffle_rng.permutation(len(scenes))
             sums = {"l_m": 0.0, "l_c": 0.0, "loss": 0.0}
-            lr = cfg.base_lr
-            for b in range(steps_per_epoch):
+            for b in range(steps_per_epoch):  # at least one: scenes is not empty
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                 batch = [scenes[i] for i in idx]
                 lr = lr_at(opt.step, total_steps, cfg)
@@ -280,18 +271,15 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
                    "l_c": sums["l_c"] / steps_per_epoch,
                    "loss": sums["loss"] / steps_per_epoch,
                    "lr": lr}
-            history.append(row)
-            _write_log(out / "train_log.csv", history)
-            save_checkpoint(out / "model.mmck", Checkpoint(
-                config=cfg, num_classes=model_cfg.num_classes,
-                modality_names=model_cfg.modality_names, epoch=epoch + 1,
-                params=params, opt=opt,
-                rng_state=shuffle_rng.bit_generator.state, history=history))
+            ckpt = replace(ckpt, epoch=epoch + 1, history=[*ckpt.history, row],
+                           rng_state=shuffle_rng.bit_generator.state)
+            _write_log(out / "train_log.csv", ckpt.history)
+            save_checkpoint(out / "model.mmck", ckpt)
     except TrainingAbort as abort:
         dump = out / "abort_diagnostics.json"
         dump.write_text(json.dumps(abort.diagnostics, indent=2))
         raise
-    return params, history
+    return params, ckpt.history
 
 
 def _write_log(path: Path, history: list[dict]) -> None:

@@ -355,8 +355,8 @@ def rank_modalities_reference(features, f_m) -> masm.RankingResult:
         raise TensorError("rank_modalities: need at least 2 modalities")
     scores = tuple(cosine_parts(f.data, f_m.data)[0] for f in features)
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-    return masm.RankingResult(scale=0, scores=scores, robust_idx=order[0],
-                              fragile_idx=order[-1], remaining=tuple(order[1:-1]))
+    return masm.RankingResult(scores=scores, robust_idx=order[0], fragile_idx=order[-1],
+                              remaining=tuple(order[1:-1]))
 
 
 def consistency_loss_reference(terms, class_count: int) -> Tensor:

@@ -178,8 +178,43 @@ def test_report_rejects_malformed_sidecar(tmp_path, capsys):
 
 def test_synth_rejects_empty_split_before_writing(tmp_path, capsys):
     out = tmp_path / "data"
-    assert run("synth", "--out", out, "--train", 2, "--eval", 0, "--size", 32) == 1
-    assert "eval.mmss must be positive" in capsys.readouterr().err
+    for args, message in [(("--eval", 0, "--size", 32), "eval.mmss must be positive"),
+                          (("--size", 0), "must be positive multiples of 32")]:
+        assert run("synth", "--out", out, "--train", 2, *args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_rejects_one_class_dataset_before_writing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--train", 2, "--eval", 1, "--size", 32,
+               "--classes", 1) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run("train", "--data", data / "train.mmss", "--out", out) == 1
+    assert "num_classes must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_resume_rejects_other_config_before_writing(workspace, tmp_path, capsys):
+    (tmp_path / "train.ini").write_text(CONFIG_INI.replace("epochs = 1", "epochs = 2"))
+    out = tmp_path / "run"
+    assert run("train", "--config", tmp_path / "train.ini",
+               "--data", workspace / "data" / "train.mmss", "--out", out,
+               "--resume", workspace / "run" / "model.mmck") == 1
+    assert "different config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_class_count_mismatch_before_writing(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--train", 1, "--eval", 1, "--size", 32,
+               "--classes", 5) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("eval", "--model", workspace / "run" / "model.mmck",
+               "--data", data / "eval.mmss", "--report", out / "report.md") == 1
+    assert "dataset has 5 classes, model 3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -54,8 +54,9 @@ def test_k1_gives_single_class_map():
 
 
 def test_invalid_dims_rejected():
-    with pytest.raises(ValueError):
-        generate_scene(0, 48, 64, 5)
+    for h, w in [(48, 64), (0, 64), (64, 0), (-32, 64)]:
+        with pytest.raises(ValueError, match="positive multiples of 32"):
+            generate_scene(0, h, w, 5)
     with pytest.raises(ValueError):
         generate_scene(0, 64, 64, 17)
     with pytest.raises(ValueError):

@@ -349,6 +349,17 @@ def test_mass_eval_rejects_modality_mismatch():
         run_mass_eval(cfg, params, ds)
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_mass_eval_rejects_class_count_mismatch(monkeypatch, k):
+    """A 3-class model on a dataset of fewer or more classes fails before
+    its first scene, naming both counts."""
+    cfg, params = small_model(k=3)
+    ds = eval_dataset(k=k)
+    monkeypatch.setattr(evaluate, "scene_tensors", None)  # reaching a scene fails
+    with pytest.raises(ValueError, match=f"dataset has {k} classes, model 3"):
+        run_mass_eval(cfg, params, ds)
+
+
 def test_mass_eval_rejects_empty_split():
     cfg, params = small_model()
     ds = eval_dataset()

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import importlib.util
 import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from helpers import save_checkpoint_reference
 MODALITIES = ("camera", "depth", "event", "range")
 
 TINY = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8, beta=1.0,
-                   base_lr=1e-2, warmup_frac=0.0, epochs=1, batch_size=2, seed=3)
+                   base_lr=1e-2, epochs=1, batch_size=2, seed=3)
 
 
 def tiny_setup(k=3, seed=42):
@@ -77,6 +79,25 @@ def test_lr_monotone_segments():
     assert all(a > b for a, b in zip(decay, decay[1:]))
 
 
+def bench_reference():
+    """``bench/reference.py``, loaded by path; nothing in it imports modalseg."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("total", [4, 6, 15, 100])  # warmup of 0, 1, 2 and 10 steps
+def test_lr_at_matches_the_benchmark_reference(total):
+    """The benchmark checks every step's lr against its own schedule; the
+    fixed warmup fraction and poly power must not drift from it."""
+    cfg = TrainConfig(base_lr=3e-4)
+    reference = bench_reference()
+    for step in range(total + 1):
+        assert lr_at(step, total, cfg) == reference.lr_schedule(step, total, cfg.base_lr), step
+
+
 def test_lr_step_out_of_range():
     cfg = TrainConfig()
     with pytest.raises(ValueError):
@@ -95,10 +116,15 @@ BAD_CONFIG_VALUES = [
     ("model", "stage_channels", (4, 6, 8)), ("model", "stage_channels", (4, 6, 8, 0)),
     ("model", "blocks_per_stage", 0), ("model", "d_embed", 0),
     ("train", "beta", -0.5), ("train", "base_lr", 0.0), ("train", "epochs", 0),
-    ("train", "batch_size", 0), ("train", "warmup_frac", 1.0),
-    ("train", "poly_power", 0.0), ("train", "fusion", "concat"),
-    *(("train", key, value) for key in ("beta", "base_lr", "poly_power")
-      for value in (math.nan, math.inf)),
+    ("train", "batch_size", 0), ("train", "fusion", "concat"),
+    *(("train", key, value) for key in ("beta", "base_lr") for value in (math.nan, math.inf)),
+]
+
+# (num_classes, modality_names) that the model config rejects; report names
+# are built from the upper-cased initials, so they must exist and differ
+BAD_DATASET_FIELDS = [
+    (1, MODALITIES), (3, ()), (3, ("camera", "camera")), (3, ("camera", "")),
+    (3, ("depth", "dvs")), (3, ("camera", "Cam")),
 ]
 
 
@@ -106,6 +132,9 @@ def test_config_validation():
     for _, key, value in BAD_CONFIG_VALUES:
         with pytest.raises(ValueError):
             TrainConfig(**{key: value})
+    for num_classes, names in BAD_DATASET_FIELDS:
+        with pytest.raises(ValueError):
+            TrainConfig().model_config(num_classes, names)
 
 
 def test_load_config_rejects_bad_values_and_malformed_files(tmp_path):
@@ -153,7 +182,6 @@ seed = 11
     assert cfg.epochs == 7
     assert cfg.batch_size == 3
     assert cfg.seed == 11
-    assert cfg.poly_power == 0.9  # untouched default
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -167,6 +195,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("[model]\nepochs = 3\n")
     with pytest.raises(ValueError, match="unknown config key 'epochs' in \\[model\\]"):
         load_config(path)
+    for key in ("warmup_frac", "poly_power"):  # fixed constants, not settings
+        path.write_text(f"[train]\n{key} = 0.5\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            load_config(path)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -388,6 +420,29 @@ def test_train_writes_log_and_checkpoint(tmp_path):
     assert (tmp_path / "run" / "model.mmck").exists()
 
 
+def test_resumed_run_matches_uninterrupted_run(tmp_path, monkeypatch):
+    """A run resumed from its epoch-1 checkpoint ends bit-identical to the
+    run that never stopped: parameters, history, log and checkpoint."""
+    ds = small_dataset()
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8, epochs=3,
+                      batch_size=2, base_lr=1e-3, seed=9)
+    save = train_module.save_checkpoint
+
+    def save_every_epoch(path, ckpt):
+        save(path, ckpt)
+        save(tmp_path / f"epoch{ckpt.epoch}.mmck", ckpt)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", save_every_epoch)
+    params_a, hist_a = train(cfg, ds, tmp_path / "a")
+    monkeypatch.undo()
+    params_b, hist_b = train(cfg, ds, tmp_path / "b",
+                             resume=load_checkpoint(tmp_path / "epoch1.mmck"))
+    assert hist_a == hist_b
+    assert param_bytes(params_a) == param_bytes(params_b)
+    for name in ("train_log.csv", "model.mmck"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_abort_writes_diagnostics_file(tmp_path):
     ds = small_dataset(count=2)
@@ -578,11 +633,24 @@ def test_checkpoint_params_must_match_the_stored_config(tmp_path, edit):
     assert peak < 2**20  # about the file's own size; no parameter is allocated
 
 
+@pytest.mark.parametrize("key, value", [("warmup_frac", 0.1), ("poly_power", 0.9)])
+def test_checkpoint_config_naming_a_fixed_schedule_value_is_refused(tmp_path, monkeypatch,
+                                                                    key, value):
+    """The warmup fraction and poly power are constants, not settings."""
+    _, _, _, ckpt, _ = trained_state(steps=1)
+    monkeypatch.setattr(train_module, "asdict",
+                        lambda cfg: {**dataclasses.asdict(cfg), key: value})
+    save_checkpoint(tmp_path / "model.mmck", ckpt)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(tmp_path / "model.mmck")
+
+
 def test_resume_rejects_wrong_modality_count(tmp_path):
     _, cfg, _, ckpt, _ = trained_state()
     ds3 = generate_dataset(5, count=2, h=32, w=32, k=3, m=3, p_night=0.5)
     with pytest.raises(CheckpointError):
         train(cfg, ds3, tmp_path / "run", resume=ckpt)
+    assert not (tmp_path / "run").exists()
 
 
 def test_resume_rejects_reordered_modalities(tmp_path):
@@ -594,6 +662,7 @@ def test_resume_rejects_reordered_modalities(tmp_path):
                                          labels=s.labels) for s in ds.scenes])
     with pytest.raises(CheckpointError):
         train(cfg, reordered, tmp_path / "run", resume=ckpt)
+    assert not (tmp_path / "run").exists()
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
