@@ -10,15 +10,19 @@ The output pyramid has 4 levels at 1/4, 1/8, 1/16, 1/32 of the input size.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, accumulate_grad, record_op
 
 STAGE_DOWNSAMPLE = (4, 2, 2, 2)
 PYRAMID_LEVELS = len(STAGE_DOWNSAMPLE)
 TOTAL_DOWNSAMPLE = 32
 IMAGE_CHANNELS = 3  # every modality image is 3 x H x W, here and in .mmss files
+LAYER_NORM_EPS = 1e-5
+_BLOCK_PARAMS = ("ln.g", "ln.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")  # per mixer block
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -44,20 +48,80 @@ def encoder_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
         c_in = c_out
 
 
-def _merge_patches(x: Tensor, k: int) -> Tensor:
-    """N x C x h x w -> (N * h/k * w/k) x (C*k*k) token matrix; rows run image
-    by image in row-major patch order, column c*k*k + dy*k + dx."""
+def encode_stage(maps: Sequence[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
+                 stage: int, stacked: np.ndarray | None = None) -> Tensor:
+    """Encoder stage ``stage`` over N equal C x h x w maps as one recorded op.
+
+    It merges k x k patches into token rows (image by image in row-major
+    patch order, column c*k*k + dy*k + dx), embeds them linearly, runs the
+    ``blocks_per_stage`` mixer blocks (pre-norm, residual) and returns the
+    N x C' x h/k x w/k result as a channel-last view of the token rows, which
+    callers split with ``T.unstack``. The numpy operations, and their order,
+    are those of a chain of separately recorded reshape, transpose, linear,
+    layer_norm, gelu and add ops, so forward and gradients equal that chain
+    bit for bit. ``stacked`` is the maps' data as one N x C x h x w array
+    when the caller holds it (a previous stage's output), so it is not
+    stacked again.
+    """
+    x = np.stack([m.data for m in maps]) if stacked is None else stacked
     n, c, h, w = x.shape
-    x = T.reshape(x, (n, c, h // k, k, w // k, k))
-    x = T.transpose(x, (0, 2, 4, 1, 3, 5))
-    return T.reshape(x, (n * (h // k) * (w // k), c * k * k))
+    k = STAGE_DOWNSAMPLE[stage]
+    hk, wk = h // k, w // k
+    p = f"enc.s{stage}"
+    pw, pb = params[f"{p}.patch.w"], params[f"{p}.patch.b"]
+    blocks = [tuple(params[f"{p}.b{b}.{name}"] for name in _BLOCK_PARAMS)
+              for b in range(cfg.blocks_per_stage)]
+    tokens = x.reshape(n, c, hk, k, wk, k).transpose(0, 2, 4, 1, 3, 5).reshape(-1, c * k * k)
+    t = tokens @ pw.data
+    t += pb.data
+    saved = []  # per block: what its backward reads
+    for ln_g, ln_b, w1, b1, w2, b2 in blocks:
+        xhat = t - t.mean(axis=-1, keepdims=True)
+        # the variance as np.var takes it: the mean of the squared deviations
+        inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        xhat *= inv
+        normed = xhat * ln_g.data
+        normed += ln_b.data
+        pre = normed @ w1.data
+        pre += b1.data
+        hidden, th = T._gelu(pre)
+        y = hidden @ w2.data
+        y += b2.data
+        saved.append((xhat, inv, ln_g.data, normed, w1.data, pre, th, hidden, w2.data))
+        t = t + y
+    c_out = t.shape[1]
+    pwd = pw.data
 
+    def bwd(g):
+        g_t = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # token rows, C-contiguous
+        for ln_g, ln_b, w1, b1, w2, b2 in reversed(blocks):
+            xhat, inv, gamma, normed, w1d, pre, th, hidden, w2d = saved.pop()
+            accumulate_grad(b2, g_t.sum(axis=0))
+            g_hidden = g_t @ w2d.T
+            accumulate_grad(w2, hidden.T @ g_t)
+            g_pre = T._gelu_grad(g_hidden, pre, th)
+            accumulate_grad(b1, g_pre.sum(axis=0))
+            g_normed = g_pre @ w1d.T
+            accumulate_grad(w1, normed.T @ g_pre)
+            accumulate_grad(ln_b, g_normed.sum(axis=0))
+            accumulate_grad(ln_g, (g_normed * xhat).sum(axis=0))
+            dxhat = g_normed * gamma
+            g_x = inv * (dxhat
+                         - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            g_x += g_t  # the residual branch
+            g_t = g_x
+        accumulate_grad(pb, g_t.sum(axis=0))
+        if any(m.requires_grad for m in maps):
+            g_maps = (g_t @ pwd.T).reshape(n, hk, wk, c, k, k)
+            g_maps = g_maps.transpose(0, 3, 1, 4, 2, 5).reshape(n, c, h, w)
+            for m, gm in zip(maps, g_maps):
+                accumulate_grad(m, gm)
+        accumulate_grad(pw, tokens.T @ g_t)
 
-def _mixer_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    normed = T.layer_norm(x, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"])
-    h = T.gelu(T.linear(normed, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
-    h = T.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
-    return T.add(x, h)
+    inputs = (*maps, pw, pb, *(param for block in blocks for param in block))
+    return record_op("encode_stage", t.reshape(n, hk, wk, c_out).transpose(0, 3, 1, 2),
+                     inputs, bwd)
 
 
 def encode_batch(images: list[Tensor], cfg: ModelConfig,
@@ -73,19 +137,14 @@ def encode_batch(images: list[Tensor], cfg: ModelConfig,
     if len(shape) != 3 or shape[0] != IMAGE_CHANNELS:
         raise TensorError(
             f"encode_batch: expected {IMAGE_CHANNELS} x H x W images, got {shape}")
-    n = len(images)
     _, h, w = shape
     if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
         raise TensorError(f"encode_batch: {h}x{w} not divisible by {TOTAL_DOWNSAMPLE}")
 
     levels: list[list[Tensor]] = []
-    x = T.stack(images)
-    for s, (k, c_out) in enumerate(zip(STAGE_DOWNSAMPLE, cfg.stage_channels)):
-        h, w = h // k, w // k
-        tokens = _merge_patches(x, k)
-        tokens = T.linear(tokens, params[f"enc.s{s}.patch.w"], params[f"enc.s{s}.patch.b"])
-        for b in range(cfg.blocks_per_stage):
-            tokens = _mixer_block(tokens, params, f"enc.s{s}.b{b}")
-        x = T.transpose(T.reshape(tokens, (n, h, w, c_out)), (0, 3, 1, 2))
-        levels.append(T.unstack(x))
+    maps, stacked = images, None
+    for s in range(PYRAMID_LEVELS):
+        out = encode_stage(maps, cfg, params, s, stacked)
+        maps, stacked = T.unstack(out), out.data
+        levels.append(maps)
     return [list(pyramid) for pyramid in zip(*levels)]

@@ -1,7 +1,8 @@
 """Dense float64 tensor engine with tape-based reverse-mode differentiation.
 
-The encoder and the decode head's back end are chains of the ops in this
-module. The fused ops elsewhere (``masm``'s mean and consistency,
+The decode head's back end is a chain of the ops in this module (``gelu``,
+``channel_mix``, ``resample_bilinear``). The fused ops elsewhere
+(``encoder.encode_stage``, ``masm``'s mean and consistency,
 ``mim.mim_forward``, ``head.embed`` and ``head.cross_entropy``) are recorded
 through ``record_op`` with hand-written backwards. Ground rules:
 
@@ -12,7 +13,9 @@ through ``record_op`` with hand-written backwards. Ground rules:
 - every op checks its output for NaN/Inf and raises instead of propagating
 - a numpy body writes in place only into arrays it allocated itself; it never
   writes ``Tensor.data`` or its input arrays, so an identity op may return
-  its input's array as its output
+  its input's array as its output. Only the optimizer (``train.adam_update``)
+  writes ``Tensor.data``, in place inside its parameter arena, after the
+  backward pass that read it
 - gradients accumulate additively across fan-out; ``backward`` walks the tape
   in exact reverse recording order and releases each node as it passes it:
   the node's closure (with the arrays it saved) and its output's ``.grad``
@@ -26,7 +29,6 @@ through ``record_op`` with hand-written backwards. Ground rules:
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,11 +100,15 @@ class no_grad:
 class Tensor:
     """Dense float64 array with an optional same-shape gradient buffer.
 
-    Data is immutable after creation (parameter updates rebind ``.data``);
-    only ``.grad`` is written in place, by gradient accumulation.
+    No op writes ``.data``; the optimizer updates a parameter's data in place
+    inside its arena, and a caller may rebind ``.data`` to another array.
+    ``.grad`` is written in place by gradient accumulation. When
+    ``_grad_slot`` holds an array (the optimizer's arena slice), a first
+    gradient is copied into it rather than into a fresh array; ``.grad is
+    None`` still means no gradient reached the tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node_index", "_base")
+    __slots__ = ("data", "grad", "requires_grad", "_node_index", "_base", "_grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -115,6 +121,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._node_index: int | None = None
         self._base: tuple[Tensor, tuple[int, ...]] | None = None  # set on unstack views
+        self._grad_slot: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -155,7 +162,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         target += g  # in place: ``grad[index] += g`` would copy the slice onto itself
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a shared buffer
+        slot = t._grad_slot
+        if slot is None:
+            t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a shared buffer
+        else:
+            slot[...] = g
+            t.grad = slot
     else:
         t.grad += g
 
@@ -169,6 +181,7 @@ def _unchecked(data: np.ndarray, requires_grad: bool) -> Tensor:
     out.requires_grad = requires_grad
     out._node_index = None
     out._base = None
+    out._grad_slot = None
     return out
 
 
@@ -272,74 +285,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and structure
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b``: an N x C token matrix times a C x D weight, plus a
-    length-D bias added to every row."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise TensorError(f"linear: need 2-d operands, got {x.shape} @ {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise TensorError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
-    d = w.shape[1]
-    if b.shape != (d,):
-        raise TensorError(f"linear: bias shape {b.shape} != ({d},)")
-    xd, wd = x.data, w.data
-
-    def bwd(g):
-        _accumulate(b, g.reshape(-1, d).sum(axis=0))
-        _accumulate(x, g @ wd.T)
-        _accumulate(w, xd.T @ g)
-
-    out = xd @ wd
-    out += b.data
-    return record_op("linear", out, (x, w, b), bwd)
-
-
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise TensorError(f"reshape: dimensions must be positive, got {shape}")
-    if math.prod(shape) != t.size:
-        raise TensorError(f"reshape: cannot view {t.shape} as {shape}")
-    orig = t.shape
-
-    def bwd(g):
-        _accumulate(t, g.reshape(orig))
-
-    return record_op("reshape", t.data.reshape(shape), (t,), bwd)
-
-
-def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(t.ndim)):
-        raise TensorError(f"transpose: {axes} is not a permutation of {t.ndim} axes")
-    inverse = [0] * len(axes)
-    for i, a in enumerate(axes):
-        inverse[a] = i
-
-    def bwd(g):
-        _accumulate(t, np.transpose(g, inverse))
-
-    return record_op("transpose", np.transpose(t.data, axes), (t,), bwd)
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """N equal-shape tensors to one tensor with a new leading axis of length N."""
-    if not tensors:
-        raise TensorError("stack: empty input list")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise TensorError(f"stack: shape mismatch {t.shape} vs {shape}")
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, g[i])
-
-    data = np.stack([t.data for t in tensors])
-    return record_op("stack", data, tuple(tensors), bwd)
+# structure
 
 
 def unstack(t: Tensor) -> list[Tensor]:
@@ -423,33 +369,6 @@ def gelu(t: Tensor) -> Tensor:
         _accumulate(t, _gelu_grad(g, x, th))
 
     return record_op("gelu", out_data, (t,), bwd)
-
-
-LAYER_NORM_EPS = 1e-5
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift per channel."""
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise TensorError(f"layer_norm: scale/shift must have shape ({c},)")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    # the variance as np.var takes it: the mean of the squared deviations
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xhat *= inv
-
-    def bwd(g):
-        _accumulate(beta, g.reshape(-1, c).sum(axis=0))
-        _accumulate(gamma, (g * xhat).reshape(-1, c).sum(axis=0))
-        dxhat = g * gamma.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        _accumulate(x, dx)
-
-    out = xhat * gamma.data
-    out += beta.data
-    return record_op("layer_norm", out, (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The objective is supervision plus beta-weighted consistency, minimized with
 decoupled-weight-decay adaptive moments (0.9/0.999, eps 1e-8, decay 0.01).
 The learning rate warms up linearly from 10% of base over the first 10% of
-steps, then follows polynomial decay with power 0.9.
+steps, then follows polynomial decay with power 0.9. The optimizer keeps
+the parameters' data, gradients and moments in flat arena blocks owned by
+its ``AdamState`` and updates them in place, a few numpy passes per block.
 
 Checkpoints capture parameters, optimizer moments, epoch, and the exact
 shuffle RNG state, so a resumed run is bit-identical to an uninterrupted
-one. Config files are INI-style key = value sections.
+one; it trains copies, so the checkpoint it resumes from is left as it was.
+Config files are INI-style key = value sections.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,34 +165,144 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * (1.0 - progress) ** POLY_POWER
 
 
+ARENA_BLOCK = 16_384  # doubles per arena block: 128 KiB, glibc's default mmap threshold
+
+
+class _Slot(NamedTuple):
+    """One parameter's place in an arena block: its name, its offset in the
+    block and its views of the block's data, gradient and moments."""
+    name: str
+    start: int
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+
+
+class _Block(NamedTuple):
+    """Flat data, gradient and moment arrays of a run of parameters."""
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    slots: tuple[_Slot, ...]
+
+
+class _Arena:
+    """The parameters of one ``AdamState``, in the parameter dict's order,
+    packed into blocks of at most ``ARENA_BLOCK`` doubles per array (a larger
+    parameter gets a block to itself), so a block's arrays stay below the
+    allocator's mmap threshold; one scratch pair, as long as the largest
+    block, serves every block."""
+
+    def __init__(self, params: dict[str, Tensor]) -> None:
+        self.names = tuple(params)
+        groups: list[list[str]] = []
+        size = 0
+        for name, p in params.items():
+            if not groups or size + p.size > ARENA_BLOCK:
+                groups.append([])
+                size = 0
+            groups[-1].append(name)
+            size += p.size
+        self.blocks = []
+        for group in groups:
+            total = sum(params[name].size for name in group)
+            arrays = (np.empty(total), np.empty(total), np.zeros(total), np.zeros(total))
+            slots, start = [], 0
+            for name in group:
+                p = params[name]
+                slots.append(_Slot(name, start, *(a[start:start + p.size].reshape(p.shape)
+                                                  for a in arrays)))
+                start += p.size
+            self.blocks.append(_Block(*arrays, tuple(slots)))
+        largest = max(len(block.data) for block in self.blocks)
+        self.scratch = (np.empty(largest), np.empty(largest))
+
+
 @dataclass
 class AdamState:
+    """AdamW's step count and first and second moments by parameter name.
+
+    ``adam_update`` keeps the parameters it updates in an arena it builds on
+    its first call: afterwards each parameter's ``.data``, its first gradient
+    of a step and its moments in ``m`` and ``v`` are views of that arena.
+    """
+
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _arena: _Arena | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def adam_update(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One decoupled-weight-decay moment update; grad-less params are skipped."""
+    """One decoupled-weight-decay moment update; grad-less params are skipped.
+
+    The update runs in place over ``state``'s arena, once per run of
+    neighbouring parameters that have gradients. A parameter whose ``.data``,
+    gradient or moments are not the arena's views (a first call, a rebound
+    ``.data``, moments loaded from a checkpoint) is copied in first; a
+    parameter without a moment starts from zero moments.
+    """
+    arena = state._arena
+    if arena is None or arena.names != tuple(params):
+        arena = state._arena = _Arena(params)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * p.grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * p.grad * p.grad
-        step_dir = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data = p.data - lr * (step_dir + WEIGHT_DECAY * p.data)
+    for block in arena.blocks:
+        start = None
+        for slot in block.slots:
+            p = params[slot.name]
+            if p.data is not slot.data:
+                slot.data[...] = p.data
+                p.data = slot.data
+            p._grad_slot = slot.grad
+            if p.grad is None:
+                if start is not None:
+                    _adamw_run(block, start, slot.start, arena.scratch, lr, bc1, bc2)
+                    start = None
+                continue
+            if p.grad is not slot.grad:
+                slot.grad[...] = p.grad
+            if state.m.get(slot.name) is not slot.m or state.v.get(slot.name) is not slot.v:
+                if slot.name in state.m:
+                    slot.m[...] = state.m[slot.name]
+                    slot.v[...] = state.v[slot.name]
+                else:
+                    slot.m[...] = slot.v[...] = 0.0
+                state.m[slot.name], state.v[slot.name] = slot.m, slot.v
+            if start is None:
+                start = slot.start
+        if start is not None:
+            _adamw_run(block, start, len(block.data), arena.scratch, lr, bc1, bc2)
+
+
+def _adamw_run(block: _Block, start: int, stop: int, scratch, lr: float,
+               bc1: float, bc2: float) -> None:
+    """AdamW over ``block[start:stop]`` in place: ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps)
+    + decay*p)``, each operation in that order, so every value is the one
+    those expressions give."""
+    data, grad, m, v = (a[start:stop] for a in block[:4])
+    s, u = (a[:stop - start] for a in scratch)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=s)
+    s *= grad
+    v += s
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    np.divide(m, bc1, out=u)
+    u /= s
+    np.multiply(data, WEIGHT_DECAY, out=s)
+    u += s
+    u *= lr
+    data -= u
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +347,26 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     """Full run: shuffle per epoch; log and checkpoint after every epoch.
 
     A fresh run starts from its epoch-0 checkpoint, so fresh and resumed runs
-    take the same path. Every check runs before ``out_dir`` is created.
-    Returns the trained parameters and the per-epoch log rows.
+    take the same path; a resumed run trains copies of ``resume``'s
+    parameters and moments, and leaves ``resume`` as it was. Every check runs
+    before ``out_dir`` is created. Returns the trained parameters and the
+    per-epoch log rows.
     """
     if not dataset.scenes:
         raise ValueError("training dataset is empty")
     model_cfg = cfg.model_config(dataset.num_classes, dataset.modality_names)
-    ckpt = resume or Checkpoint(
-        config=cfg, num_classes=model_cfg.num_classes,
-        modality_names=model_cfg.modality_names, epoch=0,
-        params=init_model_params(model_cfg, cfg.seed), opt=AdamState(),
-        rng_state=np.random.default_rng(cfg.seed).bit_generator.state, history=[])
+    if resume is None:
+        ckpt = Checkpoint(
+            config=cfg, num_classes=model_cfg.num_classes,
+            modality_names=model_cfg.modality_names, epoch=0,
+            params=init_model_params(model_cfg, cfg.seed), opt=AdamState(),
+            rng_state=np.random.default_rng(cfg.seed).bit_generator.state, history=[])
+    else:  # train copies, so the caller's checkpoint keeps what it holds
+        ckpt = replace(resume, params={n: Tensor(p.data, requires_grad=True)
+                                       for n, p in resume.params.items()},
+                       opt=AdamState(resume.opt.step,
+                                     {n: a.copy() for n, a in resume.opt.m.items()},
+                                     {n: a.copy() for n, a in resume.opt.v.items()}))
     _check_compat(ckpt, cfg, model_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

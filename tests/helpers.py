@@ -1,28 +1,34 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
-the MIM pipeline, the head's affine front and the consistency loss as chains
-of recorded ops, the earlier bodies of the ranking, the consistency loss and
-MIM that the current ones must reproduce bit for bit, the plain numpy
-expressions that the in-place kernel bodies must reproduce bit for bit, and
-the checkpoint writer whose bytes ``train.save_checkpoint`` must reproduce."""
+the encoder stages, the MIM pipeline, the head's affine front and the
+consistency loss as chains of recorded ops, the earlier bodies of the
+ranking, the consistency loss and MIM that the current ones must reproduce
+bit for bit, the plain numpy expressions that the in-place kernel bodies
+must reproduce bit for bit, the per-parameter AdamW loop the arena update
+must reproduce bit for bit, and the checkpoint writer whose bytes
+``train.save_checkpoint`` must reproduce."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import asdict
+from typing import Sequence
 
 import numpy as np
 
 import modalseg.masm as masm
 import modalseg.tensor as T
-from modalseg.encoder import encoder_param_specs
+from modalseg.encoder import (LAYER_NORM_EPS, PYRAMID_LEVELS, STAGE_DOWNSAMPLE,
+                              encoder_param_specs)
 from modalseg.head import head_param_specs
 from modalseg.mim import mim_param_specs
 from modalseg.tensor import (NonFiniteError, Tensor, TensorError, accumulate_grad,
                              backward, no_grad, record_op)
-from modalseg.train import CKPT_MAGIC, CKPT_VERSION
+from modalseg.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CKPT_MAGIC, CKPT_VERSION,
+                            WEIGHT_DECAY)
 
 FD_EPS = 1e-6
 FD_TOL = 1e-4
@@ -91,7 +97,7 @@ def channel_last_maps(array: np.ndarray):
     them out: ``T.unstack`` views of the leaf transposed channels-first, so
     each map is a strided view with the channel axis innermost in memory."""
     leaf = Tensor(array, requires_grad=True)
-    return leaf, T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
+    return leaf, T.unstack(transpose(leaf, (0, 3, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,143 @@ def pool_global(f: Tensor, kind: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the encoder as a chain of recorded ops, the reference for the fused
+# ``encoder.encode_stage``: the generic linear-algebra, structure and
+# normalisation ops it was built from, and the stage chain itself
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: an N x C token matrix times a C x D weight, plus a
+    length-D bias added to every row."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise TensorError(f"linear: need 2-d operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise TensorError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
+    d = w.shape[1]
+    if b.shape != (d,):
+        raise TensorError(f"linear: bias shape {b.shape} != ({d},)")
+    xd, wd = x.data, w.data
+
+    def bwd(g):
+        accumulate_grad(b, g.reshape(-1, d).sum(axis=0))
+        accumulate_grad(x, g @ wd.T)
+        accumulate_grad(w, xd.T @ g)
+
+    out = xd @ wd
+    out += b.data
+    return record_op("linear", out, (x, w, b), bwd)
+
+
+def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(int(s) for s in shape)
+    if any(s <= 0 for s in shape):
+        raise TensorError(f"reshape: dimensions must be positive, got {shape}")
+    if math.prod(shape) != t.size:
+        raise TensorError(f"reshape: cannot view {t.shape} as {shape}")
+    orig = t.shape
+
+    def bwd(g):
+        accumulate_grad(t, g.reshape(orig))
+
+    return record_op("reshape", t.data.reshape(shape), (t,), bwd)
+
+
+def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(t.ndim)):
+        raise TensorError(f"transpose: {axes} is not a permutation of {t.ndim} axes")
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
+
+    def bwd(g):
+        accumulate_grad(t, np.transpose(g, inverse))
+
+    return record_op("transpose", np.transpose(t.data, axes), (t,), bwd)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """N equal-shape tensors to one tensor with a new leading axis of length N."""
+    if not tensors:
+        raise TensorError("stack: empty input list")
+    shape = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != shape:
+            raise TensorError(f"stack: shape mismatch {t.shape} vs {shape}")
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            accumulate_grad(t, g[i])
+
+    data = np.stack([t.data for t in tensors])
+    return record_op("stack", data, tuple(tensors), bwd)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale and shift per channel."""
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise TensorError(f"layer_norm: scale/shift must have shape ({c},)")
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the variance as np.var takes it: the mean of the squared deviations
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+
+    def bwd(g):
+        accumulate_grad(beta, g.reshape(-1, c).sum(axis=0))
+        accumulate_grad(gamma, (g * xhat).reshape(-1, c).sum(axis=0))
+        dxhat = g * gamma.data
+        dx = inv * (dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        accumulate_grad(x, dx)
+
+    out = xhat * gamma.data
+    out += beta.data
+    return record_op("layer_norm", out, (x, gamma, beta), bwd)
+
+
+def _merge_patches(x: Tensor, k: int) -> Tensor:
+    """N x C x h x w -> (N * h/k * w/k) x (C*k*k) token matrix; rows run image
+    by image in row-major patch order, column c*k*k + dy*k + dx."""
+    n, c, h, w = x.shape
+    x = reshape(x, (n, c, h // k, k, w // k, k))
+    x = transpose(x, (0, 2, 4, 1, 3, 5))
+    return reshape(x, (n * (h // k) * (w // k), c * k * k))
+
+
+def _mixer_block(x: Tensor, params: dict, prefix: str) -> Tensor:
+    normed = layer_norm(x, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"])
+    h = T.gelu(linear(normed, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    h = linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
+    return T.add(x, h)
+
+
+def encode_stage_chain(x: Tensor, cfg, params: dict, stage: int) -> Tensor:
+    """``encoder.encode_stage`` on an N x C x h x w tensor as a chain of
+    recorded ops: patch merge (reshape, transpose, reshape), the patch
+    ``linear``, each mixer block (``layer_norm``, ``linear``, ``gelu``,
+    ``linear``, ``add``) and the token -> map reshape and transpose."""
+    n, _, h, w = x.shape
+    k = STAGE_DOWNSAMPLE[stage]
+    tokens = linear(_merge_patches(x, k), params[f"enc.s{stage}.patch.w"],
+                    params[f"enc.s{stage}.patch.b"])
+    for b in range(cfg.blocks_per_stage):
+        tokens = _mixer_block(tokens, params, f"enc.s{stage}.b{b}")
+    return transpose(reshape(tokens, (n, h // k, w // k, tokens.shape[1])), (0, 3, 1, 2))
+
+
+def encode_batch_chain(images, cfg, params: dict) -> list[list[Tensor]]:
+    """``encoder.encode_batch`` through ``stack`` and ``encode_stage_chain``."""
+    levels = []
+    x = stack(images)
+    for s in range(PYRAMID_LEVELS):
+        x = encode_stage_chain(x, cfg, params, s)
+        levels.append(T.unstack(x))
+    return [list(pyramid) for pyramid in zip(*levels)]
+
+
+# ---------------------------------------------------------------------------
 # reference for the fused ``mim.mim_forward``
 
 
@@ -257,18 +400,18 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     backward."""
     if f_robust.ndim != 3:
         raise TensorError(f"mim_chain: need C x h x w maps, got {f_robust.shape}")
-    pair = T.stack([f_robust, f_fragile])
+    pair = stack([f_robust, f_fragile])
     _, c, h, w = pair.shape
     p = f"mim.l{level}"
     z = concat([pool_global(pair, "avg"), pool_global(pair, "max")], axis=1)
-    z = T.reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
-    hidden = T.gelu(T.linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
-    att = sigmoid(T.linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
-    pair = cross_rectify(pair, T.reshape(att, (2, c, 1, 1)))
-    att = sigmoid(T.channel_mix(T.reshape(pair, (2 * c, h, w)),
+    z = reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
+    hidden = T.gelu(linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
+    att = sigmoid(linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
+    pair = cross_rectify(pair, reshape(att, (2, c, 1, 1)))
+    att = sigmoid(T.channel_mix(reshape(pair, (2 * c, h, w)),
                                   params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
-    pair = cross_rectify(pair, T.reshape(att, (2, 1, h, w)))
-    return T.channel_mix(T.reshape(pair, (2 * c, h, w)),
+    pair = cross_rectify(pair, reshape(att, (2, 1, h, w)))
+    return T.channel_mix(reshape(pair, (2 * c, h, w)),
                          params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
 
 
@@ -531,7 +674,7 @@ def embed_chain(pyramids, params: dict) -> Tensor:
                      for i, level in enumerate(pyramid)]
         embedded.append(T.channel_mix(concat(projected, axis=0),
                                       params["head.fuse.w"], params["head.fuse.b"]))
-    return T.stack(embedded)
+    return stack(embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +726,34 @@ def mean_reference(arrays: list[np.ndarray]) -> np.ndarray:
 
 def class_argmax_reference(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=0).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# reference for the arena AdamW update
+
+
+def adam_update_reference(params: dict, state, lr: float) -> None:
+    """``train.adam_update`` as a loop over the parameters, one fresh array per
+    operation, rebinding each updated parameter's ``.data``."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+        step_dir = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data = p.data - lr * (step_dir + WEIGHT_DECAY * p.data)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ import helpers
 import modalseg
 import modalseg.tensor as T
 from helpers import (check_grads, clamp, concat, cross_rectify, div, exp, init_head_params,
-                     init_mim_params, log, max_rel_err, pool_global, sigmoid, sum_all)
+                     init_mim_params, layer_norm, linear, log, max_rel_err, pool_global,
+                     reshape, sigmoid, stack, sum_all, transpose)
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
-from modalseg.encoder import encode_batch
+from modalseg.encoder import encode_batch, encode_stage, encoder_param_specs
 from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
                                render_report, run_mass_eval)
 from modalseg.head import cross_entropy, embed, total_loss
@@ -81,11 +82,11 @@ def _op_cases(rng):
         ("add", lambda a, b: m(T.add(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("mul", lambda a, b: m(T.mul(a, b)), [n(size=(3, 4)), n(size=(3, 4))]),
         ("div", lambda a, b: m(div(a, b)), [n(size=(3, 4)), p(3, 4)]),
-        ("linear", lambda x, w, b: m(exp(T.linear(x, w, b))),
+        ("linear", lambda x, w, b: m(exp(linear(x, w, b))),
          [n(size=(3, 4)), n(size=(4, 2)), n(size=(2,))]),
-        ("reshape", lambda t: m(T.mul(T.reshape(t, (3, 4)), 2.0)),
+        ("reshape", lambda t: m(T.mul(reshape(t, (3, 4)), 2.0)),
          [n(size=(2, 6))]),
-        ("transpose", lambda t: m(exp(T.transpose(t, (1, 0, 2)))),
+        ("transpose", lambda t: m(exp(transpose(t, (1, 0, 2)))),
          [n(size=(2, 3, 2))]),
         ("concat", lambda a, b: m(exp(concat([a, b], axis=1))),
          [n(size=(2, 3)), n(size=(2, 2))]),
@@ -95,7 +96,7 @@ def _op_cases(rng):
         ("sigmoid", lambda t: m(sigmoid(t)), [n(size=(3, 4))]),
         ("gelu", lambda t: m(T.gelu(t)), [n(size=(3, 4))]),
         ("clamp", lambda t: m(clamp(t, -0.7, 0.7)), [n(size=(3, 4))]),
-        ("layer_norm", lambda x, g, b: m(T.layer_norm(x, g, b)),
+        ("layer_norm", lambda x, g, b: m(layer_norm(x, g, b)),
          [n(size=(4, 6)), p(6), n(size=(6,))]),
         ("pool_avg", lambda f: m(pool_global(f, "avg")), [n(size=(3, 4, 4))]),
         ("pool_max", lambda f: m(pool_global(f, "max")), [n(size=(3, 4, 4))]),
@@ -107,7 +108,7 @@ def _op_cases(rng):
          [n(size=(2, 3, 2, 2)), n(size=(2, 1, 2, 2))]),
         ("channel_mix", lambda f, w, b: m(exp(T.channel_mix(f, w, b))),
          [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
-        ("stack", lambda a, b: m(exp(T.stack([a, b]))),
+        ("stack", lambda a, b: m(exp(stack([a, b]))),
          [n(size=(2, 3)), n(size=(2, 3))]),
     ]
     # Draws of retired cases stay in the stream, so every other case keeps its
@@ -141,6 +142,18 @@ def _op_cases(rng):
     cases.append(("embed", lambda *ts: m(T.mul(embed([list(ts[:4]), list(ts[4:8])],
                                                      dict(zip(front, ts[8:]))),
                                                embed_weights)), embed_arrays))
+    # encoder stage 1 (2 x 2 patches, 2 -> 3 channels, two mixer blocks) over
+    # two maps and its fifteen parameters, under a fixed linear weighting
+    stage_cfg = TrainConfig(stage_channels=(2, 3, 4, 5), blocks_per_stage=2).model_config(
+        2, MODALITIES[:1])
+    stage = {name: spec.shape for name, spec in encoder_param_specs(stage_cfg)
+             if name.startswith("enc.s1.")}
+    stage_arrays = [n(size=(2, 4, 4)) for _ in range(2)]
+    stage_arrays += [n(scale=0.5, size=shape) for shape in stage.values()]
+    stage_weights = Tensor(n(size=(2, 3, 2, 2)))
+    cases.append(("encode_stage", lambda *ts: m(T.mul(encode_stage(
+        list(ts[:2]), stage_cfg, dict(zip(stage, ts[2:])), 1), stage_weights)),
+        stage_arrays))
     return cases
 
 
@@ -224,7 +237,7 @@ def test_criterion_2_every_recorded_op_has_a_gradient_case(monkeypatch):
         train_step(ds.scenes, params, AdamState(), cfg, mcfg, lr=1e-2)
     run_mass_eval(mcfg, params, dataclasses.replace(ds, scenes=ds.scenes[:1]))
 
-    assert {"mim", "consistency", "cross_entropy", "linear"} <= recorded  # every binding
+    assert {"mim", "consistency", "cross_entropy", "encode_stage"} <= recorded  # every binding
     cases = _op_cases(np.random.default_rng(0))
     case_ops = {name.split()[0] for name, _, _ in cases}
     assert recorded <= case_ops, f"ops without a gradient case: {sorted(recorded - case_ops)}"

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import modalseg.encoder as encoder
 import modalseg.tensor as T
-from modalseg.encoder import encode_batch
+from modalseg.encoder import encode_batch, encode_stage
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 from modalseg.train import TrainConfig
 
-from helpers import check_param_grad, init_encoder_params, sum_all
+from helpers import (check_param_grad, encode_batch_chain, encode_stage_chain,
+                     init_encoder_params, sum_all, transpose)
 
 SMALL = TrainConfig(stage_channels=(4, 6, 8, 10)).model_config(2, ("camera",))
 
@@ -179,7 +181,9 @@ def test_batch_param_grads_equal_sum_of_per_image_grads():
 def test_batch_adds_only_one_unstack_per_image_per_stage(monkeypatch):
     names = []
     real = T.record_op
-    monkeypatch.setattr(T, "record_op", lambda name, *a: names.append(name) or real(name, *a))
+    spy = lambda name, *a: names.append(name) or real(name, *a)
+    monkeypatch.setattr(T, "record_op", spy)
+    monkeypatch.setattr(encoder, "record_op", spy)  # the fused stage's own binding
     counts = {}
     for n in (1, 16):
         names.clear()
@@ -187,5 +191,63 @@ def test_batch_adds_only_one_unstack_per_image_per_stage(monkeypatch):
             encode_batch([Tensor(np.ones((3, 32, 32)))] * n, SMALL, small_params())
         counts[n] = {name: names.count(name) for name in set(names)}
     assert "unstack" not in counts[1] and "unstack" not in counts[16]  # views record nothing
-    assert counts[16] == counts[1]
-    assert counts[1]["stack"] == 1 and counts[1]["transpose"] == 2 * 4
+    assert counts[16] == counts[1] == {"encode_stage": 4}  # one fused op per stage
+
+
+# ---------------------------------------------------------------------------
+# the fused stage against the chain of recorded ops it equals
+
+
+def weighted_sum(tensors, rng) -> Tensor:
+    """A fixed random weighting of every entry of ``tensors``, summed."""
+    parts = [sum_all(T.mul(t, Tensor(rng.normal(size=t.shape)))) for t in tensors]
+    total = parts[0]
+    for part in parts[1:]:
+        total = T.add(total, part)
+    return total
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_encode_batch_bit_identical_to_the_chain(blocks):
+    """Every level's values and layout, and the gradients of every parameter
+    and image, equal the chain's bit for bit; each stage after the first
+    takes an input that also carries the previous level's gradient."""
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10), blocks_per_stage=blocks).model_config(
+        2, ("camera",))
+    runs = []
+    for encode in (encode_batch, encode_batch_chain):
+        params = init_encoder_params(cfg, np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        images = [Tensor(rng.random((3, 64, 32)), requires_grad=True) for _ in range(3)]
+        pyramids = encode(images, cfg, params)
+        levels = [level for pyramid in pyramids for level in pyramid]
+        backward(weighted_sum(levels, rng))
+        runs.append(([(lvl.data.tobytes(), lvl.data.strides) for lvl in levels],
+                     {n: p.grad.tobytes() for n, p in params.items()},
+                     [im.grad.tobytes() for im in images]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("stage", [0, 2])
+def test_encode_stage_bit_identical_to_the_chain(blocks, stage):
+    """One stage over channel-last maps of a leaf (stage 0: over images),
+    the leaf's gradient included."""
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10), blocks_per_stage=blocks).model_config(
+        2, ("camera",))
+    c = 3 if stage == 0 else cfg.stage_channels[stage - 1]
+    runs = []
+    for fused in (True, False):
+        params = init_encoder_params(cfg, np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        leaf = Tensor(rng.normal(size=(2, 16, 8, c)), requires_grad=True)
+        x = transpose(leaf, (0, 3, 1, 2))
+        if fused:
+            out = encode_stage(T.unstack(x), cfg, params, stage, x.data)
+        else:
+            out = encode_stage_chain(x, cfg, params, stage)
+        backward(weighted_sum([out], rng))
+        runs.append((out.data.tobytes(), out.data.strides, leaf.grad.tobytes(),
+                     {n: p.grad.tobytes() for n, p in params.items() if p.grad is not None}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][3]) == 2 + 6 * blocks  # exactly the stage's parameters

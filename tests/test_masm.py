@@ -15,7 +15,8 @@ from modalseg.train import TrainConfig
 
 import helpers
 from helpers import (check_grads, check_param_grad, clamp, consistency_chain, cosine, div,
-                     init_encoder_params, init_mim_params, log, map_similarity, sum_all)
+                     init_encoder_params, init_mim_params, log, map_similarity, sum_all,
+                     transpose)
 
 
 def feature_with_cosine(target: float, slot: int, dim: int = 6) -> Tensor:
@@ -192,7 +193,7 @@ def test_ranking_scores_equal_tensor_cosine_bit_for_bit():
     rng = np.random.default_rng(8)
     for trial in range(20):
         # transposed views give non-contiguous data, as encoder maps have
-        feats = [T.transpose(Tensor(rng.normal(size=(3, 4, 5))), (2, 1, 0))
+        feats = [transpose(Tensor(rng.normal(size=(3, 4, 5))), (2, 1, 0))
                  for _ in range(4)]
         if trial % 4 == 0:
             feats[trial % 3] = Tensor(np.zeros((5, 4, 3)))
@@ -445,7 +446,7 @@ def test_consistency_gradients_through_channel_last_views():
     rng = np.random.default_rng(62)
 
     def build(leaf):
-        f = T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
+        f = T.unstack(transpose(leaf, (0, 3, 1, 2)))
         return consistency_loss([(f[0], f[1], f[2]), (f[3], f[2], f[0])], 5)
 
     for _ in range(5):

@@ -13,7 +13,7 @@ from modalseg.mim import fuse, mim_forward, rectify_channel, rectify_spatial
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
 from helpers import (check_grads, check_param_grad, cross_rectify, exp, init_mim_params,
-                     mim_chain, sum_all)
+                     mim_chain, sum_all, transpose)
 
 
 def params_for(channels, seed=0):
@@ -257,7 +257,7 @@ def test_mim_gradients_through_channel_last_views():
     weights = Tensor(rng.normal(size=(3, 2, 3)))
 
     def build(leaf, *ws):
-        maps = T.unstack(T.transpose(leaf, (0, 3, 1, 2)))
+        maps = T.unstack(transpose(leaf, (0, 3, 1, 2)))
         return sum_all(T.mul(mim_forward(maps[1], maps[0], dict(zip(names, ws)), 0), weights))
 
     check_grads(build, [rng.normal(size=(2, 2, 3, 3)),

@@ -27,7 +27,7 @@ from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             load_config, lr_at, save_checkpoint, train,
                             train_step)
 
-from helpers import save_checkpoint_reference
+from helpers import adam_update_reference, save_checkpoint_reference
 
 MODALITIES = ("camera", "depth", "event", "range")
 
@@ -271,8 +271,124 @@ def test_train_step_encodes_the_batch_in_one_call(monkeypatch):
     assert encoded == [3 * 4]
 
 
-MASM_STEP_OP_BUDGET = 118
-EVAL_SCENE_OP_BUDGET = 106
+# ---------------------------------------------------------------------------
+# AdamW over parameter arenas
+
+BENCH_TRAIN = TrainConfig(stage_channels=(8, 12, 16, 24), d_embed=16, base_lr=1e-2,
+                          batch_size=4, epochs=1, fusion="masm", beta=1.0, seed=0)
+ADAM_MODELS = {"train-masm": BENCH_TRAIN.model_config(3, MODALITIES),
+               "cli": TrainConfig().model_config(5, MODALITIES)}
+ADAM_MEMORY_BUDGET = 64 * 2**10  # bytes a steady-state update may allocate at its peak
+
+
+def give_grads(params, rng, skip=()):
+    """A fresh random gradient for every parameter not named in ``skip``,
+    accumulated as the tape accumulates one."""
+    for name, p in params.items():
+        p.zero_grad()
+        if name not in skip:
+            T.accumulate_grad(p, rng.normal(size=p.shape))
+
+
+def moments_bytes(state):
+    return ({n: a.tobytes() for n, a in state.m.items()},
+            {n: a.tobytes() for n, a in state.v.items()})
+
+
+@pytest.mark.parametrize("model_name", sorted(ADAM_MODELS))
+def test_adam_update_bit_identical_to_the_reference_loop(model_name):
+    """Four steps against ``helpers.adam_update_reference``: a parameter that
+    never has a gradient, one whose first gradient comes at step 2, a gap in
+    the middle of a block, ``.data`` swapped and restored (as the benchmark's
+    gradient probe does) and ``.data`` rebound to a new array."""
+    mcfg = ADAM_MODELS[model_name]
+    names = list(model.model_param_specs(mcfg))
+    never, late = "enc.s1.b0.ln.b", "head.cls.b"
+    gap = {name for name, _ in names[10:14]}
+    sides = []
+    for update in (train_module.adam_update, adam_update_reference):
+        params, state = init_model_params(mcfg, 0), AdamState()
+        initial = params[never].data.copy()
+        rng = np.random.default_rng(7)
+        history = []
+        for step in range(1, 5):
+            give_grads(params, rng, skip={never} | ({late} if step == 1 else set())
+                       | (gap if step == 3 else set()))
+            if step == 2:
+                probed = params["mim.l2.sp.w"]
+                base = probed.data
+                probed.data = base + 1.0
+                probed.data = base
+            if step == 3:
+                rebound = params["enc.s0.patch.w"]
+                rebound.data = rebound.data * 1.5
+            update(params, state, lr=1e-2 * step)
+            history.append((state.step, param_bytes(params), moments_bytes(state)))
+        assert never not in state.m and never not in state.v
+        assert params[never].data.tobytes() == initial.tobytes()
+        sides.append(history)
+    assert sides[0] == sides[1]
+
+
+def test_adam_update_resumes_moments_loaded_from_a_checkpoint(tmp_path):
+    ds, cfg, mcfg, ckpt, _ = trained_state(steps=2)
+    path = tmp_path / "model.mmck"
+    save_checkpoint(path, ckpt)
+    sides = []
+    for update in (train_module.adam_update, adam_update_reference):
+        loaded = load_checkpoint(path)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            give_grads(loaded.params, rng)
+            update(loaded.params, loaded.opt, lr=5e-3)
+        sides.append((loaded.opt.step, param_bytes(loaded.params), moments_bytes(loaded.opt)))
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("model_name", sorted(ADAM_MODELS))
+def test_arena_blocks_stay_below_the_block_size(model_name):
+    """Every block holds at most ``ARENA_BLOCK`` doubles unless it holds one
+    parameter; the blocks hold every parameter once, in order, and each
+    parameter's data, next gradient and moments are views of its block."""
+    mcfg = ADAM_MODELS[model_name]
+    params, state = init_model_params(mcfg, 0), AdamState()
+    rng = np.random.default_rng(9)
+    give_grads(params, rng)
+    train_module.adam_update(params, state, lr=1e-3)
+    give_grads(params, rng)  # a first gradient goes into its arena slice now
+    blocks = state._arena.blocks
+    assert all(len(b.data) <= train_module.ARENA_BLOCK or len(b.slots) == 1 for b in blocks)
+    assert [slot.name for b in blocks for slot in b.slots] == list(params)
+    for b in blocks:
+        for slot in b.slots:
+            p = params[slot.name]
+            assert p.data is slot.data and p.grad is slot.grad
+            assert state.m[slot.name] is slot.m and state.v[slot.name] is slot.v
+            assert all(np.shares_memory(view, whole) for view, whole in
+                       zip((slot.data, slot.grad, slot.m, slot.v), b[:4]))
+    if model_name == "cli":  # 73,728 doubles: a block to itself
+        assert [len(b.slots) for b in blocks if b.slots[0].name == "mim.l3.ch.w1"] == [1]
+
+
+def test_steady_state_adam_update_allocates_almost_nothing():
+    """tracemalloc peak of one ``adam_update`` for the CLI default model after
+    its first: the per-parameter loop allocated about 3 MiB of temporaries."""
+    params, state = init_model_params(ADAM_MODELS["cli"], 0), AdamState()
+    rng = np.random.default_rng(10)
+    give_grads(params, rng)
+    train_module.adam_update(params, state, lr=1e-3)
+    give_grads(params, rng)
+    tracemalloc.start()
+    try:
+        train_module.adam_update(params, state, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ADAM_MEMORY_BUDGET
+
+
+MASM_STEP_OP_BUDGET = 78
+EVAL_SCENE_OP_BUDGET = 66
 BACKWARD_MEMORY_BUDGET = 2 * 2**20  # bytes backward may add over what the forward holds
 CHECKPOINT_LOAD_MEMORY_BUDGET = 2**20  # bytes a load's peak may add over its payload
 
@@ -303,13 +419,11 @@ def test_masm_step_records_at_most_the_op_budget(monkeypatch):
     32x32, M=4, K=3, widths 8/12/16/24, d_embed 16, beta 1): per-op Python
     cost dominates a step of this size, so a fused op split back into a chain
     shows up here."""
-    cfg = TrainConfig(stage_channels=(8, 12, 16, 24), d_embed=16, base_lr=1e-2,
-                      batch_size=4, epochs=1, fusion="masm", beta=1.0, seed=0)
     ds = small_dataset(count=4)
-    mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
+    mcfg = BENCH_TRAIN.model_config(ds.num_classes, ds.modality_names)
     params = init_model_params(mcfg, 0)
     names = spy_op_names(monkeypatch)
-    train_step(ds.scenes, params, AdamState(), cfg, mcfg, lr=1e-2)
+    train_step(ds.scenes, params, AdamState(), BENCH_TRAIN, mcfg, lr=1e-2)
     assert "mean" in names and "consistency" in names  # the spy saw masm's binding
     assert "mim" in names  # ... and mim's
     assert len(names) <= MASM_STEP_OP_BUDGET
@@ -337,7 +451,7 @@ def test_masm_step_leaves_gradients_only_on_parameters(monkeypatch):
     outputs = []
     spy_op_names(monkeypatch, outputs)
     train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
-    assert {o.requires_grad for o in outputs} == {True, False}  # the spy saw the tape
+    assert outputs and all(o.requires_grad for o in outputs)  # every op is on the tape
     assert all(p.grad is not None for p in params.values())
     assert all(o.grad is None and o._node_index is None for o in outputs)
     assert len(T.active_tape()) == 0
@@ -441,6 +555,22 @@ def test_resumed_run_matches_uninterrupted_run(tmp_path, monkeypatch):
     assert param_bytes(params_a) == param_bytes(params_b)
     for name in ("train_log.csv", "model.mmck"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_resumed_run_leaves_the_callers_checkpoint_as_loaded(tmp_path, monkeypatch):
+    """``train(resume=ckpt)`` trains copies: afterwards ``ckpt`` still equals
+    the file it was loaded from, parameters and moments included."""
+    ds = small_dataset()
+    cfg = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8, epochs=2,
+                      batch_size=2, base_lr=1e-3, seed=9)
+    save = train_module.save_checkpoint
+    monkeypatch.setattr(train_module, "save_checkpoint", lambda path, ckpt: (
+        save(path, ckpt), save(tmp_path / f"epoch{ckpt.epoch}.mmck", ckpt)))
+    train(cfg, ds, tmp_path / "a")
+    monkeypatch.undo()
+    resume = load_checkpoint(tmp_path / "epoch1.mmck")
+    train(cfg, ds, tmp_path / "b", resume=resume)
+    assert checkpoints_equal(resume, load_checkpoint(tmp_path / "epoch1.mmck"))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
