@@ -18,7 +18,8 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .data import atomic_target, generate_dataset, read_dataset, write_dataset
+from .container import atomic_target
+from .data import generate_dataset, read_dataset, write_dataset
 from .evaluate import (rankings_csv, render_report, report_from_json,
                        report_to_json, run_mass_eval)
 from .train import TrainConfig, load_checkpoint, load_config, train

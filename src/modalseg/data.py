@@ -14,25 +14,29 @@ Every random draw comes from a purpose-specific stream spawned from the
 scene seed, so the condition changes the camera image and nothing else.
 Images are float32 in [0,1]; labels are uint8 with 255 marking the 2-pixel
 annotation border that losses and metrics must skip.
+
+A ``.mmss`` file (format version 2) is a ``container`` file. Its header
+holds the class count, the modality names, and each scene's seed and
+condition by name; its arrays are one N x H x W uint8 ``labels`` and one
+N x M x 3 x H x W float32 ``images``.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .encoder import IMAGE_CHANNELS, TOTAL_DOWNSAMPLE
 from .head import IGNORE_LABEL
 from .tensor import _interp_matrix
 
 MODALITY_NAMES = ("camera", "depth", "event", "range")
+CONDITIONS = ("day", "night")
+_META = ("num_classes", "modality_names", "seeds", "conditions")  # a .mmss header's fields
 MAGIC = b"MMSS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BORDER = 2  # annotation border width, labeled 255
 MAX_CLASSES = 16
 
@@ -58,10 +62,13 @@ class TruncatedDatasetError(DatasetFormatError):
     pass
 
 
+_ERRORS = (DatasetFormatError, BadMagicError, VersionMismatchError, TruncatedDatasetError)
+
+
 @dataclass
 class ModalityScene:
     seed: int
-    condition: str  # "day" or "night"
+    condition: str  # one of CONDITIONS
     modalities: list[np.ndarray]  # each float32, 3 x H x W, values in [0,1]
     labels: np.ndarray  # uint8, H x W, class ids plus 255 border
 
@@ -176,116 +183,82 @@ def generate_dataset(seed: int, count: int, h: int, w: int, k: int,
 # container
 
 
-@contextmanager
-def atomic_target(path):
-    """Yield a temp path beside ``path``; rename it over ``path`` when the
-    block succeeds, delete it when the block fails, so a failed write leaves
-    the previous file whole and no temp file behind. There is no fsync: this
-    guards against a failed write or a crashed process, not power loss."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _check_finite(img: np.ndarray, index: int, seed: int, name: str) -> None:
-    if not np.isfinite(img).all():
-        raise DatasetFormatError(f"scene {index} (seed {seed}): modality {name!r} "
-                                 f"image holds a non-finite value")
+def _check_dataset(k, names, seeds, conditions, labels: np.ndarray,
+                   images: np.ndarray) -> None:
+    """What ``read_dataset`` checks of a dataset's content, and
+    ``write_dataset`` before it opens a file: the class count, each scene's
+    seed and condition, its labels, and that its images are finite."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or not 1 <= k <= MAX_CLASSES:
+        raise DatasetFormatError(f"class count {k!r} outside [1, {MAX_CLASSES}]")
+    for index, (seed, condition) in enumerate(zip(seeds, conditions)):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+                or not 0 <= seed < 2**64:
+            raise DatasetFormatError(f"scene {index}: seed {seed!r} is not an "
+                                     f"integer in [0, 2**64)")
+        if condition not in CONDITIONS:
+            raise DatasetFormatError(f"scene {index}: condition {condition!r} is "
+                                     f"not one of {CONDITIONS}")
+    if np.any(((labels < 0) | (labels >= k)) & (labels != IGNORE_LABEL)):
+        raise DatasetFormatError(f"label outside [0, {k}) in a scene")
+    for index, (seed, scene_images) in enumerate(zip(seeds, images)):
+        for name, img in zip(names, scene_images):
+            if not np.isfinite(img).all():
+                raise DatasetFormatError(f"scene {index} (seed {seed}): modality "
+                                         f"{name!r} image holds a non-finite value")
 
 
 def write_dataset(path, dataset: Dataset) -> None:
     """Write a ``.mmss`` file atomically. Raises ``DatasetFormatError``, before
     any file is opened, for anything ``read_dataset`` would reject."""
-    scenes = dataset.scenes
+    scenes, names = dataset.scenes, dataset.modality_names
     if not scenes:
         raise ValueError("refusing to write an empty dataset")
-    k = dataset.num_classes
-    if not 1 <= k <= MAX_CLASSES:
-        raise DatasetFormatError(f"class count {k} outside [1, {MAX_CLASSES}]")
-    h, w = scenes[0].labels.shape
-    m = len(dataset.modality_names)
-    blob = bytearray()
-    blob += struct.pack("<4sIIIIII", MAGIC, FORMAT_VERSION, len(scenes), m, h, w, k)
-    for name in dataset.modality_names:
-        raw = name.encode("utf-8")
-        blob += struct.pack("<I", len(raw)) + raw
-    for index, scene in enumerate(scenes):
-        labels = scene.labels
-        if labels.shape != (h, w) or len(scene.modalities) != m:
-            raise DatasetFormatError("inconsistent scene geometry in dataset")
-        if np.any((labels != IGNORE_LABEL) & ((labels < 0) | (labels >= k))):
-            raise DatasetFormatError(f"label outside [0, {k}) in a scene")
-        if any(img.shape != (IMAGE_CHANNELS, h, w) for img in scene.modalities):
-            raise DatasetFormatError(
-                f"modality image is not {IMAGE_CHANNELS} x {h} x {w}")
-        blob += struct.pack("<QB", scene.seed, 1 if scene.condition == "night" else 0)
-        blob += labels.astype(np.uint8).tobytes()
-        for name, img in zip(dataset.modality_names, scene.modalities):
-            with np.errstate(over="ignore"):  # overflow is rejected just below
-                raw = img.astype("<f4")
-            _check_finite(raw, index, scene.seed, name)
-            blob += raw.tobytes()
-    with atomic_target(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(blob)
+    try:
+        labels = np.stack([scene.labels for scene in scenes])
+        with np.errstate(over="ignore"):  # overflow is rejected as non-finite
+            images = np.array([scene.modalities for scene in scenes], dtype="<f4")
+        if labels.ndim != 3 or images.shape != (len(scenes), len(names), IMAGE_CHANNELS,
+                                                *labels.shape[1:]):
+            raise ValueError(f"shapes {labels.shape} and {images.shape}")
+    except ValueError as exc:  # np.stack and np.array refuse unequal sizes
+        raise DatasetFormatError(f"label maps and modality images are not all H x W and "
+                                 f"{len(names)} x {IMAGE_CHANNELS} x H x W: {exc}") from None
+    seeds, conditions = [s.seed for s in scenes], [s.condition for s in scenes]
+    _check_dataset(dataset.num_classes, names, seeds, conditions, labels, images)
+    meta = dict(zip(_META, (int(dataset.num_classes), list(names),
+                            [int(seed) for seed in seeds], conditions)))
+    container.write(path, MAGIC, FORMAT_VERSION, meta,
+                    [("labels", "|u1", labels), ("images", "<f4", images)])
+
+
+def _check_header(meta: dict, table) -> tuple:
+    """A ``.mmss`` header's class count, modality names, seeds and
+    conditions, once its fields are all there, its lists are lists, and its
+    array table holds one label map and M images for each seed."""
+    if set(meta) != set(_META):
+        raise DatasetFormatError(f"header fields {sorted(meta)} are not {list(_META)}")
+    k, names, seeds, conditions = (meta[key] for key in _META)
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and isinstance(seeds, list) and isinstance(conditions, list)
+            and len(seeds) == len(conditions)):
+        raise DatasetFormatError("header does not list modality names, and one "
+                                 "seed and one condition per scene")
+    hw = table[0][2][1:] if table else ()
+    n, m = len(seeds), len(names)
+    if len(hw) != 2 or table != [("labels", "|u1", (n, *hw)),
+                                 ("images", "<f4", (n, m, IMAGE_CHANNELS, *hw))]:
+        raise DatasetFormatError(f"array table is not {n} label maps and {n} x {m} "
+                                 f"images of {IMAGE_CHANNELS} x H x W: {table}")
+    return k, tuple(names), seeds, conditions
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 28:
-        raise TruncatedDatasetError("file shorter than fixed header")
-    magic, version, count, m, h, w, k = struct.unpack_from("<4sIIIIII", blob, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"format version {version}, "
-                                   f"reader supports {FORMAT_VERSION}")
-    if not 1 <= k <= MAX_CLASSES:
-        raise DatasetFormatError(f"class count {k} outside [1, {MAX_CLASSES}]")
-    offset = 28
-    names = []
-    for _ in range(m):
-        if offset + 4 > len(blob):
-            raise TruncatedDatasetError("truncated modality name table")
-        (nlen,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + nlen > len(blob):
-            raise TruncatedDatasetError("truncated modality name table")
-        try:
-            names.append(blob[offset:offset + nlen].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"modality name is not UTF-8: {exc}") from exc
-        offset += nlen
-
-    image_values = IMAGE_CHANNELS * h * w
-    record = 9 + h * w + m * image_values * 4
-    if len(blob) - offset != count * record:
-        raise TruncatedDatasetError(
-            f"payload is {len(blob) - offset} bytes, header promises {count * record}")
-
-    scenes = []
-    for index in range(count):
-        seed, cond = struct.unpack_from("<QB", blob, offset)
-        if cond not in (0, 1):
-            raise DatasetFormatError(f"invalid condition byte {cond}")
-        offset += 9
-        labels = np.frombuffer(blob, dtype=np.uint8, count=h * w,
-                               offset=offset).reshape(h, w).copy()
-        if np.any((labels >= k) & (labels != IGNORE_LABEL)):
-            raise DatasetFormatError(f"label outside [0, {k}) in a scene")
-        offset += h * w
-        modalities = []
-        for name in names:
-            img = np.frombuffer(blob, dtype="<f4", count=image_values,
-                                offset=offset).reshape(IMAGE_CHANNELS, h, w)
-            _check_finite(img, index, seed, name)
-            modalities.append(img.astype(np.float32))  # a copy, so it outlives blob
-            offset += image_values * 4
-        scenes.append(ModalityScene(seed=seed, condition="night" if cond else "day",
-                                    modalities=modalities, labels=labels))
-    return Dataset(num_classes=k, modality_names=tuple(names), scenes=scenes)
+    """Read a ``.mmss`` file; any flaw in it is a ``DatasetFormatError``. Each
+    scene's label map and images are views of the file's two arrays."""
+    (k, names, seeds, conditions), arrays = container.read(
+        path, MAGIC, FORMAT_VERSION, _ERRORS, _check_header)
+    _check_dataset(k, names, seeds, conditions, arrays["labels"], arrays["images"])
+    return Dataset(num_classes=k, modality_names=names, scenes=[
+        ModalityScene(seed, condition, list(images), labels) for seed, condition, images, labels
+        in zip(seeds, conditions, arrays["images"], arrays["labels"])])

@@ -10,6 +10,11 @@ its ``AdamState`` and updates them in place, a few numpy passes per block.
 Checkpoints capture parameters, optimizer moments, epoch, and the exact
 shuffle RNG state, so a resumed run is bit-identical to an uninterrupted
 one; it trains copies, so the checkpoint it resumes from is left as it was.
+A ``.mmck`` file (format version 2) is a ``container`` file: its header
+holds the config, class count, modality names, epoch, optimizer step,
+shuffle state, history and the names of the parameters that have moments;
+its arrays are the float64 parameters by name, then ``m/<name>`` and
+``v/<name>`` for each of those.
 Config files are INI-style key = value sections.
 """
 
@@ -20,16 +25,16 @@ import csv
 import itertools
 import json
 import math
-import os
-import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import container
 from . import tensor as T
-from .data import Dataset, atomic_target
+from .container import atomic_target
+from .data import Dataset
 from .encoder import PYRAMID_LEVELS
 from .head import total_loss
 from .masm import mean_feature
@@ -38,7 +43,7 @@ from .model import (FUSION_MODES, ModelConfig, forward_train, init_model_params,
 from .tensor import NonFiniteError, Tensor, backward
 
 CKPT_MAGIC = b"MMCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -59,6 +64,9 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     pass
+
+
+_ERRORS = (CheckpointError, CheckpointError, CheckpointVersionError, CheckpointTruncatedError)
 
 
 class TrainingAbort(RuntimeError):
@@ -442,8 +450,11 @@ def _check_compat(ckpt: Checkpoint, cfg: TrainConfig, model_cfg: ModelConfig) ->
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    names = list(ckpt.params)
-    header = {
+    """Write a ``.mmck`` file atomically: the header, then the parameters in
+    the dict's order, then each moment's ``m`` and ``v`` in name order, every
+    array as little-endian float64 and from its own buffer when it is one."""
+    moments = sorted(ckpt.opt.m)
+    meta = {
         "config": asdict(ckpt.config),
         "num_classes": ckpt.num_classes,
         "modality_names": list(ckpt.modality_names),
@@ -451,39 +462,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "adam_step": ckpt.opt.step,
         "rng_state": ckpt.rng_state,
         "history": ckpt.history,
-        "params": [{"name": n, "shape": list(ckpt.params[n].shape)} for n in names],
-        "moments": sorted(ckpt.opt.m),
+        "moments": moments,
     }
-    raw_header = json.dumps(header).encode("utf-8")
-    with atomic_target(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
-        fh.write(raw_header)
-        for n in names:
-            _write_f8(fh, ckpt.params[n].data)
-        for n in header["moments"]:
-            _write_f8(fh, ckpt.opt.m[n])
-            _write_f8(fh, ckpt.opt.v[n])
-
-
-def _write_f8(fh, arr: np.ndarray) -> None:
-    """Write ``arr`` as little-endian float64 in C order from its own buffer;
-    only an array of another dtype, byte order or layout is converted first."""
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
-
-
-def _positive_shape(shape) -> tuple[int, ...]:
-    if not isinstance(shape, list) or not all(type(d) is int and d > 0 for d in shape):
-        raise TypeError(f"bad shape {shape!r}")
-    return tuple(shape)
-
-
-def _unique_names(names) -> list[str]:
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise TypeError(f"expected a list of names, got {names!r}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"repeated name in {names!r}")
-    return names
+    arrays = [(name, "<f8", p.data) for name, p in ckpt.params.items()]
+    arrays += [(f"{kind}/{name}", "<f8", getattr(ckpt.opt, kind)[name])
+               for name in moments for kind in "mv"]
+    container.write(path, CKPT_MAGIC, CKPT_VERSION, meta, arrays)
 
 
 def _is_log_row(row, epoch: int) -> bool:
@@ -494,14 +478,17 @@ def _is_log_row(row, epoch: int) -> bool:
                     for k in LOG_FIELDS[1:]))
 
 
-def _parse_header(raw: bytes) -> dict:
-    """Decode and type-check the JSON header, check its counters, history and
-    shuffle state, and its parameter names and shapes against those its
-    config specifies; any flaw is a CheckpointError."""
+def _parse_header(meta: dict, table) -> Checkpoint:
+    """The checkpoint a header describes, with no parameters or moments yet.
+    Type-checks the header, checks its counters, history and shuffle state,
+    and checks the array table against the float64 parameters its config
+    specifies, then the two moments of each parameter it names; any flaw is
+    a CheckpointError."""
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = dict(meta)
         for key, kind in (("num_classes", int), ("epoch", int), ("adam_step", int),
-                          ("rng_state", dict), ("history", list)):
+                          ("rng_state", dict), ("history", list), ("modality_names", list),
+                          ("moments", list)):
             if type(header[key]) is not kind:
                 raise TypeError(f"{key} must be of type {kind.__name__}")
         cfg_fields = dict(header["config"])
@@ -515,79 +502,45 @@ def _parse_header(raw: bytes) -> dict:
         rng.state = header["rng_state"]  # raises on a state PCG64 cannot take
         if rng.state != header["rng_state"]:
             raise ValueError("rng_state does not read back from a PCG64 generator")
-        header["params"] = [(meta["name"], _positive_shape(meta["shape"]))
-                            for meta in header["params"]]
-        names = _unique_names([name for name, _ in header["params"]])
-        if not set(_unique_names(header["moments"])) <= set(names):
-            raise ValueError("moments name unknown parameters")
-        header["modality_names"] = tuple(_unique_names(header["modality_names"]))
+        if not all(isinstance(n, str) for n in header["modality_names"]):
+            raise TypeError("modality_names must be strings")
+        header["modality_names"] = tuple(header["modality_names"])
         model_cfg = header["config"].model_config(header["num_classes"],
                                                   header["modality_names"])
-        stored = dict(header["params"])
-        expected = {n: spec.shape for n, spec in  # bounded by the header; allocates nothing
-                    itertools.islice(model_param_specs(model_cfg), len(stored) + 1)}
-        if stored != expected:
-            wrong = sorted(n for n in expected.keys() & stored.keys()
-                           if expected[n] != stored[n])
+        shapes = {n: spec.shape for n, spec in  # bounded by the header; allocates nothing
+                  itertools.islice(model_param_specs(model_cfg), len(table) + 1)}
+        expected = [(n, "<f8", shape) for n, shape in shapes.items()] + [
+            (f"{kind}/{n}", "<f8", shapes.get(n)) for n in header["moments"] for kind in "mv"]
+        if len(table) != len(expected) or set(table) != set(expected):  # in any order
             raise ValueError(
-                f"parameters do not match the stored config: missing "
-                f"{sorted(expected.keys() - stored.keys())}, unexpected "
-                f"{sorted(stored.keys() - expected.keys())}, wrong shape {wrong}")
+                f"arrays do not match the stored config: missing "
+                f"{sorted(set(expected) - set(table), key=str)}, unexpected "
+                f"{sorted(set(table) - set(expected), key=str)}")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:  # ValueError
-        # covers UTF-8 and JSON decoding and the config classes' own checks
+        # covers the config classes' own checks
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-    return header
+    return Checkpoint(config=header["config"], num_classes=header["num_classes"],
+                      modality_names=header["modality_names"], epoch=epoch, params={},
+                      opt=AdamState(step=header["adam_step"]),
+                      rng_state=header["rng_state"], history=history)
+
+
+_WHAT = {"": "parameter", "m": "first moment of", "v": "second moment of"}  # by array prefix
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a ``.mmck`` file. Each payload array is read straight into one
-    fresh float64 array, checked, and kept, so loading holds the payload once
-    plus the header."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        fixed = fh.read(12)
-        if len(fixed) < 12:
-            raise CheckpointTruncatedError("file shorter than fixed header")
-        if fixed[:4] != CKPT_MAGIC:
-            raise CheckpointError(f"bad magic {fixed[:4]!r}, expected {CKPT_MAGIC!r}")
-        version, hlen = struct.unpack_from("<II", fixed, 4)
-        if version != CKPT_VERSION:
-            raise CheckpointVersionError(f"checkpoint version {version}, "
-                                         f"reader supports {CKPT_VERSION}")
-        if size < 12 + hlen:
-            raise CheckpointTruncatedError("truncated checkpoint header")
-        header = _parse_header(fh.read(hlen))
-        offset = 12 + hlen
-
-        def read(shape, truncated: str, what: str) -> np.ndarray:
-            nonlocal offset
-            n_bytes = math.prod(shape) * 8
-            if offset + n_bytes > size:  # checked before anything is allocated
-                raise CheckpointTruncatedError(truncated)
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != n_bytes:  # the file shrank since fstat
-                raise CheckpointTruncatedError(truncated)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"non-finite value in {what}")
-            offset += n_bytes
-            return arr.astype(np.float64, copy=False)  # no copy on a little-endian host
-
-        params = {name: T._unchecked(read(shape, "truncated parameter payload",
-                                          f"parameter {name!r}"), requires_grad=True)
-                  for name, shape in header["params"]}
-        opt = AdamState(step=header["adam_step"])
-        for name in header["moments"]:
-            shape = params[name].shape
-            opt.m[name] = read(shape, "truncated optimizer payload",
-                               f"first moment of {name!r}")
-            opt.v[name] = read(shape, "truncated optimizer payload",
-                               f"second moment of {name!r}")
-            if (opt.v[name] < 0.0).any():  # AdamW takes its square root
-                raise CheckpointError(f"negative value in second moment of {name!r}")
-        if offset != size:
-            raise CheckpointTruncatedError(f"{size - offset} unexpected trailing bytes")
-
-    return Checkpoint(config=header["config"], num_classes=header["num_classes"],
-                      modality_names=header["modality_names"],
-                      epoch=header["epoch"], params=params, opt=opt,
-                      rng_state=header["rng_state"], history=header["history"])
+    """Read a ``.mmck`` file. The header is checked before any array is
+    allocated; each array is read straight into one fresh float64 array,
+    checked, and kept, so loading holds the payload once plus the header."""
+    ckpt, arrays = container.read(path, CKPT_MAGIC, CKPT_VERSION, _ERRORS, _parse_header)
+    for key, arr in arrays.items():
+        kind, _, name = key.rpartition("/")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in {_WHAT[kind]} {name!r}")
+        if kind == "v" and (arr < 0.0).any():  # AdamW takes its square root
+            raise CheckpointError(f"negative value in second moment of {name!r}")
+        if kind:
+            getattr(ckpt.opt, kind)[name] = arr
+        else:
+            ckpt.params[name] = T._unchecked(arr, requires_grad=True)
+    return ckpt

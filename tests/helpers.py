@@ -5,8 +5,9 @@ consistency loss as chains of recorded ops, the earlier bodies of the
 ranking, the consistency loss and MIM that the current ones must reproduce
 bit for bit, the plain numpy expressions that the in-place kernel bodies
 must reproduce bit for bit, the per-parameter AdamW loop the arena update
-must reproduce bit for bit, and the checkpoint writer whose bytes
-``train.save_checkpoint`` must reproduce."""
+must reproduce bit for bit, the checkpoint writer whose bytes
+``train.save_checkpoint`` must reproduce, and a tool that rewrites a
+container file with an edited header or arrays and a fresh checksum."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import itertools
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -761,27 +764,59 @@ def adam_update_reference(params: dict, state, lr: float) -> None:
 
 
 def save_checkpoint_reference(path, ckpt) -> None:
-    """``train.save_checkpoint`` as it was before it wrote each array's own
-    buffer: every payload array goes through ``astype("<f8").tobytes()``."""
-    names = list(ckpt.params)
+    """``train.save_checkpoint`` as plain bytes: the fixed header packed with
+    ``struct``, the JSON header, each array's ``astype("<f8").tobytes()``,
+    then the CRC-32 of all of it."""
+    moments = sorted(ckpt.opt.m)
+    arrays = [(n, p.data) for n, p in ckpt.params.items()]
+    arrays += [(f"{kind}/{n}", getattr(ckpt.opt, kind)[n]) for n in moments for kind in "mv"]
     header = {
-        "config": asdict(ckpt.config),
-        "num_classes": ckpt.num_classes,
-        "modality_names": list(ckpt.modality_names),
-        "epoch": ckpt.epoch,
-        "adam_step": ckpt.opt.step,
-        "rng_state": ckpt.rng_state,
-        "history": ckpt.history,
-        "params": [{"name": n, "shape": list(ckpt.params[n].shape)} for n in names],
-        "moments": sorted(ckpt.opt.m),
+        "meta": {
+            "config": asdict(ckpt.config),
+            "num_classes": ckpt.num_classes,
+            "modality_names": list(ckpt.modality_names),
+            "epoch": ckpt.epoch,
+            "adam_step": ckpt.opt.step,
+            "rng_state": ckpt.rng_state,
+            "history": ckpt.history,
+            "moments": moments,
+        },
+        "arrays": [[n, "<f8", list(a.shape)] for n, a in arrays],
     }
     raw_header = json.dumps(header).encode("utf-8")
+    blob = struct.pack("<4sII", CKPT_MAGIC, CKPT_VERSION, len(raw_header)) + raw_header
+    blob += b"".join(a.astype("<f8").tobytes() for _, a in arrays)
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(raw_header)))
-        fh.write(raw_header)
-        for n in names:
-            fh.write(ckpt.params[n].data.astype("<f8").tobytes())
-        for n in header["moments"]:
-            fh.write(ckpt.opt.m[n].astype("<f8").tobytes())
-            fh.write(ckpt.opt.v[n].astype("<f8").tobytes())
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def read_frame(blob: bytes) -> tuple[dict, int]:
+    """A container file's decoded JSON header and the offset its arrays start at."""
+    _, _, length = struct.unpack_from("<4sII", blob)
+    return json.loads(blob[12:12 + length]), 12 + length
+
+
+def reframe(path, edit_header=None, edit_arrays=None, edit_raw=None) -> None:
+    """Rewrite the container file at ``path`` with a fresh CRC-32 trailer.
+
+    ``edit_header`` edits its decoded JSON header in place, ``edit_arrays``
+    the dict of its arrays (writable copies, by name), and ``edit_raw`` maps
+    the encoded header to the bytes written in its place. The magic and the
+    version are kept, and the arrays are written in the original table's
+    order, whatever the edited header says.
+    """
+    blob = Path(path).read_bytes()
+    header, offset = read_frame(blob)
+    arrays = {}
+    for name, dtype, shape in header["arrays"]:
+        arrays[name] = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape).copy()
+        offset += arrays[name].nbytes
+    for edit, target in ((edit_header, header), (edit_arrays, arrays)):
+        if edit is not None:
+            edit(target)
+    raw = json.dumps(header).encode("utf-8")
+    if edit_raw is not None:
+        raw = edit_raw(raw)
+    framed = blob[:8] + struct.pack("<I", len(raw)) + raw
+    framed += b"".join(a.tobytes() for a in arrays.values())
+    Path(path).write_bytes(framed + struct.pack("<I", zlib.crc32(framed)))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import modalseg.container as container_module
 import modalseg.model as model
 import modalseg.tensor as T
 import modalseg.train as train_module
@@ -27,7 +28,7 @@ from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             load_config, lr_at, save_checkpoint, train,
                             train_step)
 
-from helpers import adam_update_reference, save_checkpoint_reference
+from helpers import adam_update_reference, read_frame, save_checkpoint_reference
 
 MODALITIES = ("camera", "depth", "event", "range")
 
@@ -634,6 +635,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(restored.permutation(1000), rng.permutation(1000))
 
 
+def test_checkpoint_round_trips_parameters_in_any_order(tmp_path):
+    _, _, _, ckpt, _ = trained_state()
+    ckpt = dataclasses.replace(ckpt, params=dict(reversed(ckpt.params.items())))
+    save_checkpoint(tmp_path / "model.mmck", ckpt)
+    back = load_checkpoint(tmp_path / "model.mmck")
+    assert list(back.params) == list(ckpt.params)
+    assert checkpoints_equal(back, ckpt)
+
+
 def test_save_checkpoint_writes_the_reference_writers_bytes(tmp_path):
     _, _, _, ckpt, _ = trained_state()
     save_checkpoint(tmp_path / "new.mmck", ckpt)
@@ -679,10 +689,11 @@ def test_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "model.mmck"
     save_checkpoint(path, ckpt)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (9).to_bytes(4, "little")
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
+    for version in (1, 9):  # 1 is the earlier format, which is not read
+        blob[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_truncation(tmp_path):
@@ -827,7 +838,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         opened.append(file)
         return DiskFull(open(file, mode, *args, **kwargs))
 
-    monkeypatch.setattr(train_module, "open", failing_open, raising=False)
+    monkeypatch.setattr(container_module, "open", failing_open, raising=False)
     with pytest.raises(OSError):
         save_checkpoint(path, ckpt)
     monkeypatch.undo()
@@ -849,14 +860,15 @@ def checkpoints_equal(a, b) -> bool:
 
 
 def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    """Every flip of 1-3 bytes of the magic, version, header length or
+    header is a ``CheckpointError``; the checksum leaves none loading."""
     _, _, _, ckpt, _ = trained_state(steps=1)
     path = tmp_path / "model.mmck"
     save_checkpoint(path, ckpt)
     blob = path.read_bytes()
-    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    _, header_end = read_frame(blob)
     digits = [i for i in range(12, header_end) if chr(blob[i]).isdigit()]
     rng = np.random.default_rng(2024)
-    outcomes = {"error": 0, "loaded": 0}
     for case in range(400):
         flipped = bytearray(blob)
         if case < 300:  # arbitrary bytes: mostly breaks UTF-8 or JSON
@@ -866,16 +878,8 @@ def test_header_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
             pos = digits[rng.integers(len(digits))]
             flipped[pos] = ord("0") + (blob[pos] - ord("0") + int(rng.integers(1, 10))) % 10
         path.write_bytes(bytes(flipped))
-        try:
-            loaded = load_checkpoint(path)
-        except CheckpointError:
-            outcomes["error"] += 1
-            continue
-        outcomes["loaded"] += 1
-        again = tmp_path / "again.mmck"
-        save_checkpoint(again, loaded)
-        assert checkpoints_equal(load_checkpoint(again), loaded)
-    assert outcomes["error"] > 0 and outcomes["loaded"] > 0
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("where, bad, message", [
@@ -901,31 +905,23 @@ def test_bad_payload_values_are_checkpoint_errors(tmp_path, where, bad, message)
 
 
 def test_payload_byte_flips_give_typed_error_or_exact_round_trip(tmp_path):
+    """Every flip of 1-3 bytes of the parameters, moments or checksum trailer
+    is a ``CheckpointError``; the checksum leaves none loading."""
     _, _, _, ckpt, _ = trained_state(steps=1)
     path = tmp_path / "model.mmck"
     save_checkpoint(path, ckpt)
     blob = path.read_bytes()
-    start = 12 + int.from_bytes(blob[8:12], "little")  # parameters, then moments
+    _, start = read_frame(blob)  # parameters, then moments, then the trailer
     rng = np.random.default_rng(2025)
-    outcomes = {"error": 0, "loaded": 0}
     for case in range(400):
         flipped = bytearray(blob)
-        if case < 300:  # arbitrary bytes of parameters and moments
+        if case < 300:  # arbitrary bytes of parameters, moments and the trailer
             for pos in rng.integers(start, len(blob), size=rng.integers(1, 4)):
                 flipped[pos] ^= int(rng.integers(1, 256))
         else:  # every exponent bit of one value set: an Inf or a NaN
-            pos = start + 8 * int(rng.integers((len(blob) - start) // 8))
+            pos = start + 8 * int(rng.integers((len(blob) - 4 - start) // 8))
             flipped[pos + 6] |= 0xF0
             flipped[pos + 7] |= 0x7F
         path.write_bytes(bytes(flipped))
-        try:
-            loaded = load_checkpoint(path)
-        except CheckpointError:
-            outcomes["error"] += 1
-            continue
-        assert case < 300, "a non-finite payload value loaded"
-        outcomes["loaded"] += 1
-        again = tmp_path / "again.mmck"
-        save_checkpoint(again, loaded)
-        assert checkpoints_equal(load_checkpoint(again), loaded)
-    assert outcomes["error"] > 0 and outcomes["loaded"] > 0
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
