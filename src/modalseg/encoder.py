@@ -6,11 +6,13 @@ every modality, so the encoder is modality-blind by construction: features
 differ only because inputs do.
 
 The output pyramid has 4 levels at 1/4, 1/8, 1/16, 1/32 of the input size.
+N images are encoded as one stack: each stage is one recorded op on the
+previous stage's N x C x h x w tensor, and ``encode_batch`` returns all four.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,22 +50,18 @@ def encoder_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
         c_in = c_out
 
 
-def encode_stage(maps: Sequence[Tensor], cfg: ModelConfig, params: dict[str, Tensor],
-                 stage: int, stacked: np.ndarray | None = None) -> Tensor:
-    """Encoder stage ``stage`` over N equal C x h x w maps as one recorded op.
+def encode_stage(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
+                 stage: int) -> Tensor:
+    """Encoder stage ``stage`` over an N x C x h x w tensor as one recorded op.
 
     It merges k x k patches into token rows (image by image in row-major
     patch order, column c*k*k + dy*k + dx), embeds them linearly, runs the
     ``blocks_per_stage`` mixer blocks (pre-norm, residual) and returns the
-    N x C' x h/k x w/k result as a channel-last view of the token rows, which
-    callers split with ``T.unstack``. The numpy operations, and their order,
-    are those of a chain of separately recorded reshape, transpose, linear,
-    layer_norm, gelu and add ops, so forward and gradients equal that chain
-    bit for bit. ``stacked`` is the maps' data as one N x C x h x w array
-    when the caller holds it (a previous stage's output), so it is not
-    stacked again.
+    N x C' x h/k x w/k result as a channel-last view of the token rows. The
+    numpy operations, and their order, are those of a chain of separately
+    recorded reshape, transpose, linear, layer_norm, gelu and add ops, so
+    forward and gradients equal that chain bit for bit.
     """
-    x = np.stack([m.data for m in maps]) if stacked is None else stacked
     n, c, h, w = x.shape
     k = STAGE_DOWNSAMPLE[stage]
     hk, wk = h // k, w // k
@@ -71,7 +69,8 @@ def encode_stage(maps: Sequence[Tensor], cfg: ModelConfig, params: dict[str, Ten
     pw, pb = params[f"{p}.patch.w"], params[f"{p}.patch.b"]
     blocks = [tuple(params[f"{p}.b{b}.{name}"] for name in _BLOCK_PARAMS)
               for b in range(cfg.blocks_per_stage)]
-    tokens = x.reshape(n, c, hk, k, wk, k).transpose(0, 2, 4, 1, 3, 5).reshape(-1, c * k * k)
+    tokens = x.data.reshape(n, c, hk, k, wk, k).transpose(0, 2, 4, 1, 3, 5)
+    tokens = tokens.reshape(-1, c * k * k)
     t = tokens @ pw.data
     t += pb.data
     saved = []  # per block: what its backward reads
@@ -91,6 +90,7 @@ def encode_stage(maps: Sequence[Tensor], cfg: ModelConfig, params: dict[str, Ten
         t = t + y
     c_out = t.shape[1]
     pwd = pw.data
+    x_in = x if x.requires_grad else None  # the closure keeps no unneeded input
 
     def bwd(g):
         g_t = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # token rows, C-contiguous
@@ -112,22 +112,21 @@ def encode_stage(maps: Sequence[Tensor], cfg: ModelConfig, params: dict[str, Ten
             g_x += g_t  # the residual branch
             g_t = g_x
         accumulate_grad(pb, g_t.sum(axis=0))
-        if any(m.requires_grad for m in maps):
-            g_maps = (g_t @ pwd.T).reshape(n, hk, wk, c, k, k)
-            g_maps = g_maps.transpose(0, 3, 1, 4, 2, 5).reshape(n, c, h, w)
-            for m, gm in zip(maps, g_maps):
-                accumulate_grad(m, gm)
+        if x_in is not None:
+            g_x = (g_t @ pwd.T).reshape(n, hk, wk, c, k, k)
+            accumulate_grad(x_in, g_x.transpose(0, 3, 1, 4, 2, 5).reshape(n, c, h, w))
         accumulate_grad(pw, tokens.T @ g_t)
 
-    inputs = (*maps, pw, pb, *(param for block in blocks for param in block))
+    inputs = (x, pw, pb, *(param for block in blocks for param in block))
     return record_op("encode_stage", t.reshape(n, hk, wk, c_out).transpose(0, 3, 1, 2),
                      inputs, bwd)
 
 
 def encode_batch(images: list[Tensor], cfg: ModelConfig,
-                 params: dict[str, Tensor]) -> list[list[Tensor]]:
+                 params: dict[str, Tensor]) -> list[Tensor]:
     """Encode N equal-size images as one N x C x H x W stack with the same
-    weights; one pyramid per image, in input order."""
+    weights; returns the four levels, level i an N x C_i x h_i x w_i tensor
+    with the images in input order."""
     if not images:
         raise TensorError("encode_batch: empty image list")
     sizes = {im.shape for im in images}
@@ -141,10 +140,7 @@ def encode_batch(images: list[Tensor], cfg: ModelConfig,
     if h % TOTAL_DOWNSAMPLE or w % TOTAL_DOWNSAMPLE:
         raise TensorError(f"encode_batch: {h}x{w} not divisible by {TOTAL_DOWNSAMPLE}")
 
-    levels: list[list[Tensor]] = []
-    maps, stacked = images, None
+    levels = [T.stack(images)]
     for s in range(PYRAMID_LEVELS):
-        out = encode_stage(maps, cfg, params, s, stacked)
-        maps, stacked = T.unstack(out), out.data
-        levels.append(maps)
-    return [list(pyramid) for pyramid in zip(*levels)]
+        levels.append(encode_stage(levels[-1], cfg, params, s))
+    return levels[1:]

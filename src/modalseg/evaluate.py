@@ -19,8 +19,8 @@ from . import tensor as T
 from .data import Dataset
 from .encoder import encode_batch
 from .head import IGNORE_LABEL, embed
-from .masm import rank_modalities
-from .model import ModelConfig, fuse_mean, infer, scene_tensors
+from .masm import mean_feature, rank_modalities
+from .model import ModelConfig, check_modality_names, infer, scene_tensors
 
 MAX_MODALITIES = 8
 
@@ -173,8 +173,10 @@ def _number(obj, key: str) -> float:
 def report_from_json(data: str | bytes) -> MassReport:
     """Read a sidecar written by ``report_to_json`` (UTF-8 bytes or text).
 
-    Raises ``ReportFormatError`` unless it names M modalities, carries
-    2^M - 1 finite subset scores, and its mean is their average.
+    Raises ``ReportFormatError`` unless it names M modalities that a model
+    config accepts, carries 2^M - 1 finite subset scores named as
+    ``subset_name`` names ``enumerate_subsets``, and its mean is their
+    average.
     """
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -187,12 +189,16 @@ def report_from_json(data: str | bytes) -> MassReport:
             isinstance(n, str) for n in modalities):
         raise ReportFormatError(
             f"modality_names must hold 1 to {MAX_MODALITIES} strings")
+    try:
+        check_modality_names(modalities)
+    except ValueError as exc:
+        raise ReportFormatError(str(exc)) from None
     subsets = _field(raw, "subsets", list, "a list")
-    want = 2 ** len(modalities) - 1
-    if len(subsets) != want:
-        raise ReportFormatError(f"{len(subsets)} subsets for {len(modalities)} "
-                                f"modalities; expected {want}")
     names = tuple(_field(entry, "name", str, "a string") for entry in subsets)
+    want = tuple(subset_name(s, modalities) for s in enumerate_subsets(len(modalities)))
+    if names != want:
+        raise ReportFormatError(f"{len(names)} subsets {names} for {len(modalities)} "
+                                f"modalities; expected {len(want)}, {want}")
     scores = tuple(_number(entry, "miou") for entry in subsets)
     if not all(math.isfinite(s) for s in scores):
         raise ReportFormatError("non-finite subset mIoU")
@@ -215,10 +221,9 @@ def rankings_csv(cfg: ModelConfig, params, dataset: Dataset) -> str:
     lines = ["sample,scale,modality,cosine,robust,fragile"]
     with T.no_grad():
         for sample_idx, scene in enumerate(dataset.scenes):
-            pyramids = encode_batch(scene_tensors(scene), cfg, params)
-            for level, f_m in enumerate(fuse_mean(pyramids)):
-                features = [pyr[level] for pyr in pyramids]
-                rank = rank_modalities(features, f_m)
+            for level, maps in enumerate(encode_batch(scene_tensors(scene), cfg, params)):
+                features = T.unstack(maps)
+                rank = rank_modalities(features, mean_feature(features))
                 for mod_idx, name in enumerate(dataset.modality_names):
                     lines.append(
                         f"{sample_idx},{level + 1},{name},"

@@ -1,12 +1,13 @@
 """All-MLP decode head and the training objective.
 
-``embed`` is the affine front, one recorded op over a batch of pyramids: it
-maps every pyramid level linearly to the common width D, resamples it to the
+``embed`` is the affine front, one recorded op over a batch: it maps every
+pyramid level linearly to the common width D, resamples it to the
 quarter-resolution grid and sums, which equals SegFormer's per-level
 projection, concat and fuse mix with each projection folded into its slice
-of the fuse weight. ``decode`` activates that map, classifies it and
-resamples the logits to the label grid. Supervision is mean softmax
-cross-entropy over non-ignored pixels; pixels labeled 255 never contribute.
+of the fuse weight. ``decode``, one op per map, activates it (GELU),
+classifies it and resamples the logits to the label grid. Supervision is one
+op over the batch: the scenes' mean of softmax cross-entropy over each
+scene's pixels; pixels labeled 255 never contribute.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ def head_param_specs(stage_channels, d_embed: int, num_classes: int) -> T.ParamS
     yield "head.cls.b", T.ParamSpec((num_classes,))
 
 
-def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
-    """N pyramids to the N x D x h1 x w1 maps that enter the GELU, as one
-    recorded op; callers split the result into ``T.unstack`` views.
+def embed(levels: list[Tensor], params: dict[str, Tensor]) -> Tensor:
+    """The four levels of N pyramids, level i an N x C_i x h_i x w_i tensor,
+    to the N x D x h1 x w1 maps that enter the GELU, as one recorded op;
+    callers split the result into ``T.unstack`` views.
 
     Each level's projection is folded into its D x D slice of the fuse weight
     (``proj_i.w @ fuse.w[iD:(i+1)D]``, C_i x D), so every level goes straight
@@ -43,21 +45,14 @@ def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
     mix. The front is still affine, so the mean of the embeddings of N
     pyramids equals the embedding of their mean-fused pyramid.
     """
-    if not pyramids:
-        raise TensorError("embed: no pyramids")
     widths = tuple(params[f"head.proj{i}.w"].shape[0] for i in range(PYRAMID_LEVELS))
-    for pyramid in pyramids:
-        if (any(level.ndim != 3 for level in pyramid)
-                or tuple(level.shape[0] for level in pyramid) != widths):
-            raise TensorError(f"embed: expected {PYRAMID_LEVELS}-level pyramids of "
-                              f"C x h x w maps with stage channels {widths}, got "
-                              f"{[level.shape for level in pyramid]}")
-    for i in range(PYRAMID_LEVELS):
-        shapes = {pyramid[i].shape for pyramid in pyramids}
-        if len(shapes) != 1:
-            raise TensorError(f"embed: level {i} shapes differ: {sorted(shapes)}")
-    n = len(pyramids)
-    h1, w1 = pyramids[0][0].shape[1:]
+    if (len(levels) != PYRAMID_LEVELS or any(level.ndim != 4 for level in levels)
+            or tuple(level.shape[1] for level in levels) != widths
+            or len({level.shape[0] for level in levels}) != 1):
+        raise TensorError(f"embed: expected {PYRAMID_LEVELS} levels of N x C x h x w maps "
+                          f"with stage channels {widths}, got "
+                          f"{[level.shape for level in levels]}")
+    n, _, h1, w1 = levels[0].shape
     fuse_w = params["head.fuse.w"]
     d = fuse_w.shape[1]
     proj = [(params[f"head.proj{i}.w"], params[f"head.proj{i}.b"])
@@ -67,13 +62,12 @@ def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
     bias = params["head.fuse.b"].data.copy()
     for (_, b), f in zip(proj, slices):
         bias += b.data @ f
-    # level i of every pyramid as N x C_i x (h_i w_i) pixel columns
-    levels = [np.stack([pyramid[i].data for pyramid in pyramids]).reshape(n, c, -1)
-              for i, c in enumerate(widths)]
-    grids = [pyramids[0][i].shape[1:] for i in range(PYRAMID_LEVELS)]
+    # each level as N x C_i x (h_i w_i) pixel columns, in the level's layout
+    cols = [level.data.reshape(n, c, -1) for level, c in zip(levels, widths)]
+    grids = [level.shape[2:] for level in levels]
 
-    out = np.matmul(folded[0].T, levels[0]).reshape(n, d, h1, w1)  # level 0 is the grid
-    for x, wf, (h, w) in zip(levels[1:], folded[1:], grids[1:]):
+    out = np.matmul(folded[0].T, cols[0]).reshape(n, d, h1, w1)  # level 0 is the grid
+    for x, wf, (h, w) in zip(cols[1:], folded[1:], grids[1:]):
         y = np.matmul(wf.T, x).reshape(n, d, h, w)
         out += np.matmul(np.matmul(T._interp_matrix(h, h1), y), T._interp_matrix(w, w1).T)
     out += bias[:, None, None]
@@ -82,15 +76,13 @@ def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
         g_bias = g.sum(axis=(0, 2, 3))
         accumulate_grad(params["head.fuse.b"], g_bias)
         g_fuse = np.empty(fuse_w.shape)
-        for i, (x, wf, (h, w)) in enumerate(zip(levels, folded, grids)):
+        for i, (level, x, wf, (h, w)) in enumerate(zip(levels, cols, folded, grids)):
             gi = g
             if i:  # level 0 is the grid
                 gi = np.matmul(np.matmul(T._interp_matrix(h, h1).T, g),
                                T._interp_matrix(w, w1))
             gi = gi.reshape(n, d, h * w)
-            g_x = np.matmul(wf, gi)
-            for pyramid, gx in zip(pyramids, g_x):
-                accumulate_grad(pyramid[i], gx.reshape(pyramid[i].shape))
+            accumulate_grad(level, np.matmul(wf, gi).reshape(level.shape))
             g_fold = np.matmul(x, gi.transpose(0, 2, 1)).sum(axis=0)  # C_i x D
             (pw, pb), f = proj[i], slices[i]
             accumulate_grad(pw, g_fold @ f.T)
@@ -98,54 +90,78 @@ def embed(pyramids: list[list[Tensor]], params: dict[str, Tensor]) -> Tensor:
             g_fuse[i * d:(i + 1) * d] = pw.data.T @ g_fold + np.outer(pb.data, g_bias)
         accumulate_grad(fuse_w, g_fuse)
 
-    inputs = (*(level for pyramid in pyramids for level in pyramid),
-              *(t for pair in proj for t in pair), fuse_w, params["head.fuse.b"])
+    inputs = (*levels, *(t for pair in proj for t in pair), fuse_w, params["head.fuse.b"])
     return record_op("embed", out, inputs, bwd)
 
 
 def decode(embedded: Tensor, params: dict[str, Tensor],
            out_size: tuple[int, int]) -> Tensor:
-    """Embedded map to K x H x W logits."""
-    logits = T.channel_mix(T.gelu(embedded), params["head.cls.w"], params["head.cls.b"])
-    return T.resample_bilinear(logits, out_size[0], out_size[1])
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean -log softmax(logits)[label] over pixels whose label is not 255.
-
-    ``labels`` is an H x W integer array.
-    """
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise TensorError("cross_entropy: labels must be an integer array")
-    if logits.ndim != 3:
-        raise TensorError(f"cross_entropy: logits must be K x H x W, got {logits.shape}")
-    k = logits.shape[0]
-    if labels.shape != logits.shape[1:]:
-        raise TensorError(f"cross_entropy: label grid {labels.shape} does not match "
-                          f"logits {logits.shape[1:]}")
-    flat_labels = labels.ravel()
-    valid = flat_labels != IGNORE_LABEL
-    if not np.any(valid):
-        raise TensorError("cross_entropy: every pixel is ignored")
-    if flat_labels[valid].min() < 0 or flat_labels[valid].max() >= k:
-        raise TensorError(f"cross_entropy: labels outside [0, {k})")
-
-    flat = logits.data.reshape(k, -1)
-    shifted = flat - flat.max(axis=0)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=0))
-    pix = np.flatnonzero(valid)
-    cls = flat_labels[pix]
-    n_valid = pix.size
-    loss = -logp[cls, pix].mean()
+    """An embedded D x h x w map to K x H x W logits, one recorded op: GELU,
+    the classifier's 1x1 mix, then bilinear resampling (half-pixel centers,
+    edges clamped) to ``out_size``."""
+    w, b = params["head.cls.w"], params["head.cls.b"]
+    if embedded.ndim != 3 or embedded.shape[0] != w.shape[0] or min(out_size) < 1:
+        raise TensorError(f"decode: need a {w.shape[0]} x h x w map and a positive "
+                          f"target, got {embedded.shape} and {out_size}")
+    x, wd = embedded.data, w.data
+    act, th = T._gelu(x)
+    logits, tokens = T._mix(act, wd, b.data)
+    wy = T._interp_matrix(x.shape[1], out_size[0])
+    wx = T._interp_matrix(x.shape[2], out_size[1])
 
     def bwd(g):
-        d = np.zeros_like(flat)
-        d[:, pix] = np.exp(logp[:, pix])
-        d[cls, pix] -= 1.0
-        accumulate_grad(logits, (g * d / n_valid).reshape(logits.shape))
+        g_act, g_w, g_b = T._mix_grad(np.matmul(np.matmul(wy.T, g), wx), tokens, wd)
+        accumulate_grad(b, g_b)
+        accumulate_grad(w, g_w)
+        accumulate_grad(embedded, T._gelu_grad(g_act, x, th))
 
-    return record_op("cross_entropy", np.asarray(loss), (logits,), bwd)
+    return record_op("decode", np.matmul(np.matmul(wy, logits), wx.T), (embedded, w, b), bwd)
+
+
+def cross_entropy(logits: list[Tensor], labels: list) -> Tensor:
+    """Mean over the scenes of each scene's mean -log softmax(logits)[label]
+    over its pixels whose label is not 255, one recorded op; ``logits[i]`` is
+    a K x H x W tensor and ``labels[i]`` its H x W integer array."""
+    if not logits or len(logits) != len(labels):
+        raise TensorError(f"cross_entropy: {len(logits)} logit maps for "
+                          f"{len(labels)} label grids")
+    total = None
+    scenes = []  # per scene: what its backward reads
+    for t, grid in zip(logits, labels):
+        grid = np.asarray(grid)
+        if not np.issubdtype(grid.dtype, np.integer):
+            raise TensorError("cross_entropy: labels must be an integer array")
+        if t.ndim != 3:
+            raise TensorError(f"cross_entropy: logits must be K x H x W, got {t.shape}")
+        k = t.shape[0]
+        if grid.shape != t.shape[1:]:
+            raise TensorError(f"cross_entropy: label grid {grid.shape} does not match "
+                              f"logits {t.shape[1:]}")
+        flat_labels = grid.ravel()
+        valid = flat_labels != IGNORE_LABEL
+        pix = np.flatnonzero(valid)
+        if not pix.size:
+            raise TensorError("cross_entropy: every pixel is ignored")
+        cls = flat_labels[pix]
+        if cls.min() < 0 or cls.max() >= k:
+            raise TensorError(f"cross_entropy: labels outside [0, {k})")
+        flat = t.data.reshape(k, -1)
+        shifted = flat - flat.max(axis=0)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=0))
+        loss = -logp[cls, pix].mean()
+        total = loss if total is None else total + loss
+        scenes.append((t, logp, valid, cls, pix))
+    n = float(len(logits))
+
+    def bwd(g):
+        share = g / n
+        for t, logp, valid, cls, pix in reversed(scenes):
+            d = np.exp(logp)  # the softmax minus the one-hot label, valid pixels only
+            d *= valid
+            d[cls, pix] -= 1.0
+            accumulate_grad(t, (share * d / pix.size).reshape(t.shape))
+
+    return record_op("cross_entropy", np.asarray(total / n), tuple(logits), bwd)
 
 
 def total_loss(l_m: Tensor, l_c: Tensor, beta: float) -> Tensor:

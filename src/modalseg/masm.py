@@ -1,18 +1,19 @@
 """Modality selection by cosine ranking, per-scale fusion, consistency loss.
 
-At every pyramid level the M modality features are ranked by cosine
-similarity to their arithmetic mean. The most and least similar (robust and
-fragile) are cross-rectified by the interaction module; the result plus the
-mean feature is the fused level. The first two remaining modalities, if
-any, are pulled toward the interaction output by a symmetric divergence of
-their mapped cosines to it, one recorded op per sample. Both read one
-cosine kernel that takes every dot product and norm as a row sum. All of
-this is training-time machinery; inference fuses by plain averaging.
+Training runs over the batch: a level is one tensor of the M modality maps of
+each of B scenes in turn. Per level one ``mean`` op gives every scene's mean
+map, each scene ranks its maps by cosine similarity to it, the most and least
+similar (robust and fragile) are cross-rectified by the interaction module,
+one ``mim`` op per scene, and one ``fuse_level`` op adds each scene's result
+to its mean. The first two remaining modalities, if any, are pulled toward
+the interaction output by a symmetric divergence of their mapped cosines to
+it, one recorded op for the batch. Ranking and loss read one cosine kernel that
+takes every dot product and norm as a row sum. All of this is training-time
+machinery; inference fuses by plain averaging.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,96 +61,136 @@ def mean_feature(features: list[Tensor]) -> Tensor:
     return record_op("mean", total, tuple(features), bwd)
 
 
-def _cosines(features, ref: Tensor):
-    """Cosines of the features to ``ref`` as Python floats, and what their
-    gradients read: ``(rows, norms, ref_norm)``, the features and then ``ref``
-    as C-order rows. Each dot product and squared norm is a row sum, ``ref``'s
-    norm is taken once, and a cosine is 0 where either norm is below NORM_EPS."""
-    m, n = len(features), ref.size
-    rows = np.empty((m + 1, n))
-    for row, f in zip(rows, (*features, ref)):
-        if f.size != n:
-            raise TensorError(f"cosine: size mismatch {f.shape} vs {ref.shape}")
-        row.reshape(f.shape)[...] = f.data
-    dots = (rows * rows[m]).sum(axis=1)  # the last is ref's squared norm
-    norms = np.sqrt((rows[:m] * rows[:m]).sum(axis=1))
-    ref_norm = math.sqrt(dots[m])
-    cos = np.zeros(m)
-    if ref_norm >= NORM_EPS:
-        np.divide(dots[:m], norms * ref_norm, out=cos, where=norms >= NORM_EPS)
-    return cos.tolist(), (rows, norms.tolist(), ref_norm)
+def _cosines(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cosines of each group's tensors to its last one, the reference, over
+    G groups of m + 1 equal-shape tensors, and what their gradients read:
+    ``(cos, norms, ref_norms, rows)``: G x m cosines and norms, G x 1
+    reference norms and the G x (m + 1) x size C-order rows. Each dot product
+    and squared norm is a row sum, and a cosine is 0 where either norm is
+    below NORM_EPS."""
+    shape = groups[0][-1].shape
+    for group in groups:
+        if any(f.shape != shape for f in group):
+            raise TensorError(f"cosine: shape mismatch {[f.shape for f in group]} vs {shape}")
+    rows = np.array([[f.data for f in group] for group in groups])  # C order
+    rows = rows.reshape(len(groups), len(groups[0]), -1)
+    dots = (rows * rows[:, -1:]).sum(axis=2)  # the last is the reference's squared norm
+    norms = np.sqrt((rows[:, :-1] * rows[:, :-1]).sum(axis=2))
+    ref_norms = np.sqrt(dots[:, -1:])
+    cos = np.zeros(norms.shape)
+    np.divide(dots[:, :-1], norms * ref_norms, out=cos,
+              where=np.minimum(norms, ref_norms) >= NORM_EPS)
+    return cos, norms, ref_norms, rows
 
 
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
     """Stable descending sort of cosine scores; first is robust, last fragile."""
     if len(features) < 2:
         raise TensorError("rank_modalities: need at least 2 modalities")
-    scores = tuple(_cosines(features, f_m)[0])
+    scores = tuple(_cosines([(*features, f_m)])[0][0].tolist())
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return RankingResult(scores=scores, robust_idx=order[0], fragile_idx=order[-1],
                          remaining=tuple(order[1:-1]))
 
 
-def masm_forward(pyramids: list[list[Tensor]], params: dict[str, Tensor]
-                 ) -> tuple[list[Tensor], list[RankingResult], list[Term]]:
-    """Rank, rectify, and fuse every pyramid level of one sample. Returns the
-    fused pyramid, the rankings in level order, and a ``consistency_loss``
-    term for each scale with two or more remaining modalities."""
-    if len(pyramids) < 2:
+def masm_forward(levels: list[Tensor], modalities: int, params: dict[str, Tensor]
+                 ) -> tuple[list[Tensor], list[list[RankingResult]], list[list[Term]]]:
+    """Rank, rectify and fuse every level of a batch. Level i is an
+    N x C_i x h_i x w_i tensor holding the ``modalities`` maps of each scene
+    in turn. Returns the fused B x C_i x h_i x w_i levels, and per scene its
+    rankings in level order and a ``consistency_loss`` term for each level
+    with two or more remaining modalities."""
+    if modalities < 2:
         raise TensorError("masm_forward: training requires at least 2 modalities")
-    levels = len(pyramids[0])
-    fused: list[Tensor] = []
-    rankings: list[RankingResult] = []
-    terms: list[Term] = []
-    for i in range(levels):
-        features = [pyr[i] for pyr in pyramids]
-        f_m = mean_feature(features)
-        rank = rank_modalities(features, f_m)
-        f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
-                            params, level=i)
-        fused.append(T.add(f_mim, f_m))
-        if len(rank.remaining) >= 2:
-            terms.append((f_mim, features[rank.remaining[0]], features[rank.remaining[1]]))
-        rankings.append(rank)
+    scenes = levels[0].shape[0] // modalities
+    rankings, terms = [[] for _ in range(scenes)], [[] for _ in range(scenes)]
+    fused = []
+    for i, level in enumerate(levels):
+        f_m = mean_feature(T.deinterleave(level, modalities))
+        maps, means = T.unstack(level), T.unstack(f_m)
+        f_mims = []
+        for s in range(scenes):
+            features = maps[s * modalities:(s + 1) * modalities]
+            rank = rank_modalities(features, means[s])
+            f_mim = mim_forward(features[rank.robust_idx], features[rank.fragile_idx],
+                                params, level=i)
+            if len(rank.remaining) >= 2:
+                terms[s].append((f_mim, *(features[j] for j in rank.remaining[:2])))
+            rankings[s].append(rank)
+            f_mims.append(f_mim)
+        fused.append(fuse_level(f_mims, f_m))
     return fused, rankings, terms
 
 
-def consistency_loss(terms: list[Term], class_count: int) -> Tensor:
-    """L_C from ``masm_forward``'s terms as one recorded op. In each term
-    ``(f_mim, f_1, f_2)`` the cosines of f_1 and f_2 to f_mim, mapped to c1, c2
-    in [SIM_EPS, 1], give K * [c1*log(c1/m) + c2*log(c2/m)], m their midpoint.
-    Returns the mean over terms, or exact 0 for none. dL/dc_j is
-    K/n * log(c_j/m); a clipped similarity, or a zero-norm feature's cosine
-    (mapped to 0.5), passes no gradient."""
-    if class_count < 1:
-        raise TensorError("consistency_loss: class_count must be positive")
-    if not terms:
-        return Tensor(0.0)
-    k = float(class_count)
-    total = None
-    sims = []  # per similarity with a gradient: what its backward reads
-    for f_mim, f_1, f_2 in terms:
-        cos, (rows, norms, ref_norm) = _cosines((f_1, f_2), f_mim)
-        xs = [(c + 1.0) * 0.5 for c in cos]  # [-1, 1] to [0, 1], then clipped
-        a, b = (min(max(x, SIM_EPS), 1.0) for x in xs)
-        mid = (a + b) * 0.5
-        la, lb = np.log(a / mid), np.log(b / mid)
-        for f, row, na, c, x, log_ratio in zip((f_1, f_2), rows, norms, cos, xs, (la, lb)):
-            inside = SIM_EPS <= x <= 1.0  # a clipped similarity passes no gradient
-            if na >= NORM_EPS and ref_norm >= NORM_EPS:
-                sims.append((f, f_mim, row, rows[2], na, ref_norm, c, inside, log_ratio))
-        value = (a * la + b * lb) * k
-        total = value if total is None else total + value
-    n = float(len(terms))
+def fuse_level(f_mims: list[Tensor], f_m: Tensor) -> Tensor:
+    """The fused level: scene b's interaction output plus its mean feature
+    ``f_m[b]``, one recorded op over the B scenes."""
+    out = np.stack([f.data for f in f_mims])
+    if out.shape != f_m.shape:
+        raise TensorError(f"fuse_level: interaction outputs {out.shape} vs means {f_m.shape}")
+    out += f_m.data
 
     def bwd(g):
-        s = float(g) * (k / n)  # the output is a scalar
-        # last similarity first: the order a tape of one op per step would take
-        for f, f_mim, af, bf, na, nb, c, inside, log_ratio in reversed(sims):
-            g_c = ((s * log_ratio) * inside) * 0.5
-            s_c = g_c / (na * nb)
-            accumulate_grad(f, (s_c * bf - (g_c * c / (na * na)) * af).reshape(f.shape))
-            accumulate_grad(f_mim,
-                            (s_c * af - (g_c * c / (nb * nb)) * bf).reshape(f_mim.shape))
+        for f, g_f in zip(f_mims, g):
+            accumulate_grad(f, g_f)
+        accumulate_grad(f_m, g)
 
-    return record_op("consistency", total / n, tuple(t for term in terms for t in term), bwd)
+    return record_op("fuse_level", out, (*f_mims, f_m), bwd)
+
+
+def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
+    """L_C of a batch from ``masm_forward``'s terms, as one recorded op: the
+    mean over the scenes of each scene's mean over its terms. In each term
+    ``(f_mim, f_1, f_2)`` the cosines of f_1 and f_2 to f_mim, mapped to
+    c1, c2 in [SIM_EPS, 1], give K * [c1*log(c1/m) + c2*log(c2/m)], m their
+    midpoint. Scenes carry equally many terms, the j-th of equal shape; no terms
+    give an untracked 0. dL/dc_j is K/(B*n) * log(c_j/m) for n terms a scene;
+    a clipped similarity, or a zero-norm feature's cosine (mapped to 0.5),
+    passes no gradient."""
+    if class_count < 1:
+        raise TensorError("consistency_loss: class_count must be positive")
+    if not any(scene_terms):
+        return Tensor(0.0)
+    if len({len(terms) for terms in scene_terms}) != 1:
+        raise TensorError("consistency_loss: scenes carry different numbers of terms")
+    k, b, n = float(class_count), float(len(scene_terms)), float(len(scene_terms[0]))
+    columns = []  # per term position, over the scenes: what its backward reads
+    totals = None
+    for column in zip(*scene_terms):
+        cos, norms, ref_norms, rows = _cosines([(f_1, f_2, f_mim)
+                                                for f_mim, f_1, f_2 in column])
+        xs = (cos + 1.0) * 0.5  # [-1, 1] to [0, 1], then clipped
+        sims = np.clip(xs, SIM_EPS, 1.0)
+        logs = np.log(sims / ((sims[:, 0] + sims[:, 1]) * 0.5)[:, None])
+        values = (sims[:, 0] * logs[:, 0] + sims[:, 1] * logs[:, 1]) * k
+        totals = values if totals is None else totals + values
+        columns.append((column, rows, cos, norms, ref_norms,
+                        (xs >= SIM_EPS) & (xs <= 1.0), logs))
+    total = None
+    for loss in (totals / n).tolist():
+        total = loss if total is None else total + loss
+
+    def bwd(g):
+        s = float(g / b) * (k / n)  # the output is a scalar
+        grads = []
+        for column, rows, cos, norms, ref_norms, inside, logs in columns:
+            g_c = ((s * logs) * inside) * 0.5  # a clipped similarity passes no gradient
+            has_grad = np.minimum(norms, ref_norms) >= NORM_EPS
+            na = np.where(has_grad, norms, 1.0)
+            nb = np.where(has_grad, ref_norms, 1.0)
+            s_c = g_c / (na * nb)
+            g_f = s_c[..., None] * rows[:, 2:] - (g_c * cos / (na * na))[..., None] * rows[:, :2]
+            g_m = s_c[..., None] * rows[:, :2] - (g_c * cos / (nb * nb))[..., None] * rows[:, 2:]
+            grads.append((column, has_grad, g_f, g_m))
+        # scene by scene, last similarity first: the order of a tape of one op per term
+        for i in reversed(range(len(scene_terms))):
+            for column, has_grad, g_f, g_m in reversed(grads):
+                f_mim, *features = column[i]
+                for j in (1, 0):
+                    if has_grad[i, j]:
+                        f = features[j]
+                        accumulate_grad(f, g_f[i, j].reshape(f.shape))
+                        accumulate_grad(f_mim, g_m[i, j].reshape(f_mim.shape))
+
+    inputs = tuple(t for terms in scene_terms for term in terms for t in term)
+    return record_op("consistency", np.asarray(total / b), inputs, bwd)

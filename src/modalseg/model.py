@@ -1,11 +1,11 @@
 """Model assembly: parameter construction and the forward paths.
 
-Training forward: shared encoder on every modality of the whole batch in one
-stacked pass, then per scene similarity-ranked rectification producing the
-fused pyramid, the head's affine front (``head.embed``) over the batch's
-fused pyramids in one call, and per scene decode, supervision and consistency
-losses. Inference forward: the modality pyramids through ``head.embed`` in
-one call, the mean of the available subset's embeddings, decode, argmax; the
+Training forward, over the whole batch: the shared encoder on all B*M images
+in one stacked pass, giving four level tensors; per level the fusion
+(``masm_forward``, or each scene's plain modality mean); ``head.embed``; one
+``head.decode`` per scene; the supervision and consistency losses, one op
+each. Inference forward: the modality pyramids through ``head.embed`` in one
+call, the mean of the available subset's embeddings, decode, argmax; the
 front is affine, so that mean equals embedding the per-scale mean-fused
 pyramid. The rectification and ranking machinery never runs at inference.
 """
@@ -41,12 +41,16 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if len(self.modality_names) < 1:
-            raise ValueError("need at least one modality name")
-        initials = [name[:1].upper() for name in self.modality_names]
-        if "" in initials or len(set(initials)) != len(initials):  # report names use them
-            raise ValueError(f"modality names {self.modality_names} must be non-empty "
-                             f"with distinct upper-cased initials")
+        check_modality_names(self.modality_names)
+
+
+def check_modality_names(names) -> None:
+    """Raise ``ValueError`` unless there are names, with distinct non-empty
+    upper-cased initials: report headers use them."""
+    initials = [name[:1].upper() for name in names]
+    if not initials or "" in initials or len(set(initials)) != len(initials):
+        raise ValueError(f"modality names {tuple(names)} must be at least one, non-empty, "
+                         f"with distinct upper-cased initials")
 
 
 def model_param_specs(cfg: ModelConfig) -> T.ParamSpecs:
@@ -61,24 +65,16 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return T.init_params(model_param_specs(cfg), np.random.default_rng(seed))
 
 
-def fuse_mean(pyramids: list[list[Tensor]]) -> list[Tensor]:
-    """Per-level elementwise mean of equal-depth modality pyramids."""
-    return [mean_feature([p[i] for p in pyramids]) for i in range(len(pyramids[0]))]
-
-
 def scene_tensors(scene: ModalityScene) -> list[Tensor]:
     return [Tensor(img) for img in scene.modalities]  # one float64 conversion each
 
 
 def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
                   params: dict[str, Tensor], fusion: str
-                  ) -> list[tuple[Tensor, Tensor, list[RankingResult]]]:
-    """Supervision loss L_M, consistency loss L_C, and rankings, one triple
-    per scene; the mean arm's L_C is an untracked 0 and its rankings empty.
-
-    All B*M images of the batch go through the encoder as one stack, and the
-    B fused pyramids through ``head.embed`` as one batch.
-    """
+                  ) -> tuple[Tensor, Tensor, list[list[RankingResult]]]:
+    """Supervision loss L_M and consistency loss L_C, each a mean over the
+    batch, and each scene's rankings in level order; the mean arm's L_C is an
+    untracked 0 and its rankings empty."""
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
     m = len(cfg.modality_names)
@@ -86,21 +82,16 @@ def forward_train(batch: list[ModalityScene], cfg: ModelConfig,
         if len(scene.modalities) != m:
             raise TensorError(f"scene has {len(scene.modalities)} modalities, "
                               f"model expects {m}")
-    images = [t for scene in batch for t in scene_tensors(scene)]
-    pyramids = encode_batch(images, cfg, params)
-    fused, selection = [], []
-    for i in range(len(batch)):
-        scene_pyramids = pyramids[i * m:(i + 1) * m]
-        if fusion == "masm" and m >= 2:
-            pyramid, rankings, terms = masm_forward(scene_pyramids, params)
-            l_c = consistency_loss(terms, cfg.num_classes)
-        else:
-            pyramid, rankings, l_c = fuse_mean(scene_pyramids), [], Tensor(0.0)
-        fused.append(pyramid)
-        selection.append((l_c, rankings))
-    embedded = T.unstack(embed(fused, params))
-    return [(cross_entropy(decode(e, params, scene.labels.shape), scene.labels), l_c, rankings)
-            for e, scene, (l_c, rankings) in zip(embedded, batch, selection)]
+    levels = encode_batch([t for scene in batch for t in scene_tensors(scene)], cfg, params)
+    if fusion == "masm" and m >= 2:
+        fused, rankings, terms = masm_forward(levels, m, params)
+        l_c = consistency_loss(terms, cfg.num_classes)
+    else:
+        fused = [mean_feature(T.deinterleave(level, m)) for level in levels]
+        rankings, l_c = [], Tensor(0.0)
+    logits = [decode(e, params, scene.labels.shape)
+              for e, scene in zip(T.unstack(embed(fused, params)), batch)]
+    return cross_entropy(logits, [scene.labels for scene in batch]), l_c, rankings
 
 
 def infer_logits(images: list[Tensor], cfg: ModelConfig,

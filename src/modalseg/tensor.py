@@ -1,10 +1,11 @@
 """Dense float64 tensor engine with tape-based reverse-mode differentiation.
 
-The decode head's back end is a chain of the ops in this module (``gelu``,
-``channel_mix``, ``resample_bilinear``). The fused ops elsewhere
-(``encoder.encode_stage``, ``masm``'s mean and consistency,
-``mim.mim_forward``, ``head.embed`` and ``head.cross_entropy``) are recorded
-through ``record_op`` with hand-written backwards. Ground rules:
+The model's fused ops (``encoder.encode_stage``, ``masm``'s mean, fuse and
+consistency, ``mim.mim_forward``, ``head``'s embed, decode and cross-entropy)
+are recorded through ``record_op`` with hand-written backwards, on the numpy
+bodies below (sigmoid, GELU, the 1x1 mix, bilinear resampling). This module
+adds ``add``, ``mul``, ``stack``, ``unstack`` and ``deinterleave``. Ground
+rules:
 
 - double precision only, row-major storage, explicit shape checks on every op
 - broadcasting is limited to tensor-vs-python-scalar; the few axis broadcasts
@@ -21,9 +22,10 @@ through ``record_op`` with hand-written backwards. Ground rules:
   the node's closure (with the arrays it saved) and its output's ``.grad``
   go before the next node runs, so afterwards the tape is empty and only
   leaves (parameters and caller-made ``requires_grad`` tensors) keep ``.grad``
-- ``unstack`` records nothing: a gradient accumulated into one of its views
-  goes straight into the view's slice of the parent's ``.grad``, and the
-  parent's node runs after every consumer of its views
+- ``unstack`` and ``deinterleave`` record nothing: a gradient accumulated
+  into one of their views goes straight into the view's slice of the
+  parent's ``.grad``, and the parent's node runs after every consumer of its
+  views
 """
 
 from __future__ import annotations
@@ -195,9 +197,7 @@ def record_op(
 
     ``backward`` receives the output gradient and must accumulate into the
     inputs via :func:`accumulate_grad`. This is the extension hook used by
-    fused ops outside this module: ``head.embed``, ``head.cross_entropy``,
-    ``mim.mim_forward``, and in ``masm`` ``mean_feature`` and
-    ``consistency_loss``.
+    the fused ops outside this module.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
@@ -288,27 +288,60 @@ def mul(a: Tensor, b) -> Tensor:
 # structure
 
 
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """N equal-shape tensors to one tensor with a new leading axis of length N."""
+    if not tensors:
+        raise TensorError("stack: empty input list")
+    shape = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != shape:
+            raise TensorError(f"stack: shape mismatch {t.shape} vs {shape}")
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            _accumulate(t, g[i])
+
+    return record_op("stack", np.stack([t.data for t in tensors]), tuple(tensors), bwd)
+
+
+def _views(t: Tensor, parts: list[np.ndarray], indices) -> list[Tensor]:
+    """Tensors around ``parts``, slices ``t.data[index]``, recording nothing;
+    a gradient accumulated into one goes straight into ``t.grad[index]``."""
+    needs_grad = t.requires_grad and active_tape() is not None
+    views = [_unchecked(part, needs_grad) for part in parts]  # t's data was checked
+    if needs_grad:
+        parent, base = t._base or (t, ())
+        if any(isinstance(i, slice) for i in base):
+            raise TensorError("cannot take views of a deinterleaved view")
+        for view, index in zip(views, indices):
+            view._base = (parent, base + index)
+    return views
+
+
 def unstack(t: Tensor) -> list[Tensor]:
     """Split the leading axis into views of ``t.data[i]`` that record nothing:
     a gradient accumulated into view ``i`` goes straight into ``t.grad[i]``
     (for a view of a view, into its first parent's slice)."""
     if t.ndim < 2:
         raise TensorError(f"unstack: need at least 2 axes, got shape {t.shape}")
-    needs_grad = t.requires_grad and active_tape() is not None
-    views = [_unchecked(part, needs_grad) for part in t.data]  # t's data was checked
-    if needs_grad:
-        parent, index = t._base or (t, ())
-        for i, view in enumerate(views):
-            view._base = (parent, index + (i,))
-    return views
+    return _views(t, list(t.data), [(i,) for i in range(t.shape[0])])
+
+
+def deinterleave(t: Tensor, m: int) -> list[Tensor]:
+    """The m views ``t.data[j::m]`` of a leading axis that runs through groups
+    of m (each scene's M modality maps, say), recording nothing: a gradient
+    accumulated into view ``j`` goes straight into ``t.grad[j::m]``."""
+    if t.ndim < 2 or m < 1 or t.shape[0] % m:
+        raise TensorError(f"deinterleave: cannot split shape {t.shape} into {m} views")
+    return _views(t, [t.data[j::m] for j in range(m)],
+                  [(slice(j, None, m),) for j in range(m)])
 
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
 
-# The numpy bodies of the sigmoid, GELU and the 1x1 mix are also called by the
-# fused ``mim.mim_forward``, so each formula is written once.
+# The numpy bodies of the fused ops elsewhere, so each formula is written once.
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -360,51 +393,14 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(t: Tensor) -> Tensor:
-    """tanh-approximation GELU; smooth, so finite differences behave."""
-    x = t.data
-    out_data, th = _gelu(x)
-
-    def bwd(g):
-        _accumulate(t, _gelu_grad(g, x, th))
-
-    return record_op("gelu", out_data, (t,), bwd)
-
-
 # ---------------------------------------------------------------------------
-# spatial ops on C x h x w feature maps
-
-
-def _check_chw(name: str, f: Tensor) -> tuple[int, int, int]:
-    if f.ndim != 3:
-        raise TensorError(f"{name}: expected C x h x w tensor, got shape {f.shape}")
-    return f.shape
-
-
-def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """1x1 projection: a C x h x w map times a C x D weight, plus a length-D
-    bias, gives a D x h x w map. The only op that lays a map out as pixel rows."""
-    c, h, wd = _check_chw("channel_mix", f)
-    if w.ndim != 2 or w.shape[0] != c:
-        raise TensorError(f"channel_mix: weight shape {w.shape} != ({c}, D)")
-    d = w.shape[1]
-    if b.shape != (d,):
-        raise TensorError(f"channel_mix: bias shape {b.shape} != ({d},)")
-    out, tokens = _mix(f.data, w.data, b.data)
-    wmat = w.data
-
-    def bwd(g):
-        g_f, g_w, g_b = _mix_grad(g, tokens, wmat)
-        _accumulate(b, g_b)
-        _accumulate(f, g_f)
-        _accumulate(w, g_w)
-
-    return record_op("channel_mix", out, (f, w, b), bwd)
+# 1x1 mix and bilinear resampling of C x h x w maps
 
 
 def _mix(f: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``channel_mix`` on arrays: the D x h x w result, and the pixel-row
-    token matrix its gradient reuses."""
+    """1x1 projection: a C x h x w map times a C x D weight, plus a length-D
+    bias, gives the D x h x w result; also returns the pixel-row token matrix
+    its gradient reuses."""
     c, h, wd = f.shape
     tokens = f.reshape(c, h * wd).T  # one row per pixel
     out = tokens @ w
@@ -436,21 +432,6 @@ def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
     np.add.at(mat, (rows, i1), t)
     mat.setflags(write=False)
     return mat
-
-
-def resample_bilinear(f: Tensor, h2: int, w2: int) -> Tensor:
-    """Bilinear resize of a C x h x w map (half-pixel centers, edges clamped)."""
-    c, h, w = _check_chw("resample_bilinear", f)
-    if h2 < 1 or w2 < 1:
-        raise TensorError(f"resample_bilinear: target {h2}x{w2} must be positive")
-    wy = _interp_matrix(h, h2)
-    wx = _interp_matrix(w, w2)
-    data = np.matmul(np.matmul(wy, f.data), wx.T)
-
-    def bwd(g):
-        _accumulate(f, np.matmul(np.matmul(wy.T, g), wx))
-
-    return record_op("resample_bilinear", data, (f,), bwd)
 
 
 # ---------------------------------------------------------------------------

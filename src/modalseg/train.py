@@ -37,7 +37,6 @@ from .container import atomic_target
 from .data import Dataset
 from .encoder import PYRAMID_LEVELS
 from .head import total_loss
-from .masm import mean_feature
 from .model import (FUSION_MODES, ModelConfig, forward_train, init_model_params,
                     model_param_specs)
 from .tensor import NonFiniteError, Tensor, backward
@@ -320,9 +319,7 @@ def _adamw_run(block: _Block, start: int, stop: int, scratch, lr: float,
 def batch_losses(batch, model_cfg: ModelConfig, params: dict[str, Tensor],
                  cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
     """(L_M, L_C, L) over a batch of scenes, each a batch-mean."""
-    per_scene = forward_train(batch, model_cfg, params, fusion=cfg.fusion)
-    l_m = mean_feature([l_m for l_m, _, _ in per_scene])
-    l_c = mean_feature([l_c for _, l_c, _ in per_scene])
+    l_m, l_c, _ = forward_train(batch, model_cfg, params, fusion=cfg.fusion)
     return l_m, l_c, total_loss(l_m, l_c, cfg.beta)
 
 

@@ -1,13 +1,15 @@
 """Shared oracles for the test suites: finite differences, error metrics,
 per-module parameter construction, generic tensor ops the model does not run,
-the encoder stages, the MIM pipeline, the head's affine front and the
-consistency loss as chains of recorded ops, the earlier bodies of the
-ranking, the consistency loss and MIM that the current ones must reproduce
-bit for bit, the plain numpy expressions that the in-place kernel bodies
-must reproduce bit for bit, the per-parameter AdamW loop the arena update
-must reproduce bit for bit, the checkpoint writer whose bytes
-``train.save_checkpoint`` must reproduce, and a tool that rewrites a
-container file with an edited header or arrays and a fresh checksum."""
+the per-map ops the fused decode replaced (``gelu``, ``channel_mix``,
+``resample_bilinear``) and the per-scene cross-entropy the batched one
+replaced, the encoder stages, the MIM pipeline, the head's affine front and
+the consistency loss as chains of recorded ops, the earlier bodies of the
+ranking and MIM that the current ones must reproduce bit for bit, the plain
+numpy expressions that the in-place kernel bodies must reproduce bit for
+bit, the per-parameter AdamW loop the arena update must reproduce bit for
+bit, the checkpoint writer whose bytes ``train.save_checkpoint`` must
+reproduce, and a tool that rewrites a container file with an edited header
+or arrays and a fresh checksum."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import modalseg.masm as masm
 import modalseg.tensor as T
 from modalseg.encoder import (LAYER_NORM_EPS, PYRAMID_LEVELS, STAGE_DOWNSAMPLE,
                               encoder_param_specs)
-from modalseg.head import head_param_specs
+from modalseg.head import IGNORE_LABEL, head_param_specs
 from modalseg.mim import mim_param_specs
 from modalseg.tensor import (NonFiniteError, Tensor, TensorError, accumulate_grad,
                              backward, no_grad, record_op)
@@ -103,6 +105,12 @@ def channel_last_maps(array: np.ndarray):
     return leaf, T.unstack(transpose(leaf, (0, 3, 1, 2)))
 
 
+def split_pyramids(levels) -> list[list[Tensor]]:
+    """``encoder.encode_batch``'s level tensors as one pyramid of
+    ``T.unstack`` views per image."""
+    return [list(pyramid) for pyramid in zip(*(T.unstack(level) for level in levels))]
+
+
 # ---------------------------------------------------------------------------
 # one module's parameters, drawn as ``model.init_model_params`` draws the model's
 
@@ -121,8 +129,8 @@ def init_head_params(stage_channels, d_embed: int, num_classes: int, rng) -> dic
 
 # ---------------------------------------------------------------------------
 # generic ops the model does not run: the loss reducers of the gradient checks,
-# the concat of ``mim_chain`` and ``embed_chain``, and the pooling and sigmoid
-# of ``mim_chain``
+# the concat of ``mim_chain`` and ``embed_chain``, the pooling and sigmoid of
+# ``mim_chain``, and the per-map ops the fused decode replaced
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -213,6 +221,59 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return record_op("concat", data, tuple(tensors), bwd)
 
 
+def gelu(t: Tensor) -> Tensor:
+    """tanh-approximation GELU; smooth, so finite differences behave."""
+    x = t.data
+    out_data, th = T._gelu(x)
+
+    def bwd(g):
+        accumulate_grad(t, T._gelu_grad(g, x, th))
+
+    return record_op("gelu", out_data, (t,), bwd)
+
+
+def _check_chw(name: str, f: Tensor) -> tuple[int, int, int]:
+    if f.ndim != 3:
+        raise TensorError(f"{name}: expected C x h x w tensor, got shape {f.shape}")
+    return f.shape
+
+
+def channel_mix(f: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """1x1 projection: a C x h x w map times a C x D weight, plus a length-D
+    bias, gives a D x h x w map."""
+    c, h, wd = _check_chw("channel_mix", f)
+    if w.ndim != 2 or w.shape[0] != c:
+        raise TensorError(f"channel_mix: weight shape {w.shape} != ({c}, D)")
+    d = w.shape[1]
+    if b.shape != (d,):
+        raise TensorError(f"channel_mix: bias shape {b.shape} != ({d},)")
+    out, tokens = T._mix(f.data, w.data, b.data)
+    wmat = w.data
+
+    def bwd(g):
+        g_f, g_w, g_b = T._mix_grad(g, tokens, wmat)
+        accumulate_grad(b, g_b)
+        accumulate_grad(f, g_f)
+        accumulate_grad(w, g_w)
+
+    return record_op("channel_mix", out, (f, w, b), bwd)
+
+
+def resample_bilinear(f: Tensor, h2: int, w2: int) -> Tensor:
+    """Bilinear resize of a C x h x w map (half-pixel centers, edges clamped)."""
+    c, h, w = _check_chw("resample_bilinear", f)
+    if h2 < 1 or w2 < 1:
+        raise TensorError(f"resample_bilinear: target {h2}x{w2} must be positive")
+    wy = T._interp_matrix(h, h2)
+    wx = T._interp_matrix(w, w2)
+    data = np.matmul(np.matmul(wy, f.data), wx.T)
+
+    def bwd(g):
+        accumulate_grad(f, np.matmul(np.matmul(wy.T, g), wx))
+
+    return record_op("resample_bilinear", data, (f,), bwd)
+
+
 def pool_global(f: Tensor, kind: str) -> Tensor:
     """Collapse the spatial extent of a ... x h x w map (at least 3 axes),
     keeping the leading axes: a C x h x w map gives a length-C vector."""
@@ -293,23 +354,6 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
     return record_op("transpose", np.transpose(t.data, axes), (t,), bwd)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """N equal-shape tensors to one tensor with a new leading axis of length N."""
-    if not tensors:
-        raise TensorError("stack: empty input list")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise TensorError(f"stack: shape mismatch {t.shape} vs {shape}")
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            accumulate_grad(t, g[i])
-
-    data = np.stack([t.data for t in tensors])
-    return record_op("stack", data, tuple(tensors), bwd)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift per channel."""
     c = x.shape[-1]
@@ -345,7 +389,7 @@ def _merge_patches(x: Tensor, k: int) -> Tensor:
 
 def _mixer_block(x: Tensor, params: dict, prefix: str) -> Tensor:
     normed = layer_norm(x, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"])
-    h = T.gelu(linear(normed, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    h = gelu(linear(normed, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
     h = linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
     return T.add(x, h)
 
@@ -364,14 +408,12 @@ def encode_stage_chain(x: Tensor, cfg, params: dict, stage: int) -> Tensor:
     return transpose(reshape(tokens, (n, h // k, w // k, tokens.shape[1])), (0, 3, 1, 2))
 
 
-def encode_batch_chain(images, cfg, params: dict) -> list[list[Tensor]]:
-    """``encoder.encode_batch`` through ``stack`` and ``encode_stage_chain``."""
-    levels = []
-    x = stack(images)
+def encode_batch_chain(images, cfg, params: dict) -> list[Tensor]:
+    """``encoder.encode_batch`` through ``T.stack`` and ``encode_stage_chain``."""
+    levels = [T.stack(images)]
     for s in range(PYRAMID_LEVELS):
-        x = encode_stage_chain(x, cfg, params, s)
-        levels.append(T.unstack(x))
-    return [list(pyramid) for pyramid in zip(*levels)]
+        levels.append(encode_stage_chain(levels[-1], cfg, params, s))
+    return levels[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +445,19 @@ def mim_chain(f_robust: Tensor, f_fragile: Tensor, params: dict, level: int) -> 
     backward."""
     if f_robust.ndim != 3:
         raise TensorError(f"mim_chain: need C x h x w maps, got {f_robust.shape}")
-    pair = stack([f_robust, f_fragile])
+    pair = T.stack([f_robust, f_fragile])
     _, c, h, w = pair.shape
     p = f"mim.l{level}"
     z = concat([pool_global(pair, "avg"), pool_global(pair, "max")], axis=1)
     z = reshape(z, (1, 4 * c))  # [avg_a, max_a, avg_b, max_b]
-    hidden = T.gelu(linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
+    hidden = gelu(linear(z, params[f"{p}.ch.w1"], params[f"{p}.ch.b1"]))
     att = sigmoid(linear(hidden, params[f"{p}.ch.w2"], params[f"{p}.ch.b2"]))
     pair = cross_rectify(pair, reshape(att, (2, c, 1, 1)))
-    att = sigmoid(T.channel_mix(reshape(pair, (2 * c, h, w)),
-                                  params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
+    att = sigmoid(channel_mix(reshape(pair, (2 * c, h, w)),
+                              params[f"{p}.sp.w"], params[f"{p}.sp.b"]))
     pair = cross_rectify(pair, reshape(att, (2, 1, h, w)))
-    return T.channel_mix(reshape(pair, (2 * c, h, w)),
-                         params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
+    return channel_mix(reshape(pair, (2 * c, h, w)),
+                       params[f"{p}.fuse.w"], params[f"{p}.fuse.b"])
 
 
 def cosine_parts(a: np.ndarray, b: np.ndarray):
@@ -488,8 +530,9 @@ def similarity_divergence(pairs: list[tuple[Tensor, Tensor]], class_count: int) 
 
 
 def consistency_chain(terms, class_count: int) -> Tensor:
-    """``masm.consistency_loss`` as the three recorded ops it fuses: ``cosine``
-    and ``map_similarity`` per remaining modality, then the divergence."""
+    """One scene's ``masm.consistency_loss`` as the three recorded ops it
+    fuses: ``cosine`` and ``map_similarity`` per remaining modality, then the
+    divergence."""
     pairs = [tuple(map_similarity(cosine(f, f_mim)) for f in (f_1, f_2))
              for f_mim, f_1, f_2 in terms]
     return similarity_divergence(pairs, class_count)
@@ -503,48 +546,6 @@ def rank_modalities_reference(features, f_m) -> masm.RankingResult:
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return masm.RankingResult(scores=scores, robust_idx=order[0], fragile_idx=order[-1],
                               remaining=tuple(order[1:-1]))
-
-
-def consistency_loss_reference(terms, class_count: int) -> Tensor:
-    """``masm.consistency_loss`` as one recorded op with one ``cosine_parts``
-    call per similarity: two per term, each flattening f_mim again."""
-    if class_count < 1:
-        raise TensorError("consistency_loss: class_count must be positive")
-    if not terms:
-        return Tensor(0.0)
-
-    def mapped_cosine(f, f_mim):
-        c, parts = cosine_parts(f.data, f_mim.data)
-        x = (np.float64(c) + 1.0) * 0.5
-        return (np.clip(x, masm.SIM_EPS, 1.0),
-                (f, f_mim, c, parts, (x >= masm.SIM_EPS) & (x <= 1.0)))
-
-    k = float(class_count)
-    total = None
-    sims = []
-    for f_mim, f_1, f_2 in terms:
-        a, sim_a = mapped_cosine(f_1, f_mim)
-        b, sim_b = mapped_cosine(f_2, f_mim)
-        mid = (a + b) * 0.5
-        la, lb = np.log(a / mid), np.log(b / mid)
-        sims += [(*sim_a, la), (*sim_b, lb)]
-        value = (a * la + b * lb) * k
-        total = value if total is None else total + value
-    n = float(len(terms))
-
-    def bwd(g):
-        s = g * (k / n)
-        for f, f_mim, c, parts, inside, log_ratio in reversed(sims):
-            if parts is None:
-                continue
-            af, bf, na, nb = parts
-            g_c = ((s * log_ratio) * inside) * 0.5
-            s_c = g_c / (na * nb)
-            accumulate_grad(f, (s_c * bf - (g_c * c / (na * na)) * af).reshape(f.shape))
-            accumulate_grad(f_mim,
-                            (s_c * af - (g_c * c / (nb * nb)) * bf).reshape(f_mim.shape))
-
-    return record_op("consistency", total / n, tuple(t for term in terms for t in term), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +665,50 @@ def mim_forward_reference(f_robust: Tensor, f_fragile: Tensor, params: dict,
 # reference for the fused ``head.embed``
 
 
-def embed_chain(pyramids, params: dict) -> Tensor:
+def embed_chain(levels, params: dict) -> Tensor:
     """``head.embed`` as SegFormer's unfolded chain of recorded ops, pyramid
     by pyramid: per-level ``channel_mix`` to D channels, resampling to the
     level-0 grid, concat and the 4D -> D fuse ``channel_mix``; the N results
     stacked."""
     embedded = []
-    for pyramid in pyramids:
+    for pyramid in zip(*(T.unstack(level) for level in levels)):
         h1, w1 = pyramid[0].shape[1:]
-        projected = [T.resample_bilinear(T.channel_mix(level, params[f"head.proj{i}.w"],
-                                                       params[f"head.proj{i}.b"]), h1, w1)
+        projected = [resample_bilinear(channel_mix(level, params[f"head.proj{i}.w"],
+                                                   params[f"head.proj{i}.b"]), h1, w1)
                      for i, level in enumerate(pyramid)]
-        embedded.append(T.channel_mix(concat(projected, axis=0),
-                                      params["head.fuse.w"], params["head.fuse.b"]))
-    return stack(embedded)
+        embedded.append(channel_mix(concat(projected, axis=0),
+                                    params["head.fuse.w"], params["head.fuse.b"]))
+    return T.stack(embedded)
+
+
+def decode_chain(embedded: Tensor, params: dict, out_size) -> Tensor:
+    """``head.decode`` as the three recorded ops it fuses."""
+    logits = channel_mix(gelu(embedded), params["head.cls.w"], params["head.cls.b"])
+    return resample_bilinear(logits, out_size[0], out_size[1])
+
+
+def cross_entropy_reference(logits: Tensor, labels) -> Tensor:
+    """One scene's mean -log softmax(logits)[label] over pixels whose label is
+    not 255: the per-scene op that ``head.cross_entropy`` batches."""
+    labels = np.asarray(labels)
+    k = logits.shape[0]
+    flat_labels = labels.ravel()
+    valid = flat_labels != IGNORE_LABEL
+    flat = logits.data.reshape(k, -1)
+    shifted = flat - flat.max(axis=0)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=0))
+    pix = np.flatnonzero(valid)
+    cls = flat_labels[pix]
+    n_valid = pix.size
+    loss = -logp[cls, pix].mean()
+
+    def bwd(g):
+        d = np.zeros_like(flat)
+        d[:, pix] = np.exp(logp[:, pix])
+        d[cls, pix] -= 1.0
+        accumulate_grad(logits, (g * d / n_valid).reshape(logits.shape))
+
+    return record_op("cross_entropy", np.asarray(loss), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

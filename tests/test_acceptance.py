@@ -28,16 +28,17 @@ import pytest
 import helpers
 import modalseg
 import modalseg.tensor as T
-from helpers import (check_grads, clamp, concat, cross_rectify, div, exp, init_head_params,
-                     init_mim_params, layer_norm, linear, log, max_rel_err, pool_global,
-                     reshape, sigmoid, stack, sum_all, transpose)
+from helpers import (channel_mix, check_grads, clamp, concat, cross_rectify, div, exp, gelu,
+                     init_head_params, init_mim_params, layer_norm, linear, log, max_rel_err,
+                     pool_global, resample_bilinear, reshape, sigmoid, sum_all, transpose)
 from modalseg.data import (BadMagicError, DatasetFormatError, generate_dataset,
                            read_dataset, write_dataset)
 from modalseg.encoder import encode_batch, encode_stage, encoder_param_specs
 from modalseg.evaluate import (confusion_matrix, enumerate_subsets, miou,
                                render_report, run_mass_eval)
-from modalseg.head import cross_entropy, embed, total_loss
-from modalseg.masm import consistency_loss, masm_forward, mean_feature, rank_modalities
+from modalseg.head import cross_entropy, decode, embed, total_loss
+from modalseg.masm import (consistency_loss, fuse_level, masm_forward, mean_feature,
+                           rank_modalities)
 from modalseg.mim import mim_forward
 from modalseg.model import forward_train, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, backward, no_grad
@@ -94,21 +95,21 @@ def _op_cases(rng):
         ("exp", lambda t: m(exp(t)), [n(size=(3, 4))]),
         ("log", lambda t: m(log(t)), [p(3, 4)]),
         ("sigmoid", lambda t: m(sigmoid(t)), [n(size=(3, 4))]),
-        ("gelu", lambda t: m(T.gelu(t)), [n(size=(3, 4))]),
+        ("gelu", lambda t: m(gelu(t)), [n(size=(3, 4))]),
         ("clamp", lambda t: m(clamp(t, -0.7, 0.7)), [n(size=(3, 4))]),
         ("layer_norm", lambda x, g, b: m(layer_norm(x, g, b)),
          [n(size=(4, 6)), p(6), n(size=(6,))]),
         ("pool_avg", lambda f: m(pool_global(f, "avg")), [n(size=(3, 4, 4))]),
         ("pool_max", lambda f: m(pool_global(f, "max")), [n(size=(3, 4, 4))]),
-        ("resample_bilinear", lambda f: m(exp(T.resample_bilinear(f, 5, 4))),
+        ("resample_bilinear", lambda f: m(exp(resample_bilinear(f, 5, 4))),
          [n(size=(2, 3, 3))]),
         ("cross_rectify per channel", lambda f, w: m(exp(cross_rectify(f, w))),
          [n(size=(2, 3, 2, 2)), n(size=(2, 3, 1, 1))]),
         ("cross_rectify per pixel", lambda f, w: m(exp(cross_rectify(f, w))),
          [n(size=(2, 3, 2, 2)), n(size=(2, 1, 2, 2))]),
-        ("channel_mix", lambda f, w, b: m(exp(T.channel_mix(f, w, b))),
+        ("channel_mix", lambda f, w, b: m(exp(channel_mix(f, w, b))),
          [n(size=(3, 2, 4)), n(size=(3, 5)), n(size=(5,))]),
-        ("stack", lambda a, b: m(exp(stack([a, b]))),
+        ("stack", lambda a, b: m(exp(T.stack([a, b]))),
          [n(size=(2, 3)), n(size=(2, 3))]),
     ]
     # Draws of retired cases stay in the stream, so every other case keeps its
@@ -122,9 +123,9 @@ def _op_cases(rng):
                   *(n(scale=0.5, size=t.shape) for t in mim_params.values())]
     labels = rng.integers(0, 3, size=(2, 3))
     labels[0, 0] = 255  # ignored: its logits get zero gradient
-    cases.append(("cross_entropy", lambda x: cross_entropy(x, labels), [n(size=(3, 2, 3))]))
+    cases.append(("cross_entropy", lambda x: cross_entropy([x], [labels]), [n(size=(3, 2, 3))]))
     cases.append(("consistency",  # c and a in both terms: fan-in
-                  lambda a, b, c, d: consistency_loss([(a, b, c), (d, c, a)], 7),
+                  lambda a, b, c, d: consistency_loss([[(a, b, c), (d, c, a)]], 7),
                   [n(size=(3, 2, 2)) for _ in range(4)]))
     # a fixed linear weighting of the mim output, not exp(): the exponential
     # amplified the central difference's cancellation past the tolerance
@@ -139,7 +140,8 @@ def _op_cases(rng):
     embed_arrays = [n(size=g) for _ in range(2) for g in grids]
     embed_arrays += [n(scale=0.5, size=shape) for shape in front.values()]
     embed_weights = Tensor(n(size=(2, 3, 4, 6)))
-    cases.append(("embed", lambda *ts: m(T.mul(embed([list(ts[:4]), list(ts[4:8])],
+    cases.append(("embed", lambda *ts: m(T.mul(embed([T.stack([ts[i], ts[4 + i]])
+                                                      for i in range(4)],
                                                      dict(zip(front, ts[8:]))),
                                                embed_weights)), embed_arrays))
     # encoder stage 1 (2 x 2 patches, 2 -> 3 channels, two mixer blocks) over
@@ -152,13 +154,34 @@ def _op_cases(rng):
     stage_arrays += [n(scale=0.5, size=shape) for shape in stage.values()]
     stage_weights = Tensor(n(size=(2, 3, 2, 2)))
     cases.append(("encode_stage", lambda *ts: m(T.mul(encode_stage(
-        list(ts[:2]), stage_cfg, dict(zip(stage, ts[2:])), 1), stage_weights)),
+        T.stack(list(ts[:2])), stage_cfg, dict(zip(stage, ts[2:])), 1), stage_weights)),
         stage_arrays))
+    # the batched ops: one mean op over the deinterleaved modality maps of two
+    # scenes (M = 3), each scene's interaction output plus its mean, the
+    # consistency loss and cross-entropy over two scenes, and the one-op decode
+    cases.append(("mean over deinterleaved maps", lambda x: m(exp(mean_feature(
+        T.deinterleave(transpose(x, (0, 3, 1, 2)), 3)))), [n(size=(6, 2, 3, 2))]))
+    cases.append(("fuse_level", lambda a, b, f_m: m(exp(fuse_level([a, b], f_m))),
+                  [n(size=(2, 3, 2)), n(size=(2, 3, 2)), n(size=(2, 2, 3, 2))]))
+    scene_labels = [rng.integers(0, 3, size=(2, 3)) for _ in range(2)]
+    scene_labels[1][1, 2] = 255
+    cases.append(("cross_entropy over two scenes", lambda x, y: cross_entropy(
+        [x, y], scene_labels), [n(size=(3, 2, 3)), n(size=(3, 2, 3))]))
+    cases.append(("consistency over two scenes",  # b in both scenes: fan-in
+                  lambda a, b, c, d, e: consistency_loss([[(a, b, c), (c, a, b)],
+                                                          [(d, e, b), (b, d, e)]], 5),
+                  [n(size=(3, 2, 2)) for _ in range(5)]))
+    head = init_head_params((2, 3, 2, 2), 4, 3, np.random.default_rng(0))
+    cls = [k for k in head if k.startswith("head.cls")]
+    decode_weights = Tensor(n(size=(3, 5, 3)))
+    cases.append(("decode", lambda e, w, b: m(T.mul(decode(e, dict(zip(cls, (w, b))), (5, 3)),
+                                                   decode_weights)),
+                  [n(size=(4, 2, 3)), *(n(scale=0.5, size=head[k].shape) for k in cls)]))
     return cases
 
 
 def _full_loss(scene, cfg, params):
-    l_m, l_c, _ = forward_train([scene], cfg, params, "masm")[0]
+    l_m, l_c, _ = forward_train([scene], cfg, params, "masm")
     return total_loss(l_m, l_c, beta=1.0)
 
 
@@ -302,7 +325,7 @@ def test_criterion_3_oracles():
                 pz = np.exp(z - z.max())
                 total += -math.log(pz[labels[i, j]] / pz.sum())
                 count += 1
-        got = cross_entropy(Tensor(logits), labels).item()
+        got = cross_entropy([Tensor(logits)], [labels]).item()
         assert abs(got - total / count) < 1e-10
 
 
@@ -314,18 +337,18 @@ def test_criterion_4_consistency_identities():
     rng = np.random.default_rng(6)
     f_mim, f = Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(3, 4, 4)))
     # equal features have equal similarities, which cancel exactly
-    assert consistency_loss([(f_mim, f, f)], class_count=25).item() == 0.0
+    assert consistency_loss([[(f_mim, f, f)]], class_count=25).item() == 0.0
 
     # symmetry and non-negativity over random feature pairs
     for _ in range(1000):
         f_mim, a, b = (Tensor(rng.normal(size=(3, 2, 2))) for _ in range(3))
-        fwd = consistency_loss([(f_mim, a, b)], 7).item()
-        rev = consistency_loss([(f_mim, b, a)], 7).item()
+        fwd = consistency_loss([[(f_mim, a, b)]], 7).item()
+        rev = consistency_loss([[(f_mim, b, a)]], 7).item()
         assert abs(fwd - rev) < 1e-12
         assert fwd >= -1e-12
 
     # extreme disagreement, similarities 1 and SIM_EPS, approaches K*ln(2)
-    got = consistency_loss([(f, f, T.mul(f, -1.0))], 25).item()
+    got = consistency_loss([[(f, f, T.mul(f, -1.0))]], 25).item()
     assert abs(got - 25 * math.log(2)) < 1e-3
 
     # beta=0 collapses the total loss to the supervision term bit-for-bit
@@ -373,10 +396,10 @@ def test_criterion_6_night_camera_ranks_fragile():
     totals = {"day": 0, "night": 0}
     for scene in eval_ds.scenes:
         with no_grad():
-            pyramids = encode_batch(scene_tensors(scene), mcfg, params)
-            _, rankings, _ = masm_forward(pyramids, params)
+            levels = encode_batch(scene_tensors(scene), mcfg, params)
+            _, rankings, _ = masm_forward(levels, len(mods), params)
         totals[scene.condition] += 1
-        hits[scene.condition] += rankings[0].fragile_idx == 0  # scale 1, camera
+        hits[scene.condition] += rankings[0][0].fragile_idx == 0  # scale 1, camera
 
     assert totals["day"] > 0 and totals["night"] > 0
     freq_night = hits["night"] / totals["night"]

@@ -12,7 +12,7 @@ from modalseg.tensor import Tensor, TensorError, backward, no_grad
 from modalseg.train import TrainConfig
 
 from helpers import (check_param_grad, encode_batch_chain, encode_stage_chain,
-                     init_encoder_params, sum_all, transpose)
+                     init_encoder_params, split_pyramids, sum_all, transpose)
 
 SMALL = TrainConfig(stage_channels=(4, 6, 8, 10)).model_config(2, ("camera",))
 
@@ -26,7 +26,7 @@ def test_pyramid_shapes_64():
     params = init_encoder_params(cfg, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     with no_grad():
-        pyr = encode_batch([Tensor(rng.random((3, 64, 64)))], cfg, params)[0]
+        pyr = split_pyramids(encode_batch([Tensor(rng.random((3, 64, 64)))], cfg, params))[0]
     assert [f.shape for f in pyr] == [(16, 16, 16), (32, 8, 8), (64, 4, 4), (96, 2, 2)]
 
 
@@ -34,7 +34,7 @@ def test_pyramid_shapes_non_square():
     params = small_params()
     with no_grad():
         image = Tensor(np.random.default_rng(3).random((3, 32, 64)))
-        pyr = encode_batch([image], SMALL, params)[0]
+        pyr = split_pyramids(encode_batch([image], SMALL, params))[0]
     assert [f.shape for f in pyr] == [(4, 8, 16), (6, 4, 8), (8, 2, 4), (10, 1, 2)]
 
 
@@ -50,7 +50,7 @@ def test_zero_images_give_identical_pyramids():
     params = small_params()
     zero = np.zeros((3, 32, 32))
     with no_grad():
-        p1, p2 = encode_batch([Tensor(zero), Tensor(zero)], SMALL, params)
+        p1, p2 = split_pyramids(encode_batch([Tensor(zero), Tensor(zero)], SMALL, params))
     for a, b in zip(p1, p2):
         assert a.data.tobytes() == b.data.tobytes()
         assert np.all(np.isfinite(a.data))
@@ -60,8 +60,8 @@ def test_encode_is_pure():
     params = small_params()
     img = Tensor(np.random.default_rng(5).random((3, 32, 32)))
     with no_grad():
-        first = encode_batch([img], SMALL, params)[0]
-        second = encode_batch([img], SMALL, params)[0]
+        first = encode_batch([img], SMALL, params)
+        second = encode_batch([img], SMALL, params)
     for a, b in zip(first, second):
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -71,8 +71,8 @@ def test_batch_order_and_permutation():
     rng = np.random.default_rng(6)
     imgs = [Tensor(rng.random((3, 32, 32))) for _ in range(3)]
     with no_grad():
-        abc = encode_batch(imgs, SMALL, params)
-        cab = encode_batch([imgs[2], imgs[0], imgs[1]], SMALL, params)
+        abc = split_pyramids(encode_batch(imgs, SMALL, params))
+        cab = split_pyramids(encode_batch([imgs[2], imgs[0], imgs[1]], SMALL, params))
     for level in range(4):
         assert cab[0][level].data.tobytes() == abc[2][level].data.tobytes()
         assert cab[1][level].data.tobytes() == abc[0][level].data.tobytes()
@@ -83,7 +83,7 @@ def test_duplicated_modality_gives_identical_pyramids():
     params = small_params()
     img = Tensor(np.random.default_rng(7).random((3, 32, 32)))
     with no_grad():
-        p1, p2 = encode_batch([img, img], SMALL, params)
+        p1, p2 = split_pyramids(encode_batch([img, img], SMALL, params))
     for a, b in zip(p1, p2):
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -108,7 +108,7 @@ def test_config_validation():
 
 
 def pyramid_loss(image: Tensor, params) -> Tensor:
-    levels = encode_batch([image], SMALL, params)[0]
+    levels = encode_batch([image], SMALL, params)
     total = sum_all(levels[0])
     for lvl in levels[1:]:
         total = T.add(total, sum_all(lvl))
@@ -142,8 +142,8 @@ def test_batch_matches_per_image_encode(size):
     rng = np.random.default_rng(22)
     imgs = [Tensor(rng.random((3, size, size))) for _ in range(16)]
     with no_grad():
-        batched = encode_batch(imgs, SMALL, params)
-        single = [encode_batch([img], SMALL, params)[0] for img in imgs]
+        batched = split_pyramids(encode_batch(imgs, SMALL, params))
+        single = [split_pyramids(encode_batch([img], SMALL, params))[0] for img in imgs]
     for level in range(4):
         scale = max(np.max(np.abs(p[level].data)) for p in single)
         for b, s in zip(batched, single):
@@ -163,14 +163,14 @@ def test_batch_param_grads_equal_sum_of_per_image_grads():
     rng = np.random.default_rng(23)
     imgs = [Tensor(rng.random((3, 32, 32))) for _ in range(16)]
     batched = small_params(seed=24)
-    backward(squares_loss(encode_batch(imgs, SMALL, batched)))
+    backward(squares_loss(split_pyramids(encode_batch(imgs, SMALL, batched))))
 
     single = small_params(seed=24)
     summed = {n: np.zeros_like(p.data) for n, p in single.items()}
     for img in imgs:
         for p in single.values():
             p.zero_grad()
-        backward(squares_loss([encode_batch([img], SMALL, single)[0]]))
+        backward(squares_loss([encode_batch([img], SMALL, single)]))
         for n, p in single.items():
             summed[n] += p.grad
     for n, p in batched.items():
@@ -191,7 +191,7 @@ def test_batch_adds_only_one_unstack_per_image_per_stage(monkeypatch):
             encode_batch([Tensor(np.ones((3, 32, 32)))] * n, SMALL, small_params())
         counts[n] = {name: names.count(name) for name in set(names)}
     assert "unstack" not in counts[1] and "unstack" not in counts[16]  # views record nothing
-    assert counts[16] == counts[1] == {"encode_stage": 4}  # one fused op per stage
+    assert counts[16] == counts[1] == {"stack": 1, "encode_stage": 4}  # one op per stage
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,7 @@ def test_encode_batch_bit_identical_to_the_chain(blocks):
         params = init_encoder_params(cfg, np.random.default_rng(31))
         rng = np.random.default_rng(32)
         images = [Tensor(rng.random((3, 64, 32)), requires_grad=True) for _ in range(3)]
-        pyramids = encode(images, cfg, params)
-        levels = [level for pyramid in pyramids for level in pyramid]
+        levels = encode(images, cfg, params)
         backward(weighted_sum(levels, rng))
         runs.append(([(lvl.data.tobytes(), lvl.data.strides) for lvl in levels],
                      {n: p.grad.tobytes() for n, p in params.items()},
@@ -243,7 +242,7 @@ def test_encode_stage_bit_identical_to_the_chain(blocks, stage):
         leaf = Tensor(rng.normal(size=(2, 16, 8, c)), requires_grad=True)
         x = transpose(leaf, (0, 3, 1, 2))
         if fused:
-            out = encode_stage(T.unstack(x), cfg, params, stage, x.data)
+            out = encode_stage(x, cfg, params, stage)
         else:
             out = encode_stage_chain(x, cfg, params, stage)
         backward(weighted_sum([out], rng))

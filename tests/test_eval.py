@@ -18,9 +18,11 @@ from modalseg.evaluate import (MassReport, ReportFormatError, confusion_matrix,
                                render_report, report_from_json, report_to_json,
                                run_mass_eval, subset_name)
 from modalseg.head import decode, embed
-from modalseg.model import fuse_mean, infer, infer_logits, init_model_params, scene_tensors
+from modalseg.model import infer, infer_logits, init_model_params, scene_tensors
 from modalseg.tensor import Tensor, no_grad
 from modalseg.train import TrainConfig
+
+from helpers import split_pyramids
 
 MODALITIES = ("camera", "depth", "event", "range")
 SMALL_MODEL = TrainConfig(stage_channels=(4, 6, 8, 10), d_embed=8)
@@ -203,10 +205,10 @@ def test_full_subset_matches_mean_fusion_oracle():
     images = scene_tensors(scene)
     with no_grad():
         got = infer_logits(images, cfg, params, scene.labels.shape)
-        pyramids = [encode_batch([img], cfg, params)[0] for img in images]
-        fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0))
+        pyramids = [split_pyramids(encode_batch([img], cfg, params))[0] for img in images]
+        fused = [Tensor(np.mean([p[i].data for p in pyramids], axis=0)[None])
                  for i in range(4)]
-        expect = decode(T.unstack(embed([fused], params))[0], params, scene.labels.shape)
+        expect = decode(T.unstack(embed(fused, params))[0], params, scene.labels.shape)
     assert np.max(np.abs(got.data - expect.data)) < 1e-12
 
 
@@ -221,9 +223,9 @@ def test_infer_rejects_pyramids_that_do_not_match_config():
     img = scene_tensors(eval_dataset(count=1).scenes[0])[0]
     wider = TrainConfig(stage_channels=(4, 6, 8, 12), d_embed=8).model_config(3, MODALITIES)
     with no_grad():
-        pyramid = encode_batch([img], cfg, params)[0]
-        other = encode_batch([img], wider, init_model_params(wider, 0))[0]
-    for bad in ([pyramid[:3]], [other], [pyramid, other]):
+        levels = encode_batch([img], cfg, params)
+        other = encode_batch([img], wider, init_model_params(wider, 0))
+    for bad in (levels[:3], other, [*levels[:3], other[3]]):
         with pytest.raises(T.TensorError, match="stage channels"):
             with no_grad():  # pyramids enter inference through head.embed
                 embedded = T.unstack(embed(bad, params))
@@ -243,13 +245,15 @@ def test_infer_matches_unfolded_decode_on_every_subset():
     cfg, params = small_model()
     scene = eval_dataset(count=1).scenes[0]
     with no_grad():
-        pyramids = encode_batch(scene_tensors(scene), cfg, params)
-        embedded = T.unstack(embed(pyramids, params))
+        levels = encode_batch(scene_tensors(scene), cfg, params)
+        embedded = T.unstack(embed(levels, params))
+        pyramids = split_pyramids(levels)
         for subset in enumerate_subsets(4):
             folded = decode(mean_feature([embedded[i] for i in subset]), params,
                             scene.labels.shape).data
-            unfolded = decode(T.unstack(embed([fuse_mean([pyramids[i] for i in subset])],
-                                              params))[0],
+            fused = [T.stack([mean_feature([pyramids[i][lvl] for i in subset])])
+                     for lvl in range(4)]
+            unfolded = decode(T.unstack(embed(fused, params))[0],
                               params, scene.labels.shape).data
             assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
             pred = infer([embedded[i] for i in subset], cfg, params, scene.labels.shape)
@@ -437,6 +441,16 @@ MALFORMED_SIDECARS = {
     "inf-miou": _edited_sidecar(lambda r: r["subsets"][0].update(miou=float("inf"))),
     "nan-mean": _edited_sidecar(lambda r: r.update(mean=float("nan"))),
     "wrong-mean": _edited_sidecar(lambda r: r.update(mean=r["mean"] + 1e-6)),
+    # what run_mass_eval can never write: subset names that are not the
+    # modality names' initials, and modality names a model config refuses
+    "repeated-subset-names": _edited_sidecar(
+        lambda r: r.update(modality_names=["camera", "depth"], subsets=[
+            dict(entry, name="Q") for entry in r["subsets"][:3]],
+            mean=sum(entry["miou"] for entry in r["subsets"][:3]) / 3)),
+    "subset-names-reordered": _edited_sidecar(
+        lambda r: r["subsets"].insert(0, r["subsets"].pop(1))),
+    "empty-modality-name": _edited_sidecar(lambda r: r["modality_names"].__setitem__(1, "")),
+    "shared-initial": _edited_sidecar(lambda r: r["modality_names"].__setitem__(1, "cam")),
 }
 
 

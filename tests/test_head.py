@@ -12,7 +12,9 @@ from modalseg.head import cross_entropy, decode, embed, total_loss
 from modalseg.tensor import Tensor, TensorError, backward, no_grad
 from modalseg.train import TrainConfig
 
-from helpers import check_grads, check_param_grad, embed_chain, init_head_params, sum_all
+from helpers import (check_grads, check_param_grad, cross_entropy_reference, decode_chain,
+                     embed_chain, init_head_params, sum_all)
+from modalseg.masm import mean_feature
 
 CHANNELS = (2, 3, 4, 5)
 
@@ -27,9 +29,14 @@ def pyramid_for(size=32, seed=1, channels=CHANNELS):
             for i, c in enumerate(channels)]
 
 
+def levels_of(pyramids):
+    """Per-image pyramids as the level tensors ``embed`` takes."""
+    return [T.stack(list(level)) for level in zip(*pyramids)]
+
+
 def embed_one(pyramid, params):
     """The D x h1 x w1 embedding of one pyramid."""
-    return T.unstack(embed([pyramid], params))[0]
+    return T.unstack(embed(levels_of([pyramid]), params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def test_decode_classifier_grads_match_finite_differences():
     labels[0, :] = 255
 
     def loss_fn(p):
-        return cross_entropy(decode(embed_one(pyr, p), p, (32, 32)), labels)
+        return cross_entropy([decode(embed_one(pyr, p), p, (32, 32))], [labels])
 
     backward(loss_fn(params))
     check_param_grad(loss_fn, params, "head.cls.w")
@@ -94,9 +101,39 @@ def test_decode_projects_without_transposes(monkeypatch):
     with no_grad():
         params = head_params(seed=10)
         decode(embed_one(pyramid_for(seed=10), params), params, (32, 32))
-    assert names.count("embed") == 1
-    assert names.count("channel_mix") == 1  # the classifier
+    assert names.count("embed") == 1 and names.count("decode") == 1
     assert "transpose" not in names and "concat" not in names
+
+
+@pytest.mark.parametrize("d_embed, k, grid, size", [(64, 5, 16, 64), (16, 3, 8, 32),
+                                                     (4, 2, 3, 7)])
+def test_decode_bit_identical_to_its_chain(d_embed, k, grid, size):
+    """``decode`` against the ``gelu`` -> ``channel_mix`` ->
+    ``resample_bilinear`` chain it fuses: logits and the gradients of the
+    embedded map (a view, as ``head.embed``'s output is split) and of the
+    classifier, byte for byte."""
+    rng = np.random.default_rng(30 + k)
+    embedded = rng.normal(size=(2, d_embed, grid, grid)) * 2
+    w, b = rng.normal(size=(d_embed, k)), rng.normal(size=k)
+    pick = rng.normal(size=(k, size, size))
+    runs = []
+    for op in (decode, decode_chain):
+        leaf = Tensor(embedded, requires_grad=True)
+        params = {"head.cls.w": Tensor(w, requires_grad=True),
+                  "head.cls.b": Tensor(b, requires_grad=True)}
+        out = op(T.unstack(T.mul(leaf, 1.0))[1], params, (size, size))
+        backward(sum_all(T.mul(out, Tensor(pick))))
+        runs.append([out.data.tobytes(), leaf.grad.tobytes()]
+                    + [t.grad.tobytes() for t in params.values()])
+    assert runs[0] == runs[1]
+
+
+def test_decode_rejects_a_map_of_the_wrong_width_or_an_empty_target():
+    params = head_params()
+    with pytest.raises(TensorError):
+        decode(Tensor(np.ones((7, 4, 4))), params, (8, 8))
+    with pytest.raises(TensorError):
+        decode(Tensor(np.ones((8, 4, 4))), params, (0, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +151,7 @@ def _front_run(front, pyramids, params, weights):
     leaves = [[Tensor(level.data, requires_grad=True) for level in p] for p in pyramids]
     for t in params.values():
         t.grad = None
-    out = front(leaves, params)
+    out = front(levels_of(leaves), params)
     backward(sum_all(T.mul(out, Tensor(weights))))
     grads = {name: t.grad for name, t in params.items() if not name.startswith("head.cls")}
     grads.update({f"pyramid {n} level {i}": level.grad
@@ -152,16 +189,16 @@ def test_embed_zero_pyramid_zero_biases_gives_exact_zero():
             t.data = np.zeros_like(t.data)
     zero = [Tensor(np.zeros(level.shape)) for level in pyramid_for(seed=23)]
     with no_grad():
-        out = embed([zero, pyramid_for(seed=24)], params).data
+        out = embed(levels_of([zero, pyramid_for(seed=24)]), params).data
     assert np.array_equal(out[0], np.zeros(out[0].shape))
     assert np.any(out[1] != 0.0)
 
 
 def test_embed_rejects_malformed_pyramids():
     params = head_params()
-    pyr = pyramid_for()
-    for bad in ([], [pyr[:3]], [pyr, pyramid_for(size=64)],
-                [[Tensor(np.ones((2, 8))), *pyr[1:]]]):
+    one, two = levels_of([pyramid_for()]), levels_of([pyramid_for()] * 2)
+    for bad in ([], one[:3], [two[0], *one[1:]], [Tensor(np.ones((1, 2, 8))), *one[1:]],
+                [Tensor(np.ones((1, 3, 8, 8))), *one[1:]]):
         with pytest.raises(TensorError):
             embed(bad, params)
 
@@ -182,7 +219,7 @@ def test_ce_uniform_logits_is_log_k():
     logits = Tensor(np.full((5, 4, 4), 0.37))
     labels = np.random.default_rng(10).integers(0, 5, size=(4, 4))
     with no_grad():
-        loss = cross_entropy(logits, labels).item()
+        loss = cross_entropy([logits], [labels]).item()
     assert abs(loss - np.log(5.0)) < 1e-12
 
 
@@ -191,7 +228,7 @@ def test_ce_large_margin_approaches_zero():
     data = np.zeros((3, 2, 2))
     data[0] = 50.0
     with no_grad():
-        loss = cross_entropy(Tensor(data), labels).item()
+        loss = cross_entropy([Tensor(data)], [labels]).item()
     assert 0.0 <= loss < 1e-9
 
 
@@ -200,7 +237,7 @@ def test_ce_matches_scalar_oracle():
     data = rng.normal(size=(3, 2, 2)) * 2
     labels = np.array([[0, 2], [1, 255]], dtype=np.int64)
     with no_grad():
-        got = cross_entropy(Tensor(data), labels).item()
+        got = cross_entropy([Tensor(data)], [labels]).item()
 
     acc = []
     for i in range(2):
@@ -220,30 +257,30 @@ def test_ce_shift_invariance_per_pixel():
     shifted = data.copy()
     shifted[:, 1, 2] += 137.0  # same constant added to every class logit
     with no_grad():
-        a = cross_entropy(Tensor(data), labels).item()
-        b = cross_entropy(Tensor(shifted), labels).item()
+        a = cross_entropy([Tensor(data)], [labels]).item()
+        b = cross_entropy([Tensor(shifted)], [labels]).item()
     assert abs(a - b) < 1e-10
 
 
 def test_ce_all_ignored_is_error():
     with pytest.raises(TensorError):
-        cross_entropy(Tensor(np.zeros((3, 2, 2))),
-                      np.full((2, 2), 255, dtype=np.int64))
+        cross_entropy([Tensor(np.zeros((3, 2, 2)))],
+                      [np.full((2, 2), 255, dtype=np.int64)])
 
 
 def test_ce_label_validation():
     logits = Tensor(np.zeros((3, 2, 2)))
     with pytest.raises(TensorError):
-        cross_entropy(logits, np.full((2, 2), 3, dtype=np.int64))
+        cross_entropy([logits], [np.full((2, 2), 3, dtype=np.int64)])
     with pytest.raises(TensorError):
-        cross_entropy(logits, np.full((2, 2), -1, dtype=np.int64))
+        cross_entropy([logits], [np.full((2, 2), -1, dtype=np.int64)])
     with pytest.raises(TensorError):
-        cross_entropy(logits, np.zeros((2, 3), dtype=np.int64))
+        cross_entropy([logits], [np.zeros((2, 3), dtype=np.int64)])
     with pytest.raises(TensorError):
-        cross_entropy(logits, np.full((2, 2), 0.5))
+        cross_entropy([logits], [np.full((2, 2), 0.5)])
     for not_an_integer_array in (np.zeros((2, 2)), Tensor(np.zeros((2, 2)))):
         with pytest.raises(TensorError, match="integer array"):
-            cross_entropy(logits, not_an_integer_array)
+            cross_entropy([logits], [not_an_integer_array])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -254,7 +291,40 @@ def test_ce_grads_match_finite_differences(seed):
     labels[rng.random(size=(3, 3)) < 0.2] = 255
     if np.all(labels == 255):
         labels[0, 0] = 1
-    check_grads(lambda t: cross_entropy(t, labels), [data])
+    check_grads(lambda t: cross_entropy([t], [labels]), [data])
+
+
+@pytest.mark.parametrize("scenes", [1, 2, 4])
+def test_ce_over_scenes_equals_mean_of_per_scene_losses_bit_for_bit(scenes):
+    """The batch's one ``cross_entropy`` op against the per-scene op it
+    replaced (``helpers.cross_entropy_reference``) averaged by
+    ``mean_feature``: the value and every logit gradient byte for byte."""
+    rng = np.random.default_rng(40 + scenes)
+    for case in range(10):
+        data = rng.normal(size=(scenes, 3, 8, 8)) * rng.choice([0.1, 1.0, 30.0])
+        labels = [rng.integers(0, 3, size=(8, 8)) for _ in range(scenes)]
+        for grid in labels:
+            grid[rng.random(size=grid.shape) < 0.3] = 255
+            grid[0, 0] = 1
+        runs = []
+        for batched in (True, False):
+            logits = [Tensor(d, requires_grad=True) for d in data]
+            if batched:
+                loss = cross_entropy(logits, labels)
+            else:
+                loss = mean_feature([cross_entropy_reference(t, grid)
+                                     for t, grid in zip(logits, labels)])
+            backward(T.mul(loss, 1.3))
+            runs.append([loss.data.tobytes()] + [t.grad.tobytes() for t in logits])
+        assert runs[0] == runs[1], case
+
+
+def test_ce_over_scenes_rejects_mismatched_lists():
+    logits = Tensor(np.zeros((3, 2, 2)))
+    with pytest.raises(TensorError):
+        cross_entropy([], [])
+    with pytest.raises(TensorError):
+        cross_entropy([logits, logits], [np.zeros((2, 2), dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import modalseg.tensor as T
-from helpers import (check_grads, class_argmax_reference, gelu_grad_reference, gelu_reference,
-                     layer_norm, layer_norm_reference, linear, linear_reference,
-                     mean_reference, mix_reference, reshape, sigmoid_reference, sum_all)
+from helpers import (channel_mix, check_grads, class_argmax_reference, gelu_grad_reference,
+                     gelu_reference, layer_norm, layer_norm_reference, linear,
+                     linear_reference, mean_reference, mix_reference, reshape,
+                     resample_bilinear, sigmoid_reference, sum_all)
 from modalseg.data import generate_scene
 from modalseg.encoder import encode_batch
 from modalseg.head import embed
@@ -118,7 +119,7 @@ def test_mix_matches_reference_bitwise(c, h, w, d):
         out, tokens = T._mix(f, wt, b)
         assert same(out, mix_reference(f, wt, b))
         assert np.shares_memory(tokens, f)  # a view the gradient reuses, not a copy
-        assert same(T.channel_mix(Tensor(f), Tensor(wt), Tensor(b)).data, out)
+        assert same(channel_mix(Tensor(f), Tensor(wt), Tensor(b)).data, out)
         assert check()
 
 
@@ -140,7 +141,7 @@ def test_same_size_resample_returns_the_input_array():
     rng = np.random.default_rng(10)
     f = Tensor(rng.standard_normal((16, 16, 16)), requires_grad=True)
     check = unchanged(f.data)
-    out = T.resample_bilinear(f, 16, 16)
+    out = resample_bilinear(f, 16, 16)
     assert same(out.data, f.data)
     g = rng.standard_normal(f.shape)
     T.backward(linear(reshape(out, (1, f.size)),
@@ -148,7 +149,7 @@ def test_same_size_resample_returns_the_input_array():
     assert same(f.grad, g)
     assert check()
     pick = Tensor(rng.standard_normal((2, 3, 4)))
-    check_grads(lambda x: sum_all(T.mul(T.resample_bilinear(x, 3, 4), pick)),
+    check_grads(lambda x: sum_all(T.mul(resample_bilinear(x, 3, 4), pick)),
                 [rng.standard_normal((2, 3, 4))])
 
 

@@ -18,9 +18,9 @@ import modalseg.tensor as T
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
 import helpers
-from helpers import (FD_TOL, check_grads, clamp, concat, cross_rectify, div, exp,
-                     layer_norm, linear, log, max_rel_err, pool_global, reshape, sigmoid,
-                     stack, sum_all, transpose)
+from helpers import (FD_TOL, channel_mix, check_grads, clamp, concat, cross_rectify, div,
+                     exp, gelu, layer_norm, linear, log, max_rel_err, pool_global, reshape,
+                     resample_bilinear, sigmoid, sum_all, transpose)
 
 SEEDS = range(20)
 
@@ -212,7 +212,7 @@ def test_structure_grads(seed):
     w = rng.normal(size=(4, 4))
     check_grads(lambda x, y, z: sum_all(exp(linear(reshape(x, (6, 4)), y, z))),
                 [a, w, v])
-    check_grads(lambda x, y: sum_all(exp(stack([x, y]))), [a, b])
+    check_grads(lambda x, y: sum_all(exp(T.stack([x, y]))), [a, b])
     check_grads(lambda x: sum_all(T.mul(exp(T.unstack(x)[1]), T.unstack(x)[0])), [a])
 
 
@@ -229,9 +229,9 @@ def test_structure_errors():
     with pytest.raises(TensorError):
         linear(t, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     with pytest.raises(TensorError):
-        stack([])
+        T.stack([])
     with pytest.raises(TensorError):
-        stack([t, Tensor(np.ones((3, 2)))])
+        T.stack([t, Tensor(np.ones((3, 2)))])
     with pytest.raises(TensorError):
         T.unstack(Tensor(np.ones(4)))
 
@@ -248,7 +248,7 @@ def test_pointwise_grads(seed):
     check_grads(lambda t: sum_all(exp(t)), [x])
     check_grads(lambda t: sum_all(log(t)), [pos])
     check_grads(lambda t: sum_all(sigmoid(t)), [x])
-    check_grads(lambda t: sum_all(T.gelu(t)), [x])
+    check_grads(lambda t: sum_all(gelu(t)), [x])
 
 
 def test_gelu_matches_cube_formula():
@@ -256,7 +256,7 @@ def test_gelu_matches_cube_formula():
     # cancels, so the error is bounded relative to max(|gelu(x)|, 1)
     x = np.linspace(-60.0, 60.0, 200_001)
     want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
-    got = T.gelu(Tensor(x)).data
+    got = gelu(Tensor(x)).data
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
 
 
@@ -391,7 +391,7 @@ def test_channel_mix_bit_identical_to_composition(seed, loss):
     arrays = [rng.normal(size=(c, w, h)), rng.normal(size=(c, d)), rng.normal(size=d)]
     pick = Tensor(rng.normal(size=(d, h, w)))
     runs = []
-    for op in (T.channel_mix, _channel_mix_by_composition):
+    for op in (channel_mix, _channel_mix_by_composition):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         # a transposed input map, as the encoder hands over: not C-contiguous
         out = op(transpose(leaves[0], (0, 2, 1)), leaves[1], leaves[2])
@@ -405,13 +405,13 @@ def test_channel_mix_shape_errors():
     f = Tensor(np.ones((3, 4, 5)))
     w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
     with pytest.raises(TensorError):
-        T.channel_mix(Tensor(np.ones((3, 20))), w, b)
+        channel_mix(Tensor(np.ones((3, 20))), w, b)
     with pytest.raises(TensorError):
-        T.channel_mix(f, Tensor(np.ones((4, 2))), b)
+        channel_mix(f, Tensor(np.ones((4, 2))), b)
     with pytest.raises(TensorError):
-        T.channel_mix(f, Tensor(np.ones(3)), b)
+        channel_mix(f, Tensor(np.ones(3)), b)
     with pytest.raises(TensorError):
-        T.channel_mix(f, w, Tensor(np.ones(3)))
+        channel_mix(f, w, Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +443,20 @@ def bilinear_oracle(f: np.ndarray, h2: int, w2: int) -> np.ndarray:
 def test_resample_identity_is_bit_identical():
     rng = np.random.default_rng(13)
     f = Tensor(rng.normal(size=(2, 5, 7)))
-    out = T.resample_bilinear(f, 5, 7)
+    out = resample_bilinear(f, 5, 7)
     assert out.data.tobytes() == f.data.tobytes()
 
 
 def test_resample_constant_map():
     f = Tensor(np.full((2, 3, 3), -1.25))
-    out = T.resample_bilinear(f, 8, 5)
+    out = resample_bilinear(f, 8, 5)
     assert np.allclose(out.data, -1.25, atol=1e-14)
 
 
 def test_resample_2x2_to_4x4_matches_oracle():
     rng = np.random.default_rng(17)
     f = rng.normal(size=(1, 2, 2))
-    got = T.resample_bilinear(Tensor(f), 4, 4).data
+    got = resample_bilinear(Tensor(f), 4, 4).data
     assert np.max(np.abs(got - bilinear_oracle(f, 4, 4))) < 1e-12
 
 
@@ -466,7 +466,7 @@ def test_resample_matches_oracle_random_sizes(seed):
     h, w = rng.integers(1, 7, size=2)
     h2, w2 = rng.integers(1, 9, size=2)
     f = rng.normal(size=(2, h, w))
-    got = T.resample_bilinear(Tensor(f), int(h2), int(w2)).data
+    got = resample_bilinear(Tensor(f), int(h2), int(w2)).data
     assert np.max(np.abs(got - bilinear_oracle(f, int(h2), int(w2)))) < 1e-12
 
 
@@ -474,8 +474,8 @@ def test_resample_matches_oracle_random_sizes(seed):
 def test_resample_grads(seed):
     rng = np.random.default_rng(900 + seed)
     f = rng.normal(size=(2, 3, 4))
-    check_grads(lambda t: sum_all(exp(T.resample_bilinear(t, 5, 7))), [f])
-    check_grads(lambda t: sum_all(exp(T.resample_bilinear(t, 2, 2))), [f])
+    check_grads(lambda t: sum_all(exp(resample_bilinear(t, 5, 7))), [f])
+    check_grads(lambda t: sum_all(exp(resample_bilinear(t, 2, 2))), [f])
 
 
 def test_interp_matrix_is_cached_and_read_only():
@@ -488,7 +488,7 @@ def test_interp_matrix_is_cached_and_read_only():
 
 def test_resample_rejects_bad_target():
     with pytest.raises(TensorError):
-        T.resample_bilinear(Tensor(np.ones((1, 2, 2))), 0, 4)
+        resample_bilinear(Tensor(np.ones((1, 2, 2))), 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +614,7 @@ def test_composite_two_matmuls_softmax(seed):
     b1, b2 = rng.normal(size=4), rng.normal(size=3)
 
     def build(xv, a, b, c1, c2):
-        return sum_all(T.mul(T.gelu(linear(linear(xv, a, c1), b, c2)), pick))
+        return sum_all(T.mul(gelu(linear(linear(xv, a, c1), b, c2)), pick))
 
     check_grads(build, [x, w1, w2, b1, b2], tol=FD_TOL, eps=1e-5)
 
@@ -651,8 +651,7 @@ def test_stack_unstack_round_trip_and_ops(monkeypatch):
         return real(name, *args)
 
     monkeypatch.setattr(T, "record_op", counting)
-    monkeypatch.setattr(helpers, "record_op", counting)  # the helpers' own binding
-    stacked = stack(parts)
+    stacked = T.stack(parts)
     back = T.unstack(stacked)
     assert names == ["stack"]  # the views record nothing
     assert len(T.active_tape()) == 1
@@ -677,7 +676,7 @@ def test_unstack_view_gradients(seed):
         x = T.mul(t, 1.5)
         v = T.unstack(x)
         return T.add(T.add(sum_all(exp(v[0])), sum_all(T.mul(v[0], v[2]))),
-                     sum_all(T.mul(T.gelu(x), pick)))
+                     sum_all(T.mul(gelu(x), pick)))
 
     check_grads(twice_and_direct, [a])
     check_grads(lambda t: sum_all(T.mul(exp(T.unstack(t)[2]), T.unstack(t)[0])), [a])
@@ -706,6 +705,44 @@ def test_unstack_views_route_into_the_parent_gradient():
     assert all(view.grad is None for view in v) and x.grad is None
     with no_grad():
         assert not any(view.requires_grad for view in T.unstack(x))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_deinterleave_view_gradients(seed):
+    """Finite differences through deinterleaved views of a recorded op's
+    output, one view consumed twice and the base consumed directly too, and
+    through unstack views of a deinterleaved view's parent."""
+    rng = np.random.default_rng(720 + seed)
+    pick = Tensor(rng.normal(size=(6, 2, 2)))
+
+    def build(t):
+        x = T.mul(t, 1.5)
+        v = T.deinterleave(x, 3)
+        u = T.unstack(x)
+        return T.add(T.add(sum_all(exp(v[0])), sum_all(T.mul(v[0], v[2]))),
+                     T.add(sum_all(T.mul(x, pick)), sum_all(exp(u[4]))))
+
+    check_grads(build, [rng.normal(size=(6, 2, 2))])
+
+
+def test_deinterleave_views_route_into_strided_slices():
+    t = Tensor(np.arange(24.0).reshape(6, 2, 2), requires_grad=True)
+    x = T.mul(t, 1.0)
+    views = T.deinterleave(x, 3)
+    assert [v.shape for v in views] == [(2, 2, 2)] * 3
+    assert all(np.shares_memory(v.data, x.data) for v in views)
+    assert np.array_equal(views[1].data, x.data[1::3])
+    backward(sum_all(T.mul(views[1], 2.0)))
+    want = np.zeros((6, 2, 2))
+    want[1::3] = 2.0
+    assert np.array_equal(t.grad, want)
+    with pytest.raises(TensorError):
+        T.deinterleave(Tensor(np.ones((5, 2))), 3)
+    with pytest.raises(TensorError):
+        T.deinterleave(Tensor(np.ones(6)), 3)
+    with pytest.raises(TensorError):  # a strided view's slices are not its rows
+        T.unstack(T.deinterleave(T.mul(t, 1.0), 3)[0])
+    T.active_tape().clear()
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +777,7 @@ def test_every_public_tensor_function_has_a_caller_in_src():
                 used.add(node.attr)
             elif path.name == "tensor.py" and isinstance(node, ast.Name):
                 used.add(node.id)
-    assert "gelu" in public and "record_op" in used
+    assert "stack" in public and "record_op" in used
     unused = sorted(public - used)
     assert not unused, f"public tensor functions without a caller in src: {unused}"
 

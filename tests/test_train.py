@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import modalseg.container as container_module
+import modalseg.masm as masm
 import modalseg.model as model
 import modalseg.tensor as T
 import modalseg.train as train_module
@@ -388,8 +389,9 @@ def test_steady_state_adam_update_allocates_almost_nothing():
     assert peak <= ADAM_MEMORY_BUDGET
 
 
-MASM_STEP_OP_BUDGET = 78
-EVAL_SCENE_OP_BUDGET = 66
+MASM_STEP_OP_BUDGET = 40
+EVAL_SCENE_OP_BUDGET = 36
+STEP_MEMORY_BUDGET = 2738 * 2**10  # bytes one masm train_step may allocate at its peak
 BACKWARD_MEMORY_BUDGET = 2 * 2**20  # bytes backward may add over what the forward holds
 CHECKPOINT_LOAD_MEMORY_BUDGET = 2**20  # bytes a load's peak may add over its payload
 
@@ -419,15 +421,46 @@ def test_masm_step_records_at_most_the_op_budget(monkeypatch):
     """Recorded ops in one masm step at the benchmark's training size (batch 4,
     32x32, M=4, K=3, widths 8/12/16/24, d_embed 16, beta 1): per-op Python
     cost dominates a step of this size, so a fused op split back into a chain
-    shows up here."""
+    shows up here. The calls the benchmark's traced run pins per step are
+    counted too: one ``head.decode`` per scene, and one ``mim_forward`` and
+    one ``rank_modalities`` per scene and level."""
     ds = small_dataset(count=4)
     mcfg = BENCH_TRAIN.model_config(ds.num_classes, ds.modality_names)
     params = init_model_params(mcfg, 0)
     names = spy_op_names(monkeypatch)
+    calls = {}
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return spy
+
+    for mod, name in ((model, "decode"), (masm, "mim_forward"), (masm, "rank_modalities")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     train_step(ds.scenes, params, AdamState(), BENCH_TRAIN, mcfg, lr=1e-2)
     assert "mean" in names and "consistency" in names  # the spy saw masm's binding
     assert "mim" in names  # ... and mim's
     assert len(names) <= MASM_STEP_OP_BUDGET
+    assert calls == {"decode": 4, "mim_forward": 16, "rank_modalities": 16}
+
+
+def test_masm_step_allocates_at_most_the_memory_budget():
+    """tracemalloc peak of one masm ``train_step`` after a first, at the
+    benchmark's training configuration (seed 302): the step before one op per
+    level for the batch peaked at this budget."""
+    cfg = dataclasses.replace(BENCH_TRAIN, seed=302)
+    ds = generate_dataset(302, count=16, h=32, w=32, k=3, m=4, p_night=0.5)
+    mcfg = cfg.model_config(ds.num_classes, ds.modality_names)
+    params, state = init_model_params(mcfg, 302), AdamState()
+    train_step(ds.scenes[:4], params, state, cfg, mcfg, lr=1e-2)
+    tracemalloc.start()
+    try:
+        train_step(ds.scenes[4:8], params, state, cfg, mcfg, lr=1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= STEP_MEMORY_BUDGET
 
 
 def test_evaluated_scene_records_at_most_the_op_budget(monkeypatch):
@@ -452,7 +485,8 @@ def test_masm_step_leaves_gradients_only_on_parameters(monkeypatch):
     outputs = []
     spy_op_names(monkeypatch, outputs)
     train_step(ds.scenes, params, AdamState(), TINY, mcfg, lr=1e-3)
-    assert outputs and all(o.requires_grad for o in outputs)  # every op is on the tape
+    # every op is on the tape but the stack of the input images, which need no gradient
+    assert [o.shape for o in outputs if not o.requires_grad] == [(2 * 4, 3, 32, 32)]
     assert all(p.grad is not None for p in params.values())
     assert all(o.grad is None and o._node_index is None for o in outputs)
     assert len(T.active_tape()) == 0
