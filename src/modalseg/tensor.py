@@ -103,14 +103,13 @@ class Tensor:
     """Dense float64 array with an optional same-shape gradient buffer.
 
     No op writes ``.data``; the optimizer updates a parameter's data in place
-    inside its arena, and a caller may rebind ``.data`` to another array.
-    ``.grad`` is written in place by gradient accumulation. When
-    ``_grad_slot`` holds an array (the optimizer's arena slice), a first
-    gradient is copied into it rather than into a fresh array; ``.grad is
-    None`` still means no gradient reached the tensor.
+    inside its arena. ``.grad`` is ``None`` until a gradient reaches the
+    tensor, and later gradients add into it in place; a parameter in the
+    optimizer's arena keeps its arena view, which ``AdamState.zero_grad``
+    zeroes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node_index", "_base", "_grad_slot")
+    __slots__ = ("data", "grad", "requires_grad", "_node_index", "_base")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -123,7 +122,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._node_index: int | None = None
         self._base: tuple[Tensor, tuple[int, ...]] | None = None  # set on unstack views
-        self._grad_slot: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,9 +143,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -164,12 +159,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         target += g  # in place: ``grad[index] += g`` would copy the slice onto itself
         return
     if t.grad is None:
-        slot = t._grad_slot
-        if slot is None:
-            t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a shared buffer
-        else:
-            slot[...] = g
-            t.grad = slot
+        t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a shared buffer
     else:
         t.grad += g
 
@@ -183,7 +173,6 @@ def _unchecked(data: np.ndarray, requires_grad: bool) -> Tensor:
     out.requires_grad = requires_grad
     out._node_index = None
     out._base = None
-    out._grad_slot = None
     return out
 
 

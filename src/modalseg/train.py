@@ -3,9 +3,11 @@
 The objective is supervision plus beta-weighted consistency, minimized with
 decoupled-weight-decay adaptive moments (0.9/0.999, eps 1e-8, decay 0.01).
 The learning rate warms up linearly from 10% of base over the first 10% of
-steps, then follows polynomial decay with power 0.9. The optimizer keeps
-the parameters' data, gradients and moments in flat arena blocks owned by
-its ``AdamState`` and updates them in place, a few numpy passes per block.
+steps, then follows polynomial decay with power 0.9. The optimizer's first
+update packs the parameters that have a gradient into flat arena blocks
+owned by its ``AdamState``, updated in place, a few numpy passes per block;
+a parameter left out is never updated, and an update raises ``ValueError``
+on a parameter whose ``.data`` or ``.grad`` is not as the first one left it.
 
 Checkpoints capture parameters, optimizer moments, epoch, and the exact
 shuffle RNG state, so a resumed run is bit-identical to an uninterrupted
@@ -175,55 +177,44 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 ARENA_BLOCK = 16_384  # doubles per arena block: 128 KiB, glibc's default mmap threshold
 
 
-class _Slot(NamedTuple):
-    """One parameter's place in an arena block: its name, its offset in the
-    block and its views of the block's data, gradient and moments."""
-    name: str
-    start: int
-    data: np.ndarray
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-
-
 class _Block(NamedTuple):
     """Flat data, gradient and moment arrays of a run of parameters."""
     data: np.ndarray
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    slots: tuple[_Slot, ...]
 
 
 class _Arena:
-    """The parameters of one ``AdamState``, in the parameter dict's order,
-    packed into blocks of at most ``ARENA_BLOCK`` doubles per array (a larger
-    parameter gets a block to itself), so a block's arrays stay below the
-    allocator's mmap threshold; one scratch pair, as long as the largest
-    block, serves every block."""
+    """The parameters with a gradient at an ``AdamState``'s first update,
+    packed in dict order into blocks of at most ``ARENA_BLOCK`` doubles per
+    array (a larger parameter gets a block to itself), with one scratch pair
+    as long as the largest block. ``bound`` holds each parameter's ``.data``
+    and ``.grad`` as packing left them."""
 
-    def __init__(self, params: dict[str, Tensor]) -> None:
-        self.names = tuple(params)
-        groups: list[list[str]] = []
-        size = 0
+    def __init__(self, params: dict[str, Tensor], state: "AdamState") -> None:
+        sizes: list[int] = []  # doubles per block
+        spans: dict[str, tuple[int, int]] = {}  # packed name -> (block, offset)
         for name, p in params.items():
-            if not groups or size + p.size > ARENA_BLOCK:
-                groups.append([])
-                size = 0
-            groups[-1].append(name)
-            size += p.size
-        self.blocks = []
-        for group in groups:
-            total = sum(params[name].size for name in group)
-            arrays = (np.empty(total), np.empty(total), np.zeros(total), np.zeros(total))
-            slots, start = [], 0
-            for name in group:
-                p = params[name]
-                slots.append(_Slot(name, start, *(a[start:start + p.size].reshape(p.shape)
-                                                  for a in arrays)))
-                start += p.size
-            self.blocks.append(_Block(*arrays, tuple(slots)))
-        largest = max(len(block.data) for block in self.blocks)
+            if p.grad is None:
+                continue
+            if not sizes or sizes[-1] + p.size > ARENA_BLOCK:
+                sizes.append(0)
+            spans[name] = (len(sizes) - 1, sizes[-1])
+            sizes[-1] += p.size
+        self.blocks = [_Block(*(np.empty(size) for _ in _Block._fields)) for size in sizes]
+        for name, (index, start) in spans.items():
+            p = params[name]
+            data, grad, m, v = (a[start:start + p.size].reshape(p.shape)
+                                for a in self.blocks[index])
+            data[...] = p.data
+            grad[...] = p.grad
+            m[...] = state.m.get(name, 0.0)
+            v[...] = state.v.get(name, 0.0)
+            p.data, p.grad = data, grad
+            state.m[name], state.v[name] = m, v
+        self.bound = {name: (p.data, p.grad) for name, p in params.items()}
+        largest = max(sizes, default=0)
         self.scratch = (np.empty(largest), np.empty(largest))
 
 
@@ -231,9 +222,11 @@ class _Arena:
 class AdamState:
     """AdamW's step count and first and second moments by parameter name.
 
-    ``adam_update`` keeps the parameters it updates in an arena it builds on
-    its first call: afterwards each parameter's ``.data``, its first gradient
-    of a step and its moments in ``m`` and ``v`` are views of that arena.
+    The first ``adam_update`` packs the parameters that have a gradient then
+    into an arena, and their ``.data``, ``.grad`` and moments become its
+    views; a parameter left out is never updated and gets no moments. An
+    update raises ``ValueError`` naming a parameter if the names differ from
+    the first update's, or if a ``.data`` or ``.grad`` is not as it left it.
     """
 
     step: int = 0
@@ -241,59 +234,46 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     _arena: _Arena | None = field(default=None, init=False, repr=False, compare=False)
 
+    def zero_grad(self, params: dict[str, Tensor]) -> None:
+        """Zero the arena's gradient blocks; before the first update, clear
+        each parameter's ``.grad``."""
+        if self._arena is None:
+            for p in params.values():
+                p.grad = None
+        else:
+            for block in self._arena.blocks:
+                block.grad.fill(0.0)
+
 
 def adam_update(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One decoupled-weight-decay moment update; grad-less params are skipped.
-
-    The update runs in place over ``state``'s arena, once per run of
-    neighbouring parameters that have gradients. A parameter whose ``.data``,
-    gradient or moments are not the arena's views (a first call, a rebound
-    ``.data``, moments loaded from a checkpoint) is copied in first; a
-    parameter without a moment starts from zero moments.
-    """
+    """One decoupled-weight-decay moment update, in place over ``state``'s
+    arena, one run per block; the first call builds the arena."""
     arena = state._arena
-    if arena is None or arena.names != tuple(params):
-        arena = state._arena = _Arena(params)
+    if arena is None:
+        arena = state._arena = _Arena(params, state)
+    if params.keys() != arena.bound.keys():
+        raise ValueError(f"parameter names differ from the optimizer's first update: "
+                         f"{sorted(params.keys() ^ arena.bound.keys())}")
+    for name, p in params.items():
+        data, grad = arena.bound[name]
+        if p.data is not data or p.grad is not grad:
+            raise ValueError(f"parameter {name!r}: .data or .grad is not as the "
+                             f"optimizer's first update left it")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for block in arena.blocks:
-        start = None
-        for slot in block.slots:
-            p = params[slot.name]
-            if p.data is not slot.data:
-                slot.data[...] = p.data
-                p.data = slot.data
-            p._grad_slot = slot.grad
-            if p.grad is None:
-                if start is not None:
-                    _adamw_run(block, start, slot.start, arena.scratch, lr, bc1, bc2)
-                    start = None
-                continue
-            if p.grad is not slot.grad:
-                slot.grad[...] = p.grad
-            if state.m.get(slot.name) is not slot.m or state.v.get(slot.name) is not slot.v:
-                if slot.name in state.m:
-                    slot.m[...] = state.m[slot.name]
-                    slot.v[...] = state.v[slot.name]
-                else:
-                    slot.m[...] = slot.v[...] = 0.0
-                state.m[slot.name], state.v[slot.name] = slot.m, slot.v
-            if start is None:
-                start = slot.start
-        if start is not None:
-            _adamw_run(block, start, len(block.data), arena.scratch, lr, bc1, bc2)
+        _adamw_run(block, arena.scratch, lr, bc1, bc2)
 
 
-def _adamw_run(block: _Block, start: int, stop: int, scratch, lr: float,
-               bc1: float, bc2: float) -> None:
-    """AdamW over ``block[start:stop]`` in place: ``m = b1*m + (1-b1)*g``,
+def _adamw_run(block: _Block, scratch, lr: float, bc1: float, bc2: float) -> None:
+    """AdamW over ``block`` in place: ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps)
     + decay*p)``, each operation in that order, so every value is the one
     those expressions give."""
-    data, grad, m, v = (a[start:stop] for a in block[:4])
-    s, u = (a[:stop - start] for a in scratch)
+    data, grad, m, v = block
+    s, u = (a[:len(data)] for a in scratch)
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
     m += s
@@ -327,8 +307,7 @@ def train_step(batch, params: dict[str, Tensor], opt: AdamState,
                cfg: TrainConfig, model_cfg: ModelConfig, lr: float
                ) -> dict[str, float]:
     """One forward/backward/update; returns the loss parts."""
-    for p in params.values():
-        p.zero_grad()
+    opt.zero_grad(params)
     try:
         l_m, l_c, total = batch_losses(batch, model_cfg, params, cfg)
         parts = {"l_m": l_m.item(), "l_c": l_c.item(), "loss": total.item()}
@@ -352,7 +331,7 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     """Full run: shuffle per epoch; log and checkpoint after every epoch.
 
     A fresh run starts from its epoch-0 checkpoint, so fresh and resumed runs
-    take the same path; a resumed run trains copies of ``resume``'s
+    take the same path; a resumed run's first update copies ``resume``'s
     parameters and moments, and leaves ``resume`` as it was. Every check runs
     before ``out_dir`` is created. Returns the trained parameters and the
     per-epoch log rows.
@@ -366,12 +345,10 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
             modality_names=model_cfg.modality_names, epoch=0,
             params=init_model_params(model_cfg, cfg.seed), opt=AdamState(),
             rng_state=np.random.default_rng(cfg.seed).bit_generator.state, history=[])
-    else:  # train copies, so the caller's checkpoint keeps what it holds
-        ckpt = replace(resume, params={n: Tensor(p.data, requires_grad=True)
+    else:  # new Tensors and dicts over the caller's arrays, which no update writes
+        ckpt = replace(resume, params={n: T._unchecked(p.data, requires_grad=True)
                                        for n, p in resume.params.items()},
-                       opt=AdamState(resume.opt.step,
-                                     {n: a.copy() for n, a in resume.opt.m.items()},
-                                     {n: a.copy() for n, a in resume.opt.v.items()}))
+                       opt=AdamState(resume.opt.step, dict(resume.opt.m), dict(resume.opt.v)))
     _check_compat(ckpt, cfg, model_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -169,7 +169,7 @@ def test_batch_param_grads_equal_sum_of_per_image_grads():
     summed = {n: np.zeros_like(p.data) for n, p in single.items()}
     for img in imgs:
         for p in single.values():
-            p.zero_grad()
+            p.grad = None
         backward(squares_loss([encode_batch([img], SMALL, single)]))
         for n, p in single.items():
             summed[n] += p.grad

@@ -131,7 +131,7 @@ def test_cosine_of_zero_feature_is_zero_without_gradient():
                 ((f_mim, other, zero), divergence(c_other, 0.5, 5.0), True),
                 ((zero, other, f_mim), 0.0, False)):  # both cosines undefined
             for t in (zero, f_mim, other):
-                t.zero_grad()
+                t.grad = None
             loss = consistency_loss([[term]], class_count=5)
             assert abs(loss.item() - want) < 1e-12
             backward(T.add(loss, sum_all(T.mul(zero, 2.0))))
