@@ -60,7 +60,8 @@ def encode_stage(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     N x C' x h/k x w/k result as a channel-last view of the token rows. The
     numpy operations, and their order, are those of a chain of separately
     recorded reshape, transpose, linear, layer_norm, gelu and add ops, so
-    forward and gradients equal that chain bit for bit.
+    forward and gradients equal that chain bit for bit. The backward rebuilds
+    each block's layer-norm and GELU outputs, from ``xhat`` and ``pre``.
     """
     n, c, h, w = x.shape
     k = STAGE_DOWNSAMPLE[stage]
@@ -86,7 +87,7 @@ def encode_stage(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
         hidden, th = T._gelu(pre)
         y = hidden @ w2.data
         y += b2.data
-        saved.append((xhat, inv, ln_g.data, normed, w1.data, pre, th, hidden, w2.data))
+        saved.append((xhat, inv, ln_g.data, ln_b.data, w1.data, pre, th, w2.data))
         t = t + y
     c_out = t.shape[1]
     pwd = pw.data
@@ -95,14 +96,14 @@ def encode_stage(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     def bwd(g):
         g_t = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # token rows, C-contiguous
         for ln_g, ln_b, w1, b1, w2, b2 in reversed(blocks):
-            xhat, inv, gamma, normed, w1d, pre, th, hidden, w2d = saved.pop()
+            xhat, inv, gamma, beta, w1d, pre, th, w2d = saved.pop()
             accumulate_grad(b2, g_t.sum(axis=0))
             g_hidden = g_t @ w2d.T
-            accumulate_grad(w2, hidden.T @ g_t)
+            accumulate_grad(w2, T._gelu_out(pre, th).T @ g_t)
             g_pre = T._gelu_grad(g_hidden, pre, th)
             accumulate_grad(b1, g_pre.sum(axis=0))
             g_normed = g_pre @ w1d.T
-            accumulate_grad(w1, normed.T @ g_pre)
+            accumulate_grad(w1, (xhat * gamma + beta).T @ g_pre)  # normed again
             accumulate_grad(ln_b, g_normed.sum(axis=0))
             accumulate_grad(ln_g, (g_normed * xhat).sum(axis=0))
             dxhat = g_normed * gamma

@@ -98,19 +98,20 @@ def decode(embedded: Tensor, params: dict[str, Tensor],
            out_size: tuple[int, int]) -> Tensor:
     """An embedded D x h x w map to K x H x W logits, one recorded op: GELU,
     the classifier's 1x1 mix, then bilinear resampling (half-pixel centers,
-    edges clamped) to ``out_size``."""
+    edges clamped) to ``out_size``; the backward rebuilds the GELU output."""
     w, b = params["head.cls.w"], params["head.cls.b"]
     if embedded.ndim != 3 or embedded.shape[0] != w.shape[0] or min(out_size) < 1:
         raise TensorError(f"decode: need a {w.shape[0]} x h x w map and a positive "
                           f"target, got {embedded.shape} and {out_size}")
     x, wd = embedded.data, w.data
     act, th = T._gelu(x)
-    logits, tokens = T._mix(act, wd, b.data)
+    logits, _ = T._mix(act, wd, b.data)
     wy = T._interp_matrix(x.shape[1], out_size[0])
     wx = T._interp_matrix(x.shape[2], out_size[1])
 
     def bwd(g):
-        g_act, g_w, g_b = T._mix_grad(np.matmul(np.matmul(wy.T, g), wx), tokens, wd)
+        g_act, g_w, g_b = T._mix_grad(np.matmul(np.matmul(wy.T, g), wx),
+                                      T._gelu_out(x, th).reshape(x.shape[0], -1).T, wd)
         accumulate_grad(b, g_b)
         accumulate_grad(w, g_w)
         accumulate_grad(embedded, T._gelu_grad(g_act, x, th))
@@ -120,8 +121,8 @@ def decode(embedded: Tensor, params: dict[str, Tensor],
 
 def cross_entropy(logits: list[Tensor], labels: list) -> Tensor:
     """Mean over the scenes of each scene's mean -log softmax(logits)[label]
-    over its pixels whose label is not 255, one recorded op; ``logits[i]`` is
-    a K x H x W tensor and ``labels[i]`` its H x W integer array."""
+    over its pixels whose label is not 255, one recorded op, whose backward rebuilds
+    the log-softmax; ``logits[i]`` is K x H x W and ``labels[i]`` its H x W integers."""
     if not logits or len(logits) != len(labels):
         raise TensorError(f"cross_entropy: {len(logits)} logit maps for "
                           f"{len(labels)} label grids")
@@ -145,23 +146,27 @@ def cross_entropy(logits: list[Tensor], labels: list) -> Tensor:
         cls = flat_labels[pix]
         if cls.min() < 0 or cls.max() >= k:
             raise TensorError(f"cross_entropy: labels outside [0, {k})")
-        flat = t.data.reshape(k, -1)
-        shifted = flat - flat.max(axis=0)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=0))
-        loss = -logp[cls, pix].mean()
+        loss = -_log_softmax(t)[cls, pix].mean()
         total = loss if total is None else total + loss
-        scenes.append((t, logp, valid, cls, pix))
+        scenes.append((t, valid, cls, pix))
     n = float(len(logits))
 
     def bwd(g):
         share = g / n
-        for t, logp, valid, cls, pix in reversed(scenes):
-            d = np.exp(logp)  # the softmax minus the one-hot label, valid pixels only
+        for t, valid, cls, pix in reversed(scenes):
+            d = np.exp(_log_softmax(t))  # the softmax minus the one-hot label, valid pixels only
             d *= valid
             d[cls, pix] -= 1.0
             accumulate_grad(t, (share * d / pix.size).reshape(t.shape))
 
     return record_op("cross_entropy", np.asarray(total / n), tuple(logits), bwd)
+
+
+def _log_softmax(t: Tensor) -> np.ndarray:
+    """log softmax over the classes of a K x H x W map, as K x HW rows."""
+    flat = t.data.reshape(t.shape[0], -1)
+    shifted = flat - flat.max(axis=0)
+    return shifted - np.log(np.exp(shifted).sum(axis=0))
 
 
 def total_loss(l_m: Tensor, l_c: Tensor, beta: float) -> Tensor:

@@ -61,26 +61,29 @@ def mean_feature(features: list[Tensor]) -> Tensor:
     return record_op("mean", total, tuple(features), bwd)
 
 
-def _cosines(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _rows(groups) -> np.ndarray:
+    """The G x (m + 1) x size C-order copy of G groups of m + 1 tensors."""
+    return np.array([[f.data for f in g] for g in groups]).reshape(len(groups), len(groups[0]), -1)
+
+
+def _cosines(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cosines of each group's tensors to its last one, the reference, over
-    G groups of m + 1 equal-shape tensors, and what their gradients read:
-    ``(cos, norms, ref_norms, rows)``: G x m cosines and norms, G x 1
-    reference norms and the G x (m + 1) x size C-order rows. Each dot product
-    and squared norm is a row sum, and a cosine is 0 where either norm is
-    below NORM_EPS."""
+    G groups of m + 1 equal-shape tensors, and what their gradients read
+    besides the ``_rows``: ``(cos, norms, ref_norms)``, G x m cosines and
+    norms and G x 1 reference norms. Each dot product and squared norm is a
+    row sum, and a cosine is 0 where either norm is below NORM_EPS."""
     shape = groups[0][-1].shape
     for group in groups:
         if any(f.shape != shape for f in group):
             raise TensorError(f"cosine: shape mismatch {[f.shape for f in group]} vs {shape}")
-    rows = np.array([[f.data for f in group] for group in groups])  # C order
-    rows = rows.reshape(len(groups), len(groups[0]), -1)
+    rows = _rows(groups)
     dots = (rows * rows[:, -1:]).sum(axis=2)  # the last is the reference's squared norm
     norms = np.sqrt((rows[:, :-1] * rows[:, :-1]).sum(axis=2))
     ref_norms = np.sqrt(dots[:, -1:])
     cos = np.zeros(norms.shape)
     np.divide(dots[:, :-1], norms * ref_norms, out=cos,
               where=np.minimum(norms, ref_norms) >= NORM_EPS)
-    return cos, norms, ref_norms, rows
+    return cos, norms, ref_norms
 
 
 def rank_modalities(features: list[Tensor], f_m: Tensor) -> RankingResult:
@@ -146,7 +149,7 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
     midpoint. Scenes carry equally many terms, the j-th of equal shape; no terms
     give an untracked 0. dL/dc_j is K/(B*n) * log(c_j/m) for n terms a scene;
     a clipped similarity, or a zero-norm feature's cosine (mapped to 0.5),
-    passes no gradient."""
+    passes no gradient. The backward rebuilds the terms' row copies."""
     if class_count < 1:
         raise TensorError("consistency_loss: class_count must be positive")
     if not any(scene_terms):
@@ -157,14 +160,14 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
     columns = []  # per term position, over the scenes: what its backward reads
     totals = None
     for column in zip(*scene_terms):
-        cos, norms, ref_norms, rows = _cosines([(f_1, f_2, f_mim)
-                                                for f_mim, f_1, f_2 in column])
+        groups = [(f_1, f_2, f_mim) for f_mim, f_1, f_2 in column]
+        cos, norms, ref_norms = _cosines(groups)
         xs = (cos + 1.0) * 0.5  # [-1, 1] to [0, 1], then clipped
         sims = np.clip(xs, SIM_EPS, 1.0)
         logs = np.log(sims / ((sims[:, 0] + sims[:, 1]) * 0.5)[:, None])
         values = (sims[:, 0] * logs[:, 0] + sims[:, 1] * logs[:, 1]) * k
         totals = values if totals is None else totals + values
-        columns.append((column, rows, cos, norms, ref_norms,
+        columns.append((groups, cos, norms, ref_norms,
                         (xs >= SIM_EPS) & (xs <= 1.0), logs))
     total = None
     for loss in (totals / n).tolist():
@@ -173,19 +176,21 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
     def bwd(g):
         s = float(g / b) * (k / n)  # the output is a scalar
         grads = []
-        for column, rows, cos, norms, ref_norms, inside, logs in columns:
+        for groups, cos, norms, ref_norms, inside, logs in columns:
             g_c = ((s * logs) * inside) * 0.5  # a clipped similarity passes no gradient
             has_grad = np.minimum(norms, ref_norms) >= NORM_EPS
             na = np.where(has_grad, norms, 1.0)
             nb = np.where(has_grad, ref_norms, 1.0)
             s_c = g_c / (na * nb)
+            rows = _rows(groups)
             g_f = s_c[..., None] * rows[:, 2:] - (g_c * cos / (na * na))[..., None] * rows[:, :2]
             g_m = s_c[..., None] * rows[:, :2] - (g_c * cos / (nb * nb))[..., None] * rows[:, 2:]
-            grads.append((column, has_grad, g_f, g_m))
+            del rows
+            grads.append((groups, has_grad, g_f, g_m))
         # scene by scene, last similarity first: the order of a tape of one op per term
         for i in reversed(range(len(scene_terms))):
-            for column, has_grad, g_f, g_m in reversed(grads):
-                f_mim, *features = column[i]
+            for groups, has_grad, g_f, g_m in reversed(grads):
+                *features, f_mim = groups[i]
                 for j in (1, 0):
                     if has_grad[i, j]:
                         f = features[j]

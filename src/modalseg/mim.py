@@ -52,6 +52,12 @@ def _names(level: int) -> tuple[str, ...]:
     return tuple(f"mim.l{level}.{n}" for n in _PARAM_NAMES)
 
 
+@functools.lru_cache(maxsize=None)
+def _map_channel_index(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """A 2 x C pair's map and channel indices, shared by every call: only read."""
+    return np.arange(2)[:, None], np.arange(c)
+
+
 def _cross_rectify(pair: np.ndarray, logits: np.ndarray, shape, axes, stage: str):
     """``pair + (pair * att)[::-1]``: each map plus the other map scaled by the
     other's attention ``att``, the sigmoid of ``logits`` viewed as ``shape``.
@@ -78,7 +84,7 @@ def rectify_channel(pair: np.ndarray, params: dict[str, Tensor], level: int):
     w1, b1, w2, b2 = (params[n] for n in _names(level)[:4])
     w1d, w2d = w1.data, w2.data
     # each map and channel's max pixel, first max in row-major order winning
-    peaks = (np.arange(2)[:, None], np.arange(c),
+    peaks = (*_map_channel_index(c),
              *np.unravel_index(pair.reshape(2, c, h * w).argmax(axis=-1), (h, w)))
     # [avg_a, max_a, avg_b, max_b]; the avg as np.mean takes it
     z = np.concatenate([np.add.reduce(pair, axis=(2, 3)) / (h * w), pair[peaks]],

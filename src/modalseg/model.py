@@ -66,7 +66,8 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
 
 
 def scene_tensors(scene: ModalityScene) -> list[Tensor]:
-    return [Tensor(img) for img in scene.modalities]  # one float64 conversion each
+    """A scene's images as tensors, unscanned: ``encode_batch``'s stack checks them."""
+    return [T._unchecked(np.asarray(img, dtype=np.float64), False) for img in scene.modalities]
 
 
 def forward_train(batch: list[ModalityScene], cfg: ModelConfig,

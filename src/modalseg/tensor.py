@@ -17,6 +17,8 @@ rules:
   its input's array as its output. Only the optimizer (``train.adam_update``)
   writes ``Tensor.data``, in place inside its parameter arena, after the
   backward pass that read it
+- a backward saves only what it cannot rebuild in a few passes of the forward's
+  own operations, and rebuilds the rest with them, bit for bit, at its one use
 - gradients accumulate additively across fan-out; ``backward`` walks the tape
   in exact reverse recording order and releases each node as it passes it:
   the node's closure (with the arrays it saved) and its output's ``.grad``
@@ -357,9 +359,14 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
+    return _gelu_out(x, th), th
+
+
+def _gelu_out(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """``_gelu``'s output, ``0.5 * x * (1 + th)``, from ``x`` and its ``th``."""
     out = x * 0.5
     out *= th + 1.0  # the gradient keeps th, so 1 + th takes a third buffer
-    return out, th
+    return out
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:

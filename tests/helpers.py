@@ -8,8 +8,8 @@ ranking and MIM that the current ones must reproduce bit for bit, the plain
 numpy expressions that the in-place kernel bodies must reproduce bit for
 bit, the per-parameter AdamW loop the arena update must reproduce bit for
 bit, the checkpoint writer whose bytes ``train.save_checkpoint`` must
-reproduce, and a tool that rewrites a container file with an edited header
-or arrays and a fresh checksum."""
+reproduce, a tool that rewrites a container file with an edited header
+or arrays and a fresh checksum, and the ``tracemalloc`` peak of a call."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -37,6 +38,19 @@ from modalseg.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CKPT_MAGIC, CKPT_V
 
 FD_EPS = 1e-6
 FD_TOL = 1e-4
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn`` returns and the ``tracemalloc`` peak, in
+    bytes, of a trace started just before the call; the trace stops even
+    when ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
