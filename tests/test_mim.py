@@ -1,5 +1,8 @@
 """Rectification module: identities, scalar trace oracles, gradients, and the
-fused op against the chain of tensor ops it replaced."""
+fused op against the chain of tensor ops it replaced. The per-stage tests run
+the reference stage bodies in ``tests/helpers.py``, which
+``test_mim_body_bit_identical_to_reference_body`` holds ``mim_forward`` to
+byte for byte."""
 
 from __future__ import annotations
 
@@ -9,11 +12,12 @@ import pytest
 import helpers
 import modalseg.mim as mim
 import modalseg.tensor as T
-from modalseg.mim import fuse, mim_forward, rectify_channel, rectify_spatial
+from modalseg.mim import mim_forward
 from modalseg.tensor import NonFiniteError, Tensor, TensorError, backward, no_grad
 
-from helpers import (check_grads, check_param_grad, cross_rectify, exp, init_mim_params,
-                     mim_chain, sum_all, transpose)
+from helpers import (check_grads, check_param_grad, cross_rectify, exp, fuse_reference,
+                     init_mim_params, mim_chain, rectify_channel_reference,
+                     rectify_spatial_reference, sum_all, transpose)
 
 
 def params_for(channels, seed=0):
@@ -38,7 +42,7 @@ def test_channel_zero_attention_is_identity():
     params["mim.l0.ch.b2"].data = np.full(6, -40.0)
     rng = np.random.default_rng(1)
     f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-    (out_a, out_b), (w_a, w_b), _ = rectify_channel(np.stack([f_a, f_b]), params, 0)
+    (out_a, out_b), (w_a, w_b), _ = rectify_channel_reference(np.stack([f_a, f_b]), params, 0)
     assert np.allclose(out_a, f_a, atol=1e-15)
     assert np.allclose(out_b, f_b, atol=1e-15)
     assert np.all(w_a < 1e-15) and np.all(w_b < 1e-15)
@@ -47,7 +51,7 @@ def test_channel_zero_attention_is_identity():
 def test_channel_equal_inputs_shape_and_finiteness():
     params = params_for((3,))
     f = np.random.default_rng(2).normal(size=(3, 4, 4))
-    out, att, _ = rectify_channel(np.stack([f, f]), params, 0)
+    out, att, _ = rectify_channel_reference(np.stack([f, f]), params, 0)
     for t in out:
         assert t.shape == (3, 4, 4)
         assert np.all(np.isfinite(t))
@@ -66,8 +70,8 @@ def test_channel_scalar_trace_oracle():
     params["mim.l0.ch.w2"].data = w2
     params["mim.l0.ch.b2"].data = b2
     a, b = 0.8, -0.6
-    (out_a, out_b), (w_a, w_b), _ = rectify_channel(np.array([[[[a]]], [[[b]]]]),
-                                                    params, 0)
+    pair = np.array([[[[a]]], [[[b]]]])
+    (out_a, out_b), (w_a, w_b), _ = rectify_channel_reference(pair, params, 0)
 
     z = np.array([a, a, b, b])  # avg and max of a single pixel coincide
     att = np_sigmoid(np_gelu(z @ w1 + b1) @ w2 + b2)
@@ -94,7 +98,7 @@ def test_spatial_zero_attention_is_identity():
     params["mim.l0.sp.b"].data = np.full(2, -40.0)
     rng = np.random.default_rng(3)
     f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-    (out_a, out_b), _ = rectify_spatial(np.stack([f_a, f_b]), params, 0)
+    (out_a, out_b), _ = rectify_spatial_reference(np.stack([f_a, f_b]), params, 0)
     assert np.allclose(out_a, f_a, atol=1e-15)
     assert np.allclose(out_b, f_b, atol=1e-15)
 
@@ -102,7 +106,7 @@ def test_spatial_zero_attention_is_identity():
 def test_spatial_constant_inputs_give_constant_outputs():
     params = params_for((2,), seed=4)
     pair = np.stack([np.full((2, 3, 5), 0.7), np.full((2, 3, 5), -0.2)])
-    (out_a, out_b), _ = rectify_spatial(pair, params, 0)
+    (out_a, out_b), _ = rectify_spatial_reference(pair, params, 0)
     for out in (out_a, out_b):
         per_channel = out.reshape(2, -1)
         assert np.allclose(per_channel, per_channel[:, :1], atol=1e-14)
@@ -116,7 +120,7 @@ def test_spatial_scalar_trace_oracle():
     params["mim.l0.sp.b"].data = spb
     fa = np.array([[[0.4, -0.9], [1.2, 0.0]]])
     fb = np.array([[[-0.3, 0.8], [0.5, -1.1]]])
-    (out_a, out_b), _ = rectify_spatial(np.stack([fa, fb]), params, 0)
+    (out_a, out_b), _ = rectify_spatial_reference(np.stack([fa, fb]), params, 0)
 
     for i in range(2):
         for j in range(2):
@@ -135,13 +139,13 @@ def test_fuse_averaging_weights():
     params["mim.l0.fuse.b"].data = np.zeros(3)
     rng = np.random.default_rng(5)
     f_a, f_b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-    out, _ = fuse(np.stack([f_a, f_b]), params, 0)
+    out, _ = fuse_reference(np.stack([f_a, f_b]), params, 0)
     assert np.allclose(out, (f_a + f_b) / 2, atol=1e-14)
 
 
 def test_fuse_zero_inputs_zero_bias():
     params = params_for((3,), seed=6)
-    out, _ = fuse(np.zeros((2, 3, 2, 2)), params, 0)
+    out, _ = fuse_reference(np.zeros((2, 3, 2, 2)), params, 0)
     assert np.array_equal(out, np.zeros((3, 2, 2)))
 
 
@@ -214,8 +218,24 @@ def test_stacked_pair_matches_two_map_chain(seed):
         assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
 
 
-# (C, grid side) of each level of the benchmark's training pyramid
+# (C, grid side) of each level of the benchmark's training pyramid, and of the
+# CLI default model's at the 64x64 evaluation size
 TRAIN_LEVELS = [(8, 8), (12, 4), (16, 2), (24, 1)]
+CLI_LEVELS = [(16, 16), (32, 8), (64, 4), (96, 2)]
+
+
+def tie_each_max(arrays, rng):
+    """A copy of 2 x h x w x C ``arrays`` in which every map and channel's
+    maximum also sits at a second pixel, before or after the first in
+    row-major order."""
+    n, h, w, c = arrays.shape
+    flat = arrays.reshape(n, h * w, c).copy()
+    first = flat.argmax(axis=1)
+    second = (first + rng.integers(1, h * w, size=first.shape)) % (h * w)
+    maps, channels = np.arange(n)[:, None], np.arange(c)
+    flat[maps, second, channels] = flat[maps, first, channels]
+    assert np.all((flat == flat.max(axis=1, keepdims=True)).sum(axis=1) == 2)
+    return flat.reshape(arrays.shape)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -226,26 +246,32 @@ def test_mim_body_bit_identical_to_reference_body(seed, layout):
     gradients equal byte for byte. The maps are the channel-last strided
     views ``encode_batch`` produces, where the pooling order depends on the
     layout, or C-order maps; scale 30 saturates the sigmoids, so some
-    attention gradients are exact zeros."""
-    rng = np.random.default_rng(900 + seed)
+    attention gradients are exact zeros. Each level shape also runs with
+    every channel's maximum at two pixels, where the reference's
+    ``argmax`` gives the max-pool gradient to the first in row-major order."""
+    rng, tie_rng = np.random.default_rng(900 + seed), np.random.default_rng(1900 + seed)
     shapes = [(c, s, s) for c, s in TRAIN_LEVELS]
     shapes.append(tuple(int(v) for v in rng.integers(1, 7, size=3)))
+    shapes += [(c, s, s) for c, s in CLI_LEVELS]
     for c, h, w in shapes:
         arrays = rng.normal(size=(2, h, w, c)) * rng.choice([1e-3, 1.0, 30.0])
         pick = Tensor(rng.normal(size=(c, h, w)))
-        runs = []
-        for forward in (mim_forward, helpers.mim_forward_reference):
-            params = params_for((c,), seed)
-            if layout == "C":
-                leaf = Tensor(arrays.transpose(0, 3, 1, 2).copy(), requires_grad=True)
-                maps = T.unstack(leaf)
-            else:
-                leaf, maps = helpers.channel_last_maps(arrays)
-            out = forward(maps[0], maps[1], params, 0)
-            backward(sum_all(T.mul(out, pick)))
-            runs.append([out.data.tobytes(), leaf.grad.tobytes()]
-                        + [t.grad.tobytes() for t in params.values()])
-        assert runs[0] == runs[1], (c, h, w)
+        for tied in (False, True) if h * w > 1 else (False,):
+            if tied:
+                arrays = tie_each_max(arrays, tie_rng)
+            runs = []
+            for forward in (mim_forward, helpers.mim_forward_reference):
+                params = params_for((c,), seed)
+                if layout == "C":
+                    leaf = Tensor(arrays.transpose(0, 3, 1, 2).copy(), requires_grad=True)
+                    maps = T.unstack(leaf)
+                else:
+                    leaf, maps = helpers.channel_last_maps(arrays)
+                out = forward(maps[0], maps[1], params, 0)
+                backward(sum_all(T.mul(out, pick)))
+                runs.append([out.data.tobytes(), leaf.grad.tobytes()]
+                            + [t.grad.tobytes() for t in params.values()])
+            assert runs[0] == runs[1], (c, h, w, tied)
 
 
 def test_mim_gradients_through_channel_last_views():
@@ -303,7 +329,7 @@ def test_attention_weights_in_unit_interval():
         params = params_for((3,), seed=seed)
         rng = np.random.default_rng(100 + seed)
         pair = rng.normal(size=(2, 3, 4, 4)) * 3
-        _, (w_a, w_b), _ = rectify_channel(pair, params, 0)
+        _, (w_a, w_b), _ = rectify_channel_reference(pair, params, 0)
         assert np.all((w_a > 0) & (w_a < 1))
         assert np.all((w_b > 0) & (w_b < 1))
 
@@ -313,8 +339,8 @@ def test_output_shape_matches_input_at_every_stage():
     rng = np.random.default_rng(12)
     for level, c in enumerate((4, 6)):
         pair = rng.normal(size=(2, c, 3, 5))
-        (a1, b1), _, _ = rectify_channel(pair, params, level)
-        (a2, b2), _ = rectify_spatial(np.stack([a1, b1]), params, level)
-        out, _ = fuse(np.stack([a2, b2]), params, level)
+        (a1, b1), _, _ = rectify_channel_reference(pair, params, level)
+        (a2, b2), _ = rectify_spatial_reference(np.stack([a1, b1]), params, level)
+        out, _ = fuse_reference(np.stack([a2, b2]), params, level)
         assert a1.shape == b1.shape == a2.shape == b2.shape == (c, 3, 5)
         assert out.shape == (c, 3, 5)

@@ -30,8 +30,8 @@ from modalseg.train import (AdamState, Checkpoint, CheckpointError,
                             load_config, lr_at, save_checkpoint, train,
                             train_step)
 
-from helpers import (adam_update_reference, read_frame, save_checkpoint_reference,
-                     traced_peak)
+from helpers import (adam_update_reference, mim_forward_reference, read_frame,
+                     save_checkpoint_reference, traced_peak)
 
 MODALITIES = ("camera", "depth", "event", "range")
 
@@ -619,6 +619,24 @@ def test_training_is_deterministic(tmp_path):
     params_b, hist_b = train(cfg, ds, tmp_path / "b")
     assert hist_a == hist_b  # exact float equality
     assert param_bytes(params_a) == param_bytes(params_b)
+
+
+def test_masm_training_with_the_reference_mim_body_ends_bit_identical(tmp_path, monkeypatch):
+    """Two epochs at the benchmark's ``train-masm`` configuration end with
+    the same parameters, moments and history, byte for byte, when
+    ``masm_forward`` calls ``helpers.mim_forward_reference`` in place of
+    ``mim_forward``: the maps are views into the level tensor, and each step
+    accumulates every level's MIM gradients over 16 pairs."""
+    ds = generate_dataset(0, count=16, h=32, w=32, k=3, m=4, p_night=0.5)
+    cfg = dataclasses.replace(BENCH_TRAIN, epochs=2)
+    sides = []
+    for forward in (masm.mim_forward, mim_forward_reference):
+        monkeypatch.setattr(masm, "mim_forward", forward)
+        run = tmp_path / forward.__name__
+        params, history = train(cfg, ds, run)
+        sides.append((param_bytes(params), moments_bytes(load_checkpoint(run / "model.mmck").opt),
+                      history))
+    assert sides[0] == sides[1]
 
 
 def test_train_writes_log_and_checkpoint(tmp_path):
