@@ -149,7 +149,10 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
     midpoint. Scenes carry equally many terms, the j-th of equal shape; no terms
     give an untracked 0. dL/dc_j is K/(B*n) * log(c_j/m) for n terms a scene;
     a clipped similarity, or a zero-norm feature's cosine (mapped to 0.5),
-    passes no gradient. The backward rebuilds the terms' row copies."""
+    passes no gradient. The backward rebuilds the terms' row copies and
+    accumulates in one pass: last term position first and, within one, last
+    scene first, which is the order of a tape of one op per term whenever no
+    tensor is shared between scenes."""
     if class_count < 1:
         raise TensorError("consistency_loss: class_count must be positive")
     if not any(scene_terms):
@@ -175,8 +178,7 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
 
     def bwd(g):
         s = float(g / b) * (k / n)  # the output is a scalar
-        grads = []
-        for groups, cos, norms, ref_norms, inside, logs in columns:
+        for groups, cos, norms, ref_norms, inside, logs in reversed(columns):
             g_c = ((s * logs) * inside) * 0.5  # a clipped similarity passes no gradient
             has_grad = np.minimum(norms, ref_norms) >= NORM_EPS
             na = np.where(has_grad, norms, 1.0)
@@ -186,12 +188,9 @@ def consistency_loss(scene_terms: list[list[Term]], class_count: int) -> Tensor:
             g_f = s_c[..., None] * rows[:, 2:] - (g_c * cos / (na * na))[..., None] * rows[:, :2]
             g_m = s_c[..., None] * rows[:, :2] - (g_c * cos / (nb * nb))[..., None] * rows[:, 2:]
             del rows
-            grads.append((groups, has_grad, g_f, g_m))
-        # scene by scene, last similarity first: the order of a tape of one op per term
-        for i in reversed(range(len(scene_terms))):
-            for groups, has_grad, g_f, g_m in reversed(grads):
+            for i in reversed(range(len(groups))):
                 *features, f_mim = groups[i]
-                for j in (1, 0):
+                for j in (1, 0):  # last similarity first
                     if has_grad[i, j]:
                         f = features[j]
                         accumulate_grad(f, g_f[i, j].reshape(f.shape))

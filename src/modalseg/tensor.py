@@ -27,7 +27,8 @@ rules:
 - ``unstack`` and ``deinterleave`` record nothing: a gradient accumulated
   into one of their views goes straight into the view's slice of the
   parent's ``.grad``, and the parent's node runs after every consumer of its
-  views
+  views. Views go one level deep: while recording, neither takes views of a
+  view
 """
 
 from __future__ import annotations
@@ -68,15 +69,12 @@ class Tape:
         out._node_index = len(self._nodes)
         self._nodes.append((out, backward))
 
-    def _truncate(self, length: int) -> None:
-        """Drop the nodes from index ``length`` on, detaching their outputs."""
-        for out, _ in self._nodes[length:]:
+    def clear(self) -> None:
+        """Drop every node, detaching its output."""
+        for out, _ in self._nodes:
             out._node_index = None
             out.grad = None
-        del self._nodes[length:]
-
-    def clear(self) -> None:
-        self._truncate(0)
+        self._nodes.clear()
 
 
 _TAPE_STACK: list[Tape | None] = [Tape()]
@@ -123,7 +121,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node_index: int | None = None
-        self._base: tuple[Tensor, tuple[int, ...]] | None = None  # set on unstack views
+        self._base: tuple[Tensor, int | slice] | None = None  # set on recorded views
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -153,7 +151,7 @@ class Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t._base is not None:  # an unstack view: its slice of the parent's gradient
+    if t._base is not None:  # a view: its slice of the parent's gradient
         parent, index = t._base
         if parent.grad is None:
             parent.grad = np.zeros_like(parent.data)
@@ -210,11 +208,12 @@ accumulate_grad = _accumulate
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss, emptying the tape.
 
-    Nodes recorded after the loss are dropped first. Then each node is popped
-    off the end, its backward runs, and the node's closure (with the arrays it
-    saved) and its output's ``.grad`` are released before the next node runs.
-    Afterwards only leaves keep ``.grad``. If a backward raises, the tape is
-    still emptied and every recorded output detached.
+    Each node is popped off the end, its backward runs if a gradient reached
+    its output (none reaches a node recorded after the loss), and the node's
+    closure (with the arrays it saved) and its output's ``.grad`` are released
+    before the next node runs. Afterwards only leaves keep ``.grad``. If a
+    backward raises, the tape is still emptied and every recorded output
+    detached.
     """
     tape = active_tape()
     if tape is None:
@@ -225,7 +224,6 @@ def backward(loss: Tensor) -> None:
         raise TensorError("detached loss: not recorded on the tape")
     nodes = tape._nodes
     try:
-        tape._truncate(loss._node_index + 1)
         loss.grad = np.ones_like(loss.data)
         while nodes:
             out, bwd = nodes.pop()
@@ -299,23 +297,22 @@ def _views(t: Tensor, parts: list[np.ndarray], indices) -> list[Tensor]:
     """Tensors around ``parts``, slices ``t.data[index]``, recording nothing;
     a gradient accumulated into one goes straight into ``t.grad[index]``."""
     needs_grad = t.requires_grad and active_tape() is not None
+    if needs_grad and t._base is not None:
+        raise TensorError("cannot take views of a view")
     views = [_unchecked(part, needs_grad) for part in parts]  # t's data was checked
     if needs_grad:
-        parent, base = t._base or (t, ())
-        if any(isinstance(i, slice) for i in base):
-            raise TensorError("cannot take views of a deinterleaved view")
         for view, index in zip(views, indices):
-            view._base = (parent, base + index)
+            view._base = (t, index)
     return views
 
 
 def unstack(t: Tensor) -> list[Tensor]:
     """Split the leading axis into views of ``t.data[i]`` that record nothing:
-    a gradient accumulated into view ``i`` goes straight into ``t.grad[i]``
-    (for a view of a view, into its first parent's slice)."""
+    a gradient accumulated into view ``i`` goes straight into ``t.grad[i]``.
+    While recording, ``t`` may not itself be a view."""
     if t.ndim < 2:
         raise TensorError(f"unstack: need at least 2 axes, got shape {t.shape}")
-    return _views(t, list(t.data), [(i,) for i in range(t.shape[0])])
+    return _views(t, list(t.data), range(t.shape[0]))
 
 
 def deinterleave(t: Tensor, m: int) -> list[Tensor]:
@@ -324,8 +321,7 @@ def deinterleave(t: Tensor, m: int) -> list[Tensor]:
     accumulated into view ``j`` goes straight into ``t.grad[j::m]``."""
     if t.ndim < 2 or m < 1 or t.shape[0] % m:
         raise TensorError(f"deinterleave: cannot split shape {t.shape} into {m} views")
-    return _views(t, [t.data[j::m] for j in range(m)],
-                  [(slice(j, None, m),) for j in range(m)])
+    return _views(t, [t.data[j::m] for j in range(m)], [slice(j, None, m) for j in range(m)])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}")
 

@@ -572,7 +572,7 @@ def test_after_backward_only_leaves_keep_grads():
     y = T.mul(x, x)
     z = T.add(y, x)
     loss = sum_all(T.mul(z, 3.0))
-    unused = T.mul(y, 2.0)  # recorded after the loss: dropped, never run
+    unused = T.mul(y, 2.0)  # recorded after the loss: no gradient reaches it, never run
     backward(loss)
     assert x.grad is not None
     assert all(t.grad is None and t._node_index is None for t in (y, z, loss, unused))
@@ -666,8 +666,9 @@ def test_stack_unstack_round_trip_and_ops(monkeypatch):
 def test_unstack_view_gradients(seed):
     """Finite differences through unstack views: of a recorded op's output
     whose view 0 is consumed twice while the base is consumed directly too
-    (view 1 unused: its slice gets only the direct gradient), of a leaf, and
-    of a view of a view."""
+    (view 1 unused: its slice gets only the direct gradient), and of a leaf.
+    Views go one level deep: a recorded view takes no views, and under
+    ``no_grad`` any tensor does."""
     rng = np.random.default_rng(700 + seed)
     a = rng.normal(size=(3, 2, 2))
     pick = Tensor(rng.normal(size=(3, 2, 2)))
@@ -680,7 +681,16 @@ def test_unstack_view_gradients(seed):
 
     check_grads(twice_and_direct, [a])
     check_grads(lambda t: sum_all(T.mul(exp(T.unstack(t)[2]), T.unstack(t)[0])), [a])
-    check_grads(lambda t: sum_all(exp(T.unstack(T.unstack(T.mul(t, 2.0))[1])[0])), [a])
+    view = T.unstack(T.mul(Tensor(a, requires_grad=True), 2.0))[1]
+    for split, want in ((T.unstack, list(view.data)),
+                        (lambda t: T.deinterleave(t, 2), [view.data[0::2], view.data[1::2]])):
+        with pytest.raises(TensorError, match="^cannot take views of a view$"):
+            split(view)
+        with no_grad():
+            parts = split(view)
+        assert len(parts) == len(want)
+        assert all(np.array_equal(p.data, w) and not p.requires_grad for p, w in zip(parts, want))
+    T.active_tape().clear()
 
 
 def test_unstack_views_route_into_the_parent_gradient():
@@ -740,7 +750,7 @@ def test_deinterleave_views_route_into_strided_slices():
         T.deinterleave(Tensor(np.ones((5, 2))), 3)
     with pytest.raises(TensorError):
         T.deinterleave(Tensor(np.ones(6)), 3)
-    with pytest.raises(TensorError):  # a strided view's slices are not its rows
+    with pytest.raises(TensorError, match="^cannot take views of a view$"):
         T.unstack(T.deinterleave(T.mul(t, 1.0), 3)[0])
     T.active_tape().clear()
 

@@ -120,7 +120,7 @@ BAD_CONFIG_VALUES = [
     ("model", "stage_channels", (4, 6, 8)), ("model", "stage_channels", (4, 6, 8, 0)),
     ("model", "blocks_per_stage", 0), ("model", "d_embed", 0),
     ("train", "beta", -0.5), ("train", "base_lr", 0.0), ("train", "epochs", 0),
-    ("train", "batch_size", 0), ("train", "fusion", "concat"),
+    ("train", "batch_size", 0), ("train", "fusion", "concat"), ("train", "seed", -1),
     *(("train", key, value) for key in ("beta", "base_lr") for value in (math.nan, math.inf)),
 ]
 
